@@ -390,6 +390,13 @@ void write_point_json(std::ostream& os, const SweepPoint& pt) {
     os << ", \"faults\": ";
     write_faults(os, pt.result.faults);
   }
+  // Flow-engine points only: packet-engine points stay byte-identical.
+  if (pt.result.flow.enabled) {
+    const FlowEngineStats& fl = pt.result.flow;
+    os << ", \"flow\": {\"repairs\": " << fl.repairs << ", \"fallbacks\": " << fl.fallbacks
+       << ", \"flows_touched\": " << fl.flows_touched << ", \"rate_changes\": " << fl.rate_changes
+       << ", \"stale_completions\": " << fl.stale_completions << "}";
+  }
   if (pt.result.metrics != nullptr) {
     os << ", \"metrics\": ";
     write_metrics(os, *pt.result.metrics);

@@ -70,9 +70,9 @@ OpenLoopTiming time_open_loop(const Topology& topo, double load, TimePs duration
 int run(const std::string& json_path, bool skip_large) {
   // Bench-scale sanity on the BENCH_core.json topology (SF q=7, uniform,
   // seed 1), one scenario per recompute mode in its intended regime:
-  // exact per-event component recompute below the knee (components stay
-  // small), batched ticks at saturation (where exact recompute would touch
-  // a network-spanning component on every event).
+  // exact per-event local repair below the knee (repairs stay local),
+  // batched ticks at saturation (where repairs widen over the saturated
+  // links and some fall back to a network-spanning recompute).
   const Topology q7 = build_slim_fly(7);
   const OpenLoopTiming exact = time_open_loop(q7, 0.5, us(16), us(4), 0, 3);
   std::printf("sf q=7 load 0.5 exact:   %8.0f flows/s  wall %.2fs  accepted %.3f\n",

@@ -21,7 +21,11 @@ constexpr double kEpsBytes = 1e-4;
 // rate change. Max-min fair shares are bounded below by 1/flows-on-link, so
 // this only guards floating-point corner cases.
 constexpr double kMinRate = 1e-12;
-constexpr std::int64_t kWallCheckInterval = 4096;
+// The wall-clock deadline is checked once per this much work, counted as
+// events plus flows recomputed: one event can recompute a single flow or a
+// network-wide component, so an event count alone would let a
+// recompute-heavy run overshoot its limit by seconds.
+constexpr std::int64_t kWallCheckWork = 32768;
 
 // Local equivalents of ExchangePlan::total_bytes()/active_nodes(): those
 // are compiled into d2net_sim, which links *against* this library — keep
@@ -113,6 +117,8 @@ void FlowSim::reset() {
   exchange_msgs_total_ = 0;
   exchange_completion_ = -1;
 
+  stats_ = FlowEngineStats{};
+  stats_.enabled = true;
   events_processed_ = 0;
   event_digest_ = 0;
   flows_started_ = 0;
@@ -197,6 +203,7 @@ void FlowSim::schedule_completion(int flow) {
 void FlowSim::on_rate_change(int flow, double new_rate) {
   accrue(flow);
   table_.rate[static_cast<std::size_t>(flow)] = new_rate;
+  ++stats_.rate_changes;
   ++gen_of_[static_cast<std::size_t>(flow)];  // lazy-invalidate the old completion event
   schedule_completion(flow);
 }
@@ -242,11 +249,9 @@ int FlowSim::start_flow(int src_node, int dst_node, double bytes) {
   if (route_scratch_.minimal()) ++minimal_flows_;
   ++active_of_node_[static_cast<std::size_t>(src_node)];
 
-  if (defer_rates_) {
-    // Exchange setup: the caller settles every rate in one waterfill_all.
-  } else if (cfg_.flow.rate_interval == 0) {
-    waterfill_from(table_, link_scratch_, n, scratch_, *this);
-  } else {
+  // Exact mode leaves the rate at 0: the caller settles it with one
+  // recompute that also covers whatever else changed in the same event.
+  if (cfg_.flow.rate_interval > 0 && !defer_rates_) {
     // Optimistic estimate until the next rate tick: the fair share if every
     // link it crosses split evenly among its current flows.
     double est = 1.0;
@@ -257,7 +262,14 @@ int FlowSim::start_flow(int src_node, int dst_node, double bytes) {
     schedule_completion(f);
     mark_dirty(link_scratch_, n);
   }
-  return f;
+  return n;
+}
+
+void FlowSim::recompute(const std::int32_t* links, int n) {
+  const RepairResult r = repair_from(table_, links, n, scratch_, *this);
+  ++stats_.repairs;
+  if (r.fell_back) ++stats_.fallbacks;
+  stats_.flows_touched += r.flows_touched;
 }
 
 void FlowSim::finish_flow(int flow) {
@@ -276,9 +288,8 @@ void FlowSim::finish_flow(int flow) {
     }
   }
 
-  // Seeds for the post-removal recompute: the departing flow's links (its
-  // component may split, but every affected link is among them), plus —
-  // when a successor starts — the successor's links, so one waterfill
+  // Seeds for the post-removal recompute: the departing flow's links plus —
+  // when a successor starts — the successor's links, so one recompute
   // covers both changes.
   const int base = flow * kMaxLinksPerFlow;
   const int nold = table_.nlinks[f];
@@ -289,6 +300,8 @@ void FlowSim::finish_flow(int flow) {
   --active_of_node_[static_cast<std::size_t>(src)];
   if (cfg_.flow.rate_interval > 0) mark_dirty(link_scratch_ + kMaxLinksPerFlow, nold);
 
+  int nnew = 0;  // links of the successor flow, if one starts
+
   if (exchange_mode_) {
     --exchange_msgs_open_;
     if (plan_->order == MessageOrder::kSequential) {
@@ -298,7 +311,7 @@ void FlowSim::finish_flow(int flow) {
         const ExchangeMessage& m = msgs[static_cast<std::size_t>(cursor)];
         ++cursor;
         ++exchange_msgs_open_;
-        start_flow(src, m.dst_node, static_cast<double>(m.bytes));
+        nnew = start_flow(src, m.dst_node, static_cast<double>(m.bytes));
       }
     }
     if (exchange_msgs_open_ == 0) exchange_completion_ = now_;
@@ -307,15 +320,16 @@ void FlowSim::finish_flow(int flow) {
     if (backlog > 0) {
       --backlog;
       const int dst = pattern_->dest(src, node_rng_[static_cast<std::size_t>(src)]);
-      start_flow(src, dst, static_cast<double>(cfg_.flow.flow_bytes));
+      nnew = start_flow(src, dst, static_cast<double>(cfg_.flow.flow_bytes));
     }
   }
 
   if (cfg_.flow.rate_interval == 0) {
-    // start_flow already waterfilled the successor's component (which
-    // includes any links shared with the departed flow); recompute from the
-    // departed links too so split-off components are re-raised.
-    waterfill_from(table_, link_scratch_ + kMaxLinksPerFlow, nold, scratch_, *this);
+    // start_flow left the successor's links in link_scratch_[0, nnew);
+    // append the departed links after them.
+    std::copy(link_scratch_ + kMaxLinksPerFlow, link_scratch_ + kMaxLinksPerFlow + nold,
+              link_scratch_ + nnew);
+    recompute(link_scratch_, nnew + nold);
   }
 }
 
@@ -325,7 +339,8 @@ void FlowSim::dispatch_arrival(const Event& e) {
   const std::size_t ns = static_cast<std::size_t>(node);
   if (active_of_node_[ns] < cfg_.flow.max_active_per_node) {
     const int dst = pattern_->dest(node, node_rng_[ns]);
-    start_flow(node, dst, static_cast<double>(cfg_.flow.flow_bytes));
+    const int n = start_flow(node, dst, static_cast<double>(cfg_.flow.flow_bytes));
+    if (cfg_.flow.rate_interval == 0) recompute(link_scratch_, n);
   } else {
     ++backlog_of_node_[ns];
   }
@@ -340,7 +355,10 @@ void FlowSim::dispatch_arrival(const Event& e) {
 void FlowSim::dispatch_completion(const Event& e) {
   const int flow = e.a;
   const std::size_t f = static_cast<std::size_t>(flow);
-  if (!table_.in_use[f] || gen_of_[f] != e.gen) return;  // stale
+  if (!table_.in_use[f] || gen_of_[f] != e.gen) {
+    ++stats_.stale_completions;
+    return;
+  }
   accrue(flow);
   if (table_.remaining[f] > kEpsBytes) {
     // Batched mode: the optimistic estimate overshot; re-arm at the
@@ -356,6 +374,7 @@ void FlowSim::dispatch_rate_tick() {
   if (!dirty_links_.empty()) {
     waterfill_from(table_, dirty_links_.data(), static_cast<int>(dirty_links_.size()), scratch_,
                    *this);
+    stats_.flows_touched += static_cast<std::int64_t>(scratch_.flows.size());
     dirty_links_.clear();
     ++dirty_epoch_;
     if (dirty_epoch_ == 0) {
@@ -369,7 +388,8 @@ bool FlowSim::run_until(TimePs end) {
   const bool digest = cfg_.collect_event_digest;
   const double wall_limit = cfg_.wall_limit_seconds;
   const auto wall_start = std::chrono::steady_clock::now();
-  std::int64_t since_check = 0;
+  const auto work = [this] { return events_processed_ + stats_.flows_touched; };
+  std::int64_t next_check = work() + kWallCheckWork;
   const auto after = [](const Event& x, const Event& y) {
     return x.time > y.time || (x.time == y.time && x.seq > y.seq);
   };
@@ -402,8 +422,8 @@ bool FlowSim::run_until(TimePs end) {
         break;
     }
     if (exchange_mode_ && exchange_completion_ >= 0) return true;
-    if (wall_limit > 0.0 && ++since_check >= kWallCheckInterval) {
-      since_check = 0;
+    if (wall_limit > 0.0 && work() >= next_check) {
+      next_check = work() + kWallCheckWork;
       const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - wall_start;
       if (elapsed.count() > wall_limit) {
         timed_out_ = true;
@@ -482,6 +502,7 @@ OpenLoopResult FlowSim::run_open_loop(const TrafficPattern& pattern, double load
   res.phases.delivered_measured = delivered_measured_;
   res.phases.delivered_carryover = delivered_carryover_;
   res.phases.in_flight_at_end = table_.active;
+  res.flow = stats_;
   return res;
 }
 
@@ -498,9 +519,9 @@ ExchangeResult FlowSim::run_exchange(const ExchangePlan& plan, TimePs time_limit
   window_end_ = time_limit;
   gen_end_ = 0;
 
-  // Open the initial flows with rate 0 (defer_rates_), then assign all
-  // starting rates in one global waterfill — cheaper than a per-flow
-  // recompute and identical to it at the fixed point.
+  // Open the initial flows with rate 0, then assign all starting rates in
+  // one global waterfill — cheaper than a per-flow recompute and identical
+  // to it at the fixed point.
   defer_rates_ = true;
   for (int node = 0; node < topo_.num_nodes(); ++node) {
     const auto& msgs = plan.per_node[static_cast<std::size_t>(node)];
@@ -516,6 +537,7 @@ ExchangeResult FlowSim::run_exchange(const ExchangePlan& plan, TimePs time_limit
   }
   defer_rates_ = false;
   waterfill_all(table_, scratch_, *this);
+  stats_.flows_touched += static_cast<std::int64_t>(scratch_.flows.size());
   if (cfg_.flow.rate_interval > 0) {
     push_event(cfg_.flow.rate_interval, EventKind::kRateTick, 0, 0);
   }

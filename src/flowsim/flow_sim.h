@@ -11,10 +11,10 @@
 // item).
 //
 // Two recompute disciplines, selected by FlowSimConfig::rate_interval:
-//   0   exact: after every flow arrival/departure, re-waterfill the
-//       affected connected component of the flow-link sharing graph
-//       (components are independent under max-min fairness, so this is the
-//       global fixed point). Default; right at validation scale.
+//   0   exact: after every flow arrival/departure, repair the max-min rates
+//       locally around the changed links and certify the result as the
+//       global fixed point (repair_from in waterfill.h), falling back to a
+//       component re-waterfill when the repair does not stay local. Default.
 //   > 0 batched: new/removed flows mark their links dirty; a periodic rate
 //       tick re-waterfills the dirty components. New flows run at an
 //       optimistic estimate (min over their links of 1/flow-count) until
@@ -126,8 +126,12 @@ class FlowSim final : public PortLoadProvider, private RateChangeSink {
   void dispatch_completion(const Event& e);
   void dispatch_rate_tick();
 
+  /// Routes and registers a flow; leaves its links in link_scratch_[0, n)
+  /// and returns n.
   int start_flow(int src_node, int dst_node, double bytes);
   void finish_flow(int flow);
+  /// Exact mode: settles every rate after the flows on `links` changed.
+  void recompute(const std::int32_t* links, int n);
   void accrue(int flow);
   void schedule_completion(int flow);
   void mark_dirty(const std::int32_t* links, int n);
@@ -164,7 +168,9 @@ class FlowSim final : public PortLoadProvider, private RateChangeSink {
   std::vector<std::uint32_t> dirty_mark_;
   std::uint32_t dirty_epoch_ = 0;
 
-  // Event heap (min on (time, seq)) plus scratch for waterfill seeds.
+  // Event heap (min on (time, seq)) plus scratch for recompute seeds: a new
+  // flow's links first, then those of the flow that departed in the same
+  // event.
   std::vector<Event> heap_;
   std::uint64_t next_seq_ = 0;
   std::int32_t link_scratch_[2 * kMaxLinksPerFlow] = {};
@@ -180,13 +186,15 @@ class FlowSim final : public PortLoadProvider, private RateChangeSink {
   TimePs window_end_ = 0;
   bool exchange_mode_ = false;
   bool timed_out_ = false;
-  /// Exchange setup: start_flow leaves rates at 0 for one waterfill_all.
+  /// Batched exchange setup: start_flow leaves rates at 0 for one
+  /// waterfill_all instead of assigning estimates.
   bool defer_rates_ = false;
   std::int64_t exchange_msgs_open_ = 0;
   std::int64_t exchange_msgs_total_ = 0;
   TimePs exchange_completion_ = -1;
 
   // Statistics.
+  FlowEngineStats stats_;
   std::int64_t events_processed_ = 0;
   std::uint64_t event_digest_ = 0;
   std::int64_t flows_started_ = 0;

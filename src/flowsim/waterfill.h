@@ -6,18 +6,27 @@
 // path needs — create, destroy, iterate a link's flows — is O(1) or O(flow
 // links), with no per-event allocation after warm-up.
 //
-// waterfill_from() recomputes exact max-min rates for the connected
-// component(s) of the flow-link sharing graph reachable from a set of seed
-// links. Components are independent under max-min fairness (no flow or
-// capacity is shared across them), so a component-local recompute after a
-// flow arrival or departure reproduces the global fixed point while
-// touching only the affected flows — the incremental path the engine runs
-// after every event in exact mode and per dirty component in batched mode
-// (see docs/flow_engine.md).
+// Two recompute entry points:
+//
+// - waterfill_from() recomputes exact max-min rates for the connected
+//   component(s) of the flow-link sharing graph reachable from a set of
+//   seed links. Components are independent under max-min fairness, so this
+//   reproduces the global fixed point. Batched rate ticks, the exchange
+//   set-up (waterfill_all) and the repair's fallback use it. In a
+//   diameter-two network at moderate load the sharing graph percolates and
+//   the "component" is the whole network.
+// - repair_from() is the exact-mode path run after every flow arrival or
+//   departure. It re-fills only the flows crossing a dirty link set, with
+//   every other flow held at its rate, then checks the max-min bottleneck
+//   certificate on every link it touched. Violators widen the dirty set and
+//   the fill repeats; when the certificate holds, the allocation is the
+//   unique max-min fixed point. A repair that stops making progress, or
+//   grows past the cost of a component recompute, falls back to
+//   waterfill_from (see docs/flow_engine.md).
 //
 // Determinism: the bottleneck selection heap orders by (fill ratio, link
 // id) with exact double comparison, and membership lists are walked in
-// their deterministic insertion order, so recomputing the same component
+// their deterministic insertion order, so recomputing the same flow set
 // always freezes flows in the same order and reproduces bit-identical
 // rates.
 #pragma once
@@ -42,6 +51,9 @@ struct FlowTable {
   std::vector<double> remaining;  ///< bytes left to deliver
   std::vector<std::int16_t> nlinks;
   std::vector<std::uint8_t> in_use;
+  /// A link that certifies the flow's rate: saturated, with no flow on it
+  /// faster than this one. Set by every recompute; -1 until the first.
+  std::vector<std::int32_t> bottleneck;
 
   // Per flow-link slot (flow * kMaxLinksPerFlow + i, i < nlinks[flow]).
   std::vector<std::int32_t> slot_link;
@@ -82,7 +94,7 @@ class RateChangeSink {
 /// Epoch-stamped scratch reused across waterfill passes; never shrinks.
 struct WaterfillScratch {
   std::vector<std::uint32_t> link_mark;
-  std::vector<std::uint32_t> flow_mark;    ///< component membership
+  std::vector<std::uint32_t> flow_mark;    ///< component (or free-set) membership
   std::vector<std::uint32_t> flow_frozen;  ///< frozen during the current pass
   std::uint32_t epoch = 0;
   std::vector<double> rem_cap;
@@ -90,6 +102,16 @@ struct WaterfillScratch {
   std::vector<std::int32_t> links;  ///< collected component links
   std::vector<std::int32_t> flows;  ///< collected component flows
   std::vector<std::pair<double, std::int32_t>> heap;
+
+  // repair_from only.
+  std::vector<std::uint32_t> dirty_mark;  ///< dirty-set membership (repair epoch)
+  std::vector<std::uint32_t> stat_mark;   ///< rem_cap/link_max final this round (round epoch)
+  std::vector<std::uint32_t> cert_mark;   ///< flow certified this round
+  std::vector<double> link_max;           ///< fastest flow on the link
+  std::vector<double> tent_rate;          ///< free flow's filled rate
+  std::vector<std::int32_t> tent_bottleneck;
+  std::vector<std::int32_t> dirty;        ///< the dirty link set
+  std::vector<std::pair<std::int32_t, std::int32_t>> rebind;  ///< (flow, new bottleneck)
 
   void ensure(int num_links, int flow_capacity);
 };
@@ -102,5 +124,20 @@ void waterfill_from(FlowTable& table, const std::int32_t* seeds, int nseeds,
 
 /// Full recompute over every active flow (seed = all non-empty links).
 void waterfill_all(FlowTable& table, WaterfillScratch& ws, RateChangeSink& sink);
+
+/// What one repair_from call cost.
+struct RepairResult {
+  std::int64_t flows_touched = 0;  ///< free flows over all rounds, plus the fallback's component
+  bool fell_back = false;          ///< finished by waterfill_from
+};
+
+/// Local max-min repair after the flows on `seeds` changed (arrivals
+/// created with rate 0, departures already destroyed). Requires every
+/// other flow to hold its max-min rate and a valid FlowTable::bottleneck,
+/// which every recompute maintains. Reaches the same fixed point as
+/// waterfill_from up to rounding; a rate whose change is within rounding
+/// (1e-13 of line rate) keeps its old value and is not reported.
+RepairResult repair_from(FlowTable& table, const std::int32_t* seeds, int nseeds,
+                         WaterfillScratch& ws, RateChangeSink& sink);
 
 }  // namespace d2net::flowsim

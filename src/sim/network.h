@@ -55,6 +55,17 @@ class Topology;
 class TrafficPattern;
 class MinimalTable;
 
+/// Rate-recompute counters of one flow-engine run (docs/flow_engine.md);
+/// `enabled` is false for packet-engine results.
+struct FlowEngineStats {
+  bool enabled = false;
+  std::int64_t repairs = 0;            ///< exact-mode local max-min repairs
+  std::int64_t fallbacks = 0;          ///< repairs finished by a component re-waterfill
+  std::int64_t flows_touched = 0;      ///< flows recomputed by repairs, fallbacks and ticks
+  std::int64_t rate_changes = 0;       ///< rate changes committed
+  std::int64_t stale_completions = 0;  ///< completion events skipped as outdated
+};
+
 /// Result of one open-loop synthetic-traffic run at a fixed offered load.
 struct OpenLoopResult {
   double offered_load = 0.0;
@@ -87,6 +98,8 @@ struct OpenLoopResult {
   bool timed_out = false;
   /// Fault-injection accounting (faults.enabled false for healthy runs).
   FaultStats faults;
+  /// Flow-engine recompute counters (flow.enabled false on the packet engine).
+  FlowEngineStats flow;
   /// Per-port/VC detail; non-null only with SimConfig::metrics.enabled.
   std::shared_ptr<const SimMetrics> metrics;
 };

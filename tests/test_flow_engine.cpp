@@ -1,5 +1,8 @@
-// Flow-level engine (src/flowsim/): water-filling unit behavior, engine
-// sanity on tiny topologies, batched-vs-exact recompute agreement,
+// Flow-level engine (src/flowsim/): water-filling unit behavior, the
+// exact-mode local repair against the waterfill_all oracle (randomized
+// arrivals/departures and a forced fallback), engine sanity on tiny
+// topologies, the work-based wall-clock deadline, batched-vs-exact
+// recompute agreement,
 // flow-vs-packet cross-validation (saturation knee within one load step,
 // exchange completion-time ordering), determinism across --jobs, journal
 // resume byte-identity, and strict rejection of packet-only
@@ -7,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -16,6 +20,7 @@
 #include "bench_common.h"
 #include "common/error.h"
 #include "common/journal.h"
+#include "common/rng.h"
 #include "flowsim/flow_sim.h"
 #include "flowsim/waterfill.h"
 #include "sim/campaign.h"
@@ -35,6 +40,7 @@ namespace fs = std::filesystem;
 using flowsim::FlowSim;
 using flowsim::FlowTable;
 using flowsim::RateChangeSink;
+using flowsim::RepairResult;
 using flowsim::WaterfillScratch;
 
 // Records on_rate_change callbacks into the table like FlowSim does.
@@ -110,6 +116,140 @@ TEST(Waterfill, AsymmetricChainIsMaxMinNotEqual) {
   EXPECT_NEAR(t.rate[static_cast<std::size_t>(f1)], 1.0 / 3, 1e-12);
   EXPECT_NEAR(t.rate[static_cast<std::size_t>(f2)], 1.0 / 3, 1e-12);
   EXPECT_NEAR(t.rate[static_cast<std::size_t>(f3)], 2.0 / 3, 1e-12);
+}
+
+// Every active flow's rate equals a from-scratch waterfill_all of the same
+// table within `rel` relative.
+void expect_matches_oracle(const FlowTable& t, double rel, const std::string& where) {
+  FlowTable oracle = t;
+  WaterfillScratch ws;
+  ApplySink sink(&oracle);
+  flowsim::waterfill_all(oracle, ws, sink);
+  for (int f = 0; f < t.capacity(); ++f) {
+    const std::size_t fs = static_cast<std::size_t>(f);
+    if (!t.in_use[fs]) continue;
+    ASSERT_NEAR(t.rate[fs], oracle.rate[fs], rel * oracle.rate[fs])
+        << where << ": flow " << f << " of " << t.active;
+  }
+}
+
+// Creates a flow over 1..max_links distinct random links out of num_links.
+int create_random_flow(FlowTable& t, Rng& rng, int num_links, int max_links) {
+  std::int32_t links[flowsim::kMaxLinksPerFlow];
+  const int n = static_cast<int>(rng.uniform_int(1, max_links));
+  for (int i = 0; i < n; ++i) {
+    bool dup = true;
+    while (dup) {
+      links[i] = static_cast<std::int32_t>(rng.next_below(static_cast<std::uint64_t>(num_links)));
+      dup = std::find(links, links + i, links[i]) != links + i;
+    }
+  }
+  return t.create(links, n, 1.0);
+}
+
+// Copies `flow`'s links into `out` (before it is destroyed); returns the count.
+int links_of(const FlowTable& t, int flow, std::int32_t* out) {
+  const int n = t.nlinks[static_cast<std::size_t>(flow)];
+  for (int i = 0; i < n; ++i) {
+    out[i] = t.slot_link[static_cast<std::size_t>(flow * flowsim::kMaxLinksPerFlow + i)];
+  }
+  return n;
+}
+
+TEST(Repair, MatchesWaterfillAllUnderRandomArrivalsAndDepartures) {
+  // The oracle test of exact mode: random arrivals, departures and
+  // departure-plus-successor replacements on random link sets, each
+  // followed by one repair_from seeded like FlowSim seeds it. After every
+  // operation every rate must equal a full waterfill_all. Sparse tables
+  // keep repairs local; dense ones percolate into network-wide cascades.
+  struct Shape {
+    int num_links;
+    int max_links;
+    int target_flows;
+    bool sparse;  ///< repairs should stay local
+  };
+  for (const Shape shape :
+       {Shape{400, 4, 60, true}, Shape{60, 5, 120, false}, Shape{12, 6, 40, false}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      FlowTable t;
+      t.reset(shape.num_links);
+      WaterfillScratch ws;
+      ApplySink sink(&t);
+      std::vector<int> live;
+      std::int64_t repairs = 0;
+      std::int64_t fallbacks = 0;
+      for (int op = 0; op < 1500; ++op) {
+        std::int32_t seeds[2 * flowsim::kMaxLinksPerFlow];
+        int nseeds = 0;
+        const double u = rng.uniform();
+        const bool grow = live.empty() ||
+                          static_cast<int>(live.size()) < shape.target_flows * u * 2;
+        if (!grow) {
+          // Departure, and every other time a successor in the same event.
+          const std::size_t i = rng.next_below(live.size());
+          nseeds = links_of(t, live[i], seeds);
+          t.destroy(live[i]);
+          live[i] = live.back();
+          live.pop_back();
+        }
+        if (grow || rng.bernoulli(0.5)) {
+          const int f = create_random_flow(t, rng, shape.num_links, shape.max_links);
+          nseeds += links_of(t, f, seeds + nseeds);
+          live.push_back(f);
+        }
+        const RepairResult r = flowsim::repair_from(t, seeds, nseeds, ws, sink);
+        ++repairs;
+        if (r.fell_back) ++fallbacks;
+        expect_matches_oracle(t, 1e-12,
+                              "links " + std::to_string(shape.num_links) + " seed " +
+                                  std::to_string(seed) + " op " + std::to_string(op));
+        if (HasFatalFailure()) return;
+      }
+      // On sparse tables the local path carries the sequence; dense ones
+      // fall back often, but not always.
+      EXPECT_LT(fallbacks * (shape.sparse ? 4 : 1), repairs)
+          << "links " << shape.num_links << " seed " << seed;
+    }
+  }
+}
+
+TEST(Repair, SaturatedHubForcesTheFallback) {
+  // k flows share hub link 0, each with a private second link; m
+  // single-link flows crowd flow 0's private link, which makes flow 0 the
+  // hub's slowest flow. One more arrival there slows flow 0 further, so
+  // every other hub flow speeds up: the change propagates through the
+  // saturated hub to the whole table, the repair outgrows the component it
+  // would have to recompute, and falls back.
+  constexpr int k = 8;
+  constexpr int m = 12;
+  FlowTable t;
+  t.reset(1 + k);
+  WaterfillScratch ws;
+  ApplySink sink(&t);
+  for (int i = 0; i < k; ++i) {
+    const std::int32_t links[] = {0, 1 + i};
+    t.create(links, 2, 1.0);
+  }
+  const std::int32_t crowded[] = {1};
+  for (int i = 0; i < m; ++i) t.create(crowded, 1, 1.0);
+  flowsim::waterfill_all(t, ws, sink);
+  EXPECT_DOUBLE_EQ(t.rate[0], 1.0 / (m + 1));
+
+  t.create(crowded, 1, 1.0);
+  const RepairResult r = flowsim::repair_from(t, crowded, 1, ws, sink);
+  EXPECT_TRUE(r.fell_back);
+  EXPECT_GE(r.flows_touched, t.active);
+  expect_matches_oracle(t, 1e-12, "after the fallback");
+  EXPECT_DOUBLE_EQ(t.rate[0], 1.0 / (m + 2));
+  EXPECT_NEAR(t.rate[1], (1.0 - 1.0 / (m + 2)) / (k - 1), 1e-15);
+
+  // The fallback leaves valid bottlenecks behind for the next repair: the
+  // departure that undoes the arrival restores the first allocation.
+  t.destroy(t.capacity() - 1);
+  flowsim::repair_from(t, crowded, 1, ws, sink);
+  expect_matches_oracle(t, 1e-12, "after the departure");
+  EXPECT_NEAR(t.rate[0], 1.0 / (m + 1), 1e-15);
 }
 
 // Two routers, one node each, one link: a lone flow must complete in
@@ -287,17 +427,24 @@ std::vector<SweepSeriesSpec> flow_specs(const Topology& sf, const Topology& oft,
   return specs;
 }
 
-SweepRunOptions flow_opts(std::uint64_t seed) {
+SweepRunOptions flow_opts(std::uint64_t seed, TimePs rate_interval = ns(200)) {
   SweepRunOptions opts;
   opts.duration = us(8);
   opts.warmup = us(2);
   opts.config.seed = seed;
   opts.config.engine = SimEngine::kFlow;
-  // Batched rate recompute: the 0.9 points sit past the knee, where exact
-  // per-event recompute touches a network-spanning bottleneck component.
-  opts.config.flow.rate_interval = ns(200);
+  opts.config.flow.rate_interval = rate_interval;
   opts.config.collect_event_digest = true;
   return opts;
+}
+
+void expect_same_flow_stats(const FlowEngineStats& a, const FlowEngineStats& b) {
+  EXPECT_EQ(a.enabled, b.enabled);
+  EXPECT_EQ(a.repairs, b.repairs);
+  EXPECT_EQ(a.fallbacks, b.fallbacks);
+  EXPECT_EQ(a.flows_touched, b.flows_touched);
+  EXPECT_EQ(a.rate_changes, b.rate_changes);
+  EXPECT_EQ(a.stale_completions, b.stale_completions);
 }
 
 TEST(FlowSweep, ParallelJobsMatchSerial) {
@@ -327,6 +474,77 @@ TEST(FlowSweep, ParallelJobsMatchSerial) {
       EXPECT_NE(a[s][l].result.event_digest, 0u);
     }
   }
+}
+
+TEST(FlowSweep, ExactModeIsReproducibleAndIndependentOfJobs) {
+  // Exact-mode repairs run in a deterministic order: a repeated serial run
+  // and a jobs=4 run reproduce the first bit-for-bit, recompute counters
+  // and event digests included, past the knee (0.9) as well as below it.
+  const Topology sf = build_slim_fly(5);
+  const Topology oft = build_oft(4);
+  const UniformTraffic uni_sf(sf.num_nodes());
+  const UniformTraffic uni_oft(oft.num_nodes());
+  const auto specs = flow_specs(sf, oft, uni_sf, uni_oft);
+
+  SweepRunOptions opts = flow_opts(7, 0);
+  opts.duration = us(3);
+  opts.warmup = us(1);
+  opts.jobs = 1;
+  const auto a = SweepRunner(opts).run(specs);
+  const auto again = SweepRunner(opts).run(specs);
+  opts.jobs = 4;
+  const auto b = SweepRunner(opts).run(specs);
+
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    ASSERT_EQ(a[s].size(), b[s].size());
+    for (std::size_t l = 0; l < a[s].size(); ++l) {
+      for (const auto* other : {&again, &b}) {
+        const OpenLoopResult& o = (*other)[s][l].result;
+        expect_identical(a[s][l].result, o);
+        expect_same_flow_stats(a[s][l].result.flow, o.flow);
+      }
+      const FlowEngineStats& fl = a[s][l].result.flow;
+      EXPECT_TRUE(fl.enabled);
+      EXPECT_GT(fl.repairs, 0);
+      EXPECT_LE(fl.fallbacks, fl.repairs);
+      EXPECT_GT(fl.rate_changes, 0);
+    }
+  }
+  // The counters reach --json on flow points only.
+  const std::string json = bench::render_point_json(a[0][1]);
+  EXPECT_NE(json.find("\"flow\": {\"repairs\": "), std::string::npos) << json;
+}
+
+TEST(FlowSim, WallLimitStopsARecomputeHeavyExchangePromptly) {
+  // An all-to-all that opens every message at once, with uneven message
+  // sizes so completions spread out: each one in exact mode recomputes
+  // part or all of a ~40k-flow component. The deadline counts that work,
+  // not events, so the run stops near its 10 ms limit instead of after
+  // thousands of such events (seconds) as an event-count check would.
+  const Topology topo = build_slim_fly(5);
+  const int n = topo.num_nodes();
+  ExchangePlan plan;
+  plan.order = MessageOrder::kRoundRobin;
+  plan.per_node.resize(static_cast<std::size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    for (int d = 0; d < n; ++d) {
+      if (d == s) continue;
+      const std::int64_t bytes = 4096LL * (1 + (s * 7 + d * 3) % 29);
+      plan.per_node[static_cast<std::size_t>(s)].push_back({d, bytes});
+    }
+  }
+  SimConfig cfg;
+  cfg.engine = SimEngine::kFlow;
+  cfg.wall_limit_seconds = 0.01;
+  SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  const ExchangeResult res = stack.run_exchange(plan, us(1'000'000));
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(res.timed_out);
+  EXPECT_FALSE(res.completed);
+  EXPECT_LT(res.delivered_bytes, res.total_bytes);
+  EXPECT_LT(wall.count(), 1.0);
 }
 
 TEST(FlowSweep, KillMidSweepThenResumeIsByteIdentical) {
