@@ -13,8 +13,11 @@
 //                                    see docs/perf.md for refreshing it).
 #include <benchmark/benchmark.h>
 
+#include <sched.h>
+
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "common/rng.h"
@@ -144,8 +147,10 @@ void BM_EventQueueStress(benchmark::State& state) {
 BENCHMARK(BM_EventQueueStress)
     ->Args({1 << 8, 0})
     ->Args({1 << 12, 0})
+    ->Args({100'000, 0})
     ->Args({1 << 8, 1})
     ->Args({1 << 12, 1})
+    ->Args({100'000, 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_VoqPushPop(benchmark::State& state) {
@@ -277,6 +282,34 @@ std::int64_t sharded_events_per_sec(const Topology& topo, int shards) {
              : 0;
 }
 
+/// Cores this process may run on (its affinity mask), which is what bounds
+/// the sharded speedup; hardware_concurrency() counts the machine's.
+int usable_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+  return ThreadPool::hardware_concurrency();
+}
+
+/// The first "model name" of /proc/cpuinfo, or "unknown". Together with
+/// usable_cores() it fingerprints the host, so a baseline is compared only
+/// on the host it was recorded on.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    const std::size_t first = line.find_first_not_of(" \t", colon + 1);
+    if (colon == std::string::npos || first == std::string::npos) break;
+    std::string model;
+    for (const char ch : line.substr(first)) {
+      if (ch != '"' && ch != '\\') model += ch;  // keep the JSON string plain
+    }
+    return model;
+  }
+  return "unknown";
+}
+
 int write_json_snapshot(const std::string& path) {
   const Topology topo = build_slim_fly(7);
 
@@ -321,14 +354,17 @@ int write_json_snapshot(const std::string& path) {
     }
   });
 
-  // Steady-state event-queue push+pop pair, both schedulers.
-  const auto queue_ns = [&](SchedulerKind kind) {
+  // Steady-state event-queue push+pop pair with `resident` events pending:
+  // 4,096 for both schedulers, and for the wheel also 100,000, about what a
+  // saturated SF q=13 run keeps pending. Rescheduling up to 2^17 ps ahead
+  // then dispatches ~1.5 events per ps, the paper-scale density.
+  const auto queue_ns = [&](SchedulerKind kind, int resident) {
     return best_ns_per_op(1 << 21, 1, [&](std::int64_t iters) {
       EventQueue q;
       q.set_scheduler(kind);
-      q.reserve(1 << 12);
+      q.reserve(static_cast<std::size_t>(resident));
       Rng rng(1);
-      for (int i = 0; i < 1 << 12; ++i) {
+      for (int i = 0; i < resident; ++i) {
         q.push(static_cast<TimePs>(rng.next_below(1 << 17)), EventType::kNicFree, i);
       }
       for (std::int64_t i = 0; i < iters; ++i) {
@@ -341,11 +377,12 @@ int write_json_snapshot(const std::string& path) {
       benchmark::DoNotOptimize(q.empty());
     });
   };
-  const double ns_heap = queue_ns(SchedulerKind::kHeap);
-  const double ns_wheel = queue_ns(SchedulerKind::kWheel);
+  const double ns_heap = queue_ns(SchedulerKind::kHeap, 1 << 12);
+  const double ns_wheel = queue_ns(SchedulerKind::kWheel, 1 << 12);
+  const double ns_wheel_dense = queue_ns(SchedulerKind::kWheel, 100'000);
 
   // Paper-scale sharded-vs-serial comparison. The speedup ratios are only
-  // meaningful relative to the recorded core count: lanes time-slice on a
+  // meaningful relative to the recorded usable cores: lanes time-slice on a
   // host with fewer physical cores than shards, so the ratio saturates at
   // ~1.0 on one core and approaches the shard count only with >= `shards`
   // cores (see docs/sharded_sim.md).
@@ -358,6 +395,7 @@ int write_json_snapshot(const std::string& path) {
                        : 0.0;
   };
 
+  const int cores = usable_cores();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_micro_core: cannot open %s\n", path.c_str());
@@ -375,7 +413,8 @@ int write_json_snapshot(const std::string& path) {
   std::fprintf(f,
                "  \"sharded_scenario\": \"slim_fly q=13, uniform, load 0.9, "
                "4us run / 1us warmup, seed 1, single run\",\n");
-  std::fprintf(f, "  \"cores\": %d,\n", ThreadPool::hardware_concurrency());
+  std::fprintf(f, "  \"cores\": %d,\n", cores);
+  std::fprintf(f, "  \"cpu_model\": \"%s\",\n", cpu_model().c_str());
   std::fprintf(f, "  \"events_per_sec_sharded_serial\": %lld,\n",
                static_cast<long long>(eps_sh1));
   std::fprintf(f, "  \"events_per_sec_sharded_2\": %lld,\n",
@@ -388,7 +427,8 @@ int write_json_snapshot(const std::string& path) {
   std::fprintf(f, "  \"ns_pool_alloc_release\": %.2f,\n", ns_pool);
   std::fprintf(f, "  \"ns_csr_next_hops\": %.2f,\n", ns_csr);
   std::fprintf(f, "  \"ns_event_queue_heap\": %.2f,\n", ns_heap);
-  std::fprintf(f, "  \"ns_event_queue_wheel\": %.2f\n", ns_wheel);
+  std::fprintf(f, "  \"ns_event_queue_wheel\": %.2f,\n", ns_wheel);
+  std::fprintf(f, "  \"ns_event_queue_wheel_dense\": %.2f\n", ns_wheel_dense);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("events/sec: minimal=%lld ugal=%lld -> %s\n",
@@ -396,7 +436,7 @@ int write_json_snapshot(const std::string& path) {
               path.c_str());
   std::printf("sharded events/sec (SF q=13, %d core(s)): serial=%lld 2=%lld "
               "(%.2fx) 4=%lld (%.2fx)\n",
-              ThreadPool::hardware_concurrency(), static_cast<long long>(eps_sh1),
+              cores, static_cast<long long>(eps_sh1),
               static_cast<long long>(eps_sh2), speedup(eps_sh2),
               static_cast<long long>(eps_sh4), speedup(eps_sh4));
   return 0;

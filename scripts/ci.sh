@@ -16,7 +16,9 @@
 # Stage 5 is a warn-only perf smoke: bench_micro_core --json against the
 # committed BENCH_core.json baseline with a +/-15% band. It prints a
 # regression table and never fails the build (CI machines are noisy; the
-# committed baseline is refreshed deliberately, see docs/perf.md).
+# committed baseline is refreshed deliberately, see docs/perf.md). The band
+# applies only when the host fingerprint (usable cores and CPU model)
+# matches the baseline's; on any other host the table is informational.
 #
 # Stages 2 and 3 additionally run the transient-faults bench (whose
 # detection-delay sweep exercises modeled fault detection + link-state
@@ -146,14 +148,22 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
   else
     cmake --build build-ci -j "$JOBS" --target bench_micro_core
     ./build-ci/bench/bench_micro_core --json=build-ci/BENCH_core.json >/dev/null
-    # Extract one numeric field from a flat BENCH_core.json.
+    # Extract one numeric / string field from a flat BENCH_core.json.
     field() { sed -nE "s/.*\"$2\": ([0-9.]+).*/\1/p" "$1"; }
+    sfield() { sed -nE "s/.*\"$2\": \"([^\"]*)\".*/\1/p" "$1"; }
+    fingerprint() { echo "$(field "$1" cores) core(s), $(sfield "$1" cpu_model)"; }
+    base_host=$(fingerprint BENCH_core.json)
+    cur_host=$(fingerprint build-ci/BENCH_core.json)
+    same_host=0
+    [[ "$base_host" == "$cur_host" ]] && same_host=1
+    echo "baseline host: $base_host"
+    echo "current host:  $cur_host"
     printf '%-26s %14s %14s %8s  %s\n' metric baseline current delta verdict
     for key in events_per_sec_minimal events_per_sec_ugal \
                events_per_sec_sharded_serial events_per_sec_sharded_2 \
                events_per_sec_sharded_4 ns_voq_push_pop \
                ns_pool_alloc_release ns_csr_next_hops ns_event_queue_heap \
-               ns_event_queue_wheel; do
+               ns_event_queue_wheel ns_event_queue_wheel_dense; do
       base=$(field BENCH_core.json "$key")
       cur=$(field build-ci/BENCH_core.json "$key")
       if [[ -z "$base" || -z "$cur" ]]; then
@@ -162,10 +172,11 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
         continue
       fi
       # events/sec regress downward, ns/op regress upward.
-      awk -v key="$key" -v base="$base" -v cur="$cur" 'BEGIN {
+      awk -v key="$key" -v base="$base" -v cur="$cur" -v same="$same_host" 'BEGIN {
         delta = base > 0 ? (cur - base) / base * 100 : 0
         worse = (key ~ /^events_per_sec/) ? -delta : delta
         verdict = worse > 15 ? "REGRESSION (warn-only)" : "ok"
+        if (same != 1) verdict = "informational (host differs)"
         printf "%-26s %14s %14s %+7.1f%%  %s\n", key, base, cur, delta, verdict
       }'
     done

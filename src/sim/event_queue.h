@@ -1,5 +1,5 @@
-// Discrete-event core: a time-ordered queue with a deterministic FIFO
-// tie-break so identical seeds replay identical packet traces.
+// Discrete-event core: a time-ordered queue with a deterministic
+// (okey, seq) tie-break so identical seeds replay identical packet traces.
 //
 // Two interchangeable scheduling structures live behind one interface,
 // selected by set_scheduler() (driven by SimConfig::scheduler):
@@ -11,15 +11,20 @@
 //
 //  * SchedulerKind::kWheel — a two-level bucketed near-future wheel in
 //    front of that same heap (calendar/ladder-queue style). Level 1 is a
-//    ring of 64 buckets of 2^12 ps (~4 ns) each; level 2 is a ring of 64
-//    buckets of 2^18 ps (~262 ns, exactly one full L1 span) each; events
-//    beyond the ~16.8 us L2 horizon overflow into the heap. Pops consume a
-//    sorted "active bucket"; pushes are O(1) ring appends except for the
-//    rare push into the active bucket itself, which insertion-sorts into
-//    the unconsumed tail. Nearly every event a saturated simulation
-//    schedules (serialization ends, head eligibility, credit returns)
-//    lands within a few L1 buckets of `now`, so steady-state cost is a
-//    ring append plus an amortized small sort instead of an O(log n) sift.
+//    ring of 4096 buckets of 64 ps each, found through a two-level 64x64
+//    occupancy bitmap; level 2 is a ring of 64 buckets of 2^18 ps (~262
+//    ns, exactly one full L1 span) each; events beyond the ~16.8 us L2
+//    horizon overflow into the heap. Pops consume a sorted "active
+//    bucket"; pushes are O(1) bucket appends except for a push into the
+//    active bucket itself, which insertion-sorts into its unconsumed tail.
+//    At paper scale (SF q=13, ~1.5 events dispatched per ps) a 64 ps bucket
+//    holds tens of events over only 64 distinct times, so a counting sort
+//    on the time offset orders it in linear time and any such insert stays
+//    cheap.
+//    Both rings store their events in one pool of fixed-size chunks with a
+//    free list (a bucket is a chunk list), so the wheel holds about the
+//    pending set plus one partial chunk per non-empty bucket, however the
+//    load moves between buckets.
 //
 // Both schedulers realize the exact same (time, okey, seq) total order, so
 // a run is bit-identical under either — enforced by
@@ -123,11 +128,23 @@ enum class SchedulerKind : std::uint8_t {
 
 class EventQueue {
  public:
+  // Wheel geometry. W2 == kL1Buckets * W1, so expanding one L2 bucket fills
+  // exactly one full L1 ring span. Public so tests can state the memory
+  // bound: pool_slots() never exceeds the pending high-water mark plus one
+  // chunk per bucket (and one chunk in transit during an L2 expansion).
+  static constexpr std::size_t kL1Buckets = 4096;
+  static constexpr std::size_t kL2Buckets = 64;
+  static constexpr std::size_t kChunkEvents = 16;  ///< events per pool chunk
+
   /// Selects the scheduling structure; only valid while the queue is empty
   /// (NetworkSim calls it once at construction from SimConfig::scheduler).
   void set_scheduler(SchedulerKind kind) {
     D2NET_REQUIRE(size_ == 0, "set_scheduler() on a non-empty EventQueue");
     kind_ = kind;
+    if (kind == SchedulerKind::kWheel && l1_.empty()) {
+      l1_.resize(kL1Buckets);
+      l2_.resize(kL2Buckets);
+    }
   }
   SchedulerKind scheduler() const { return kind_; }
 
@@ -145,7 +162,10 @@ class EventQueue {
       push_heap(e);
       return;
     }
-    if (size_ == 1) reanchor(time);
+    // Only pops move the windows (advance()), never a push: anchoring an
+    // empty queue at a push's time would route every earlier-timed push
+    // that follows it (NetworkSim's start-up generator ticks) into the
+    // active bucket's sorted insert.
     if (time < l1_start_) {
       // Lands in (or before) the active bucket: insertion-sort into the
       // unconsumed tail. Searching from cur_pos_ clamps an event that would
@@ -158,12 +178,10 @@ class EventQueue {
                                    cur_.end(), e, before),
                   e);
     } else if (time < l1_limit_) {
-      const std::size_t b1 = l1_bucket(time);
-      l1_[b1].push_back(e);
-      l1_mask_ |= std::uint64_t{1} << b1;
+      push_l1(e);
     } else if (time < l2_start_ + kL2Span) {
       const std::size_t b2 = l2_bucket(time);
-      l2_[b2].push_back(e);
+      append(l2_[b2], e);
       l2_mask_ |= std::uint64_t{1} << b2;
     } else {
       push_heap(e);
@@ -201,23 +219,27 @@ class EventQueue {
     return cur_[cur_pos_];
   }
 
-  /// Pre-sizes the backing stores (one sim reuses the queue across runs).
+  /// Pre-sizes the backing store (one sim reuses the queue across runs):
+  /// the heap in heap mode, the chunk pool's index in wheel mode (the
+  /// overflow heap grows on demand; it holds only events beyond the L2
+  /// horizon).
   void reserve(std::size_t n) {
-    heap_.reserve(n);
-    if (kind_ == SchedulerKind::kWheel) {
-      // At saturation one L1 bucket holds a small slice of the pending set;
-      // reserve a fraction so early runs do not grow buckets one push at a
-      // time.
-      const std::size_t per_bucket = std::max<std::size_t>(n / (kL1Buckets * 4), 8);
-      cur_.reserve(per_bucket * 2);
-      for (auto& b : l1_) b.reserve(per_bucket);
+    if (kind_ == SchedulerKind::kHeap) {
+      heap_.reserve(n);
+      return;
     }
+    const std::size_t chunks = n / kChunkEvents + 1;
+    chunks_.reserve(chunks);
+    next_.reserve(chunks);
   }
 
-  /// Event slots the primary backing store holds before reallocating (the
-  /// heap in heap mode; overflow-heap capacity in wheel mode, which
-  /// reserve() sizes identically). Exposed through EngineCapacities.
-  std::size_t reserved() const { return heap_.capacity(); }
+  /// Event slots carved into the wheel's chunk pool (in use or free).
+  std::size_t pool_slots() const { return chunks_.size() * kChunkEvents; }
+
+  /// Event slots the queue holds without reallocating: heap capacity, plus
+  /// in wheel mode the active bucket's capacity and the chunk pool.
+  /// Exposed through EngineCapacities.
+  std::size_t reserved() const { return heap_.capacity() + cur_.capacity() + pool_slots(); }
 
   /// Drops all pending events but keeps the allocated capacity and the
   /// monotone sequence counter (seq only ever breaks same-time ties, so
@@ -226,13 +248,18 @@ class EventQueue {
     heap_.clear();
     cur_.clear();
     cur_pos_ = 0;
-    if (l1_mask_ != 0) {
-      for (auto& b : l1_) b.clear();
-      l1_mask_ = 0;
-    }
-    if (l2_mask_ != 0) {
-      for (auto& b : l2_) b.clear();
+    if (!chunks_.empty()) {
+      std::fill(l1_.begin(), l1_.end(), Bucket{});
+      std::fill(l2_.begin(), l2_.end(), Bucket{});
+      l1_bits_.fill(0);
+      l1_summary_ = 0;
       l2_mask_ = 0;
+      // Every carved chunk goes back on the free list.
+      for (std::size_t c = 0; c + 1 < next_.size(); ++c) {
+        next_[c] = static_cast<std::uint32_t>(c + 1);
+      }
+      next_.back() = kNil;
+      free_ = 0;
     }
     l1_start_ = l1_limit_ = l2_start_ = 0;
     size_ = 0;
@@ -241,16 +268,25 @@ class EventQueue {
  private:
   static constexpr std::size_t kArity = 4;
 
-  // Wheel geometry: W2 == kL1Buckets * W1 so expanding one L2 bucket fills
-  // exactly one full L1 ring span.
-  static constexpr int kL1Shift = 12;  ///< W1 = 2^12 ps ~ 4 ns
+  static constexpr int kL1Shift = 6;   ///< W1 = 2^6 ps = 64 ps
   static constexpr int kL2Shift = 18;  ///< W2 = 2^18 ps ~ 262 ns
-  static constexpr std::size_t kL1Buckets = 64;
-  static constexpr std::size_t kL2Buckets = 64;
   static constexpr TimePs kW1 = TimePs{1} << kL1Shift;
   static constexpr TimePs kW2 = TimePs{1} << kL2Shift;
   static constexpr TimePs kL2Span = kW2 * static_cast<TimePs>(kL2Buckets);
   static_assert(kW2 == kW1 * static_cast<TimePs>(kL1Buckets));
+  static_assert(kL1Buckets == 64 * 64, "two-level 64x64 L1 occupancy bitmap");
+  static_assert(kL2Buckets == 64, "one-word L2 occupancy mask");
+
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+  using Chunk = std::array<Event, kChunkEvents>;
+
+  /// A wheel bucket: a singly linked list of pool chunks, filled in push
+  /// order, where only the tail chunk may be partially filled.
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t n = 0;  ///< events held
+  };
 
   static bool before(const Event& x, const Event& y) {
     if (x.time != y.time) return x.time < y.time;
@@ -260,6 +296,9 @@ class EventQueue {
 
   static std::size_t l1_bucket(TimePs t) {
     return static_cast<std::size_t>(t >> kL1Shift) & (kL1Buckets - 1);
+  }
+  static std::size_t l1_offset(TimePs t) {  ///< time offset within its L1 bucket
+    return static_cast<std::size_t>(t) & static_cast<std::size_t>(kW1 - 1);
   }
   static std::size_t l2_bucket(TimePs t) {
     return static_cast<std::size_t>(t >> kL2Shift) & (kL2Buckets - 1);
@@ -310,7 +349,108 @@ class EventQueue {
     return top;
   }
 
+  // --- chunk pool ---
+
+  std::uint32_t alloc_chunk() {
+    if (free_ != kNil) {
+      const std::uint32_t c = free_;
+      free_ = next_[c];
+      return c;
+    }
+    chunks_.emplace_back();
+    next_.push_back(kNil);
+    return static_cast<std::uint32_t>(chunks_.size() - 1);
+  }
+
+  /// Appends to a bucket. `e` is taken by value: it may be read from a chunk
+  /// that alloc_chunk() is about to move.
+  void append(Bucket& bk, Event e) {
+    const std::size_t slot = bk.n % kChunkEvents;
+    if (slot == 0) {
+      const std::uint32_t c = alloc_chunk();
+      if (bk.n == 0) {
+        bk.head = c;
+      } else {
+        next_[bk.tail] = c;
+      }
+      bk.tail = c;
+    }
+    chunks_[bk.tail][slot] = e;
+    ++bk.n;
+  }
+
+  /// Calls `sink(chunk, count)` for each chunk of a bucket in push order.
+  /// The successor is read first, so the sink may free the chunk.
+  template <typename Sink>
+  void visit_chunks(const Bucket& bk, Sink&& sink) {
+    std::uint32_t c = bk.head;
+    for (std::uint32_t left = bk.n; left > 0;) {
+      const auto count = static_cast<std::uint32_t>(std::min<std::size_t>(left, kChunkEvents));
+      const std::uint32_t next = next_[c];
+      sink(c, count);
+      left -= count;
+      c = next;
+    }
+  }
+
+  /// visit_chunks(), returning each chunk to the pool once the sink has read
+  /// it; leaves the bucket empty.
+  template <typename Sink>
+  void drain_bucket(Bucket& bk, Sink&& sink) {
+    visit_chunks(bk, [&](std::uint32_t c, std::uint32_t count) {
+      sink(c, count);
+      next_[c] = free_;
+      free_ = c;
+    });
+    bk = Bucket{};
+  }
+
+  /// Moves L1 bucket `b` into cur_ in (time, okey, seq) order. Its events
+  /// span only kW1 distinct times, so a counting sort on the time offset
+  /// within the bucket does most of the work in two linear passes; the
+  /// insertion sort after it only has to order same-time runs.
+  void take_l1(std::size_t b) {
+    Bucket& bk = l1_[b];
+    std::array<std::uint32_t, kW1> at{};  // per-offset counts, then slots
+    visit_chunks(bk, [&](std::uint32_t c, std::uint32_t count) {
+      for (std::uint32_t i = 0; i < count; ++i) ++at[l1_offset(chunks_[c][i].time)];
+    });
+    std::uint32_t slot = 0;
+    for (std::uint32_t& a : at) slot += std::exchange(a, slot);
+    cur_.resize(bk.n);
+    cur_pos_ = 0;
+    drain_bucket(bk, [&](std::uint32_t c, std::uint32_t count) {
+      for (std::uint32_t i = 0; i < count; ++i) {
+        const Event& e = chunks_[c][i];
+        cur_[at[l1_offset(e.time)]++] = e;
+      }
+    });
+    for (std::size_t i = 1; i < cur_.size(); ++i) {
+      if (!before(cur_[i], cur_[i - 1])) continue;
+      const Event e = cur_[i];
+      std::size_t j = i;
+      do {
+        cur_[j] = cur_[j - 1];
+        --j;
+      } while (j > 0 && before(e, cur_[j - 1]));
+      cur_[j] = e;
+    }
+  }
+
   // --- wheel machinery ---
+
+  // The L1 window [l1_start_, l1_limit_) always lies inside the one
+  // W2-aligned span that ends at l1_limit_, so L1 ring positions never wrap:
+  // the lowest occupied position is the earliest bucket.
+  void push_l1(Event e) {
+    const std::size_t b = l1_bucket(e.time);
+    Bucket& bk = l1_[b];
+    if (bk.n == 0) {
+      l1_bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
+      l1_summary_ |= std::uint64_t{1} << (b >> 6);
+    }
+    append(bk, e);
+  }
 
   /// Re-anchors the (empty) wheel windows around the first pending time.
   void reanchor(TimePs t) {
@@ -325,26 +465,20 @@ class EventQueue {
   /// with size_ accounting for at least one pending event.
   void advance() {
     for (;;) {
-      if (l1_mask_ != 0) {
-        const std::size_t b = next_set_bit(l1_mask_, l1_bucket(l1_start_));
-        D2NET_HOT_ASSERT(b != static_cast<std::size_t>(-1), "l1 mask empty");
-        cur_.clear();
-        cur_.swap(l1_[b]);
-        cur_pos_ = 0;
-        l1_mask_ &= ~(std::uint64_t{1} << b);
-        // The consumed bucket's absolute start: ring position b at or after
-        // l1_start_ within the (≤ one span) L1 window.
-        const std::size_t from = l1_bucket(l1_start_);
-        const std::size_t steps = (b + kL1Buckets - from) % kL1Buckets;
-        l1_start_ += static_cast<TimePs>(steps + 1) * kW1;
-        std::sort(cur_.begin(), cur_.end(), before);
+      if (l1_summary_ != 0) {
+        const std::size_t w = static_cast<std::size_t>(std::countr_zero(l1_summary_));
+        const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(l1_bits_[w]));
+        D2NET_HOT_ASSERT(b >= l1_bucket(l1_start_), "l1 bucket behind the window");
+        l1_bits_[w] &= l1_bits_[w] - 1;
+        if (l1_bits_[w] == 0) l1_summary_ &= ~(std::uint64_t{1} << w);
+        take_l1(b);
+        l1_start_ = l1_limit_ - kW2 + static_cast<TimePs>(b + 1) * kW1;
         return;
       }
       l1_start_ = l1_limit_;  // L1 empty: its window closes at the L2 boundary
       if (l2_mask_ != 0) {
         const std::size_t b = next_set_bit(l2_mask_, l2_bucket(l2_start_));
         D2NET_HOT_ASSERT(b != static_cast<std::size_t>(-1), "l2 mask empty");
-        std::vector<Event>& bucket = l2_[b];
         l2_mask_ &= ~(std::uint64_t{1} << b);
         const std::size_t from = l2_bucket(l2_start_);
         const std::size_t steps = (b + kL2Buckets - from) % kL2Buckets;
@@ -354,12 +488,9 @@ class EventQueue {
         // covers.
         l1_start_ = bucket_start;
         l1_limit_ = bucket_start + kW2;
-        for (const Event& e : bucket) {
-          const std::size_t b1 = l1_bucket(e.time);
-          l1_[b1].push_back(e);
-          l1_mask_ |= std::uint64_t{1} << b1;
-        }
-        bucket.clear();
+        drain_bucket(l2_[b], [this](std::uint32_t c, std::uint32_t count) {
+          for (std::uint32_t i = 0; i < count; ++i) push_l1(chunks_[c][i]);
+        });
         l2_start_ = l1_limit_;
         drain_heap_into_l2();
         continue;
@@ -376,18 +507,13 @@ class EventQueue {
     while (!heap_.empty() && heap_.front().time < limit) {
       const Event e = pop_heap();
       const std::size_t b2 = l2_bucket(e.time);
-      l2_[b2].push_back(e);
+      append(l2_[b2], e);
       l2_mask_ |= std::uint64_t{1} << b2;
     }
   }
 
   void drain_heap_into_l2_and_l1() {
-    while (!heap_.empty() && heap_.front().time < l1_limit_) {
-      const Event e = pop_heap();
-      const std::size_t b1 = l1_bucket(e.time);
-      l1_[b1].push_back(e);
-      l1_mask_ |= std::uint64_t{1} << b1;
-    }
+    while (!heap_.empty() && heap_.front().time < l1_limit_) push_l1(pop_heap());
     drain_heap_into_l2();
   }
 
@@ -398,13 +524,19 @@ class EventQueue {
 
   // Wheel state. cur_ is the sorted active bucket with consume index
   // cur_pos_; the L1 ring covers [l1_start_, l1_limit_), the L2 ring
-  // [l2_start_, l2_start_ + kL2Span), the heap everything beyond.
+  // [l2_start_, l2_start_ + kL2Span), the heap everything beyond. Both
+  // rings keep their events in chunks_, a pool of fixed-size chunks whose
+  // free list is threaded through next_ from free_.
   std::vector<Event> cur_;
   std::size_t cur_pos_ = 0;
-  std::array<std::vector<Event>, kL1Buckets> l1_{};
-  std::array<std::vector<Event>, kL2Buckets> l2_{};
-  std::uint64_t l1_mask_ = 0;
+  std::vector<Bucket> l1_;
+  std::vector<Bucket> l2_;
+  std::array<std::uint64_t, kL1Buckets / 64> l1_bits_{};  ///< occupied L1 buckets
+  std::uint64_t l1_summary_ = 0;  ///< bit w set iff l1_bits_[w] != 0
   std::uint64_t l2_mask_ = 0;
+  std::vector<Chunk> chunks_;
+  std::vector<std::uint32_t> next_;  ///< chunk successor (bucket list or free list)
+  std::uint32_t free_ = kNil;
   TimePs l1_start_ = 0;
   TimePs l1_limit_ = 0;
   TimePs l2_start_ = 0;

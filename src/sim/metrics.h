@@ -84,7 +84,9 @@ struct OccupancySample {
 /// shape (radix x VC count x expected in-flight), and the *_reserved
 /// fields confirm what the backing stores actually grew to by run end.
 struct EngineCapacities {
-  std::size_t event_queue_reserved = 0;  ///< event slots without reallocation
+  /// Event slots the queue holds: heap capacity, plus in wheel mode the
+  /// active bucket's capacity and every chunk carved into the wheel's pool.
+  std::size_t event_queue_reserved = 0;
   std::size_t packet_pool_reserved = 0;  ///< packet slots without reallocation
   std::size_t packet_pool_slots = 0;     ///< pool slots ever allocated (peak in-flight)
   std::size_t voq_cells = 0;             ///< intrusive VOQ cells (in x vc x out, all routers)

@@ -1,9 +1,10 @@
-// Parallel sweep infrastructure tests: the thread pool, the 4-ary event
-// queue, per-point seed derivation, and — the core guarantee — that a
-// serial (jobs=1) and a parallel (jobs=4) sweep over the small paper
-// configurations produce identical results.
+// Parallel sweep infrastructure tests: the thread pool, the event queue
+// (both schedulers, against a reference order), per-point seed derivation,
+// and — the core guarantee — that a serial (jobs=1) and a parallel (jobs=4)
+// sweep over the small paper configurations produce identical results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <queue>
 #include <stdexcept>
@@ -107,45 +108,210 @@ TEST(ThreadPool, ParallelForPropagatesBodyException) {
   EXPECT_EQ(ran.load(), 63);
 }
 
-// ------------------------------------------------- event queue (4-ary heap)
+// ------------------------------------------------------------ event queue
 
-TEST(EventQueue4ary, MatchesReferenceHeapOnRandomStress) {
+// Drives an EventQueue and a reference min-heap on (time, okey, seq) with
+// the same operations and checks every pop against it. The reference
+// mirrors the queue's seq counter, which continues across clear().
+class QueueOracle {
+ public:
+  explicit QueueOracle(SchedulerKind kind) { q_.set_scheduler(kind); }
+
+  EventQueue& queue() { return q_; }
+  std::size_t size() const { return ref_.size(); }
+  std::size_t high_water() const { return high_water_; }
+  int failures() const { return failures_; }
+
+  void push(TimePs t, std::uint64_t okey) {
+    q_.push_keyed(t, okey, EventType::kNicFree);
+    ref_.push({t, okey, seq_++});
+    high_water_ = std::max(high_water_, ref_.size());
+  }
+
+  /// Pops from both and returns the dispatched time.
+  TimePs pop() {
+    const Event e = q_.pop();
+    const Ref r = ref_.top();
+    ref_.pop();
+    if ((e.time != r.time || e.okey != r.okey || e.seq != r.seq) && failures_++ == 0) {
+      ADD_FAILURE() << "first mismatch: got (" << e.time << ", " << e.okey << ", "
+                    << e.seq << "), want (" << r.time << ", " << r.okey << ", " << r.seq
+                    << ")";
+    }
+    return e.time;
+  }
+
+  void drain() {
+    while (!ref_.empty()) pop();
+    EXPECT_TRUE(q_.empty());
+  }
+
+  void clear() {
+    q_.clear();
+    ref_ = {};
+  }
+
+ private:
   struct Ref {
     TimePs time;
+    std::uint64_t okey;
     std::uint64_t seq;
     bool operator>(const Ref& o) const {
-      return time != o.time ? time > o.time : seq > o.seq;
+      if (time != o.time) return time > o.time;
+      if (okey != o.okey) return okey > o.okey;
+      return seq > o.seq;
     }
   };
-  EventQueue q;
-  q.reserve(1 << 12);
-  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref;
-  Rng rng(99);
-  std::uint64_t seq = 0;
-  // Interleave pushes and pops the way the simulator does (queue stays
-  // partially full) and check full agreement on (time, seq).
-  for (int round = 0; round < 2000; ++round) {
-    const int pushes = 1 + static_cast<int>(rng.next_below(8));
-    for (int i = 0; i < pushes; ++i) {
-      const auto t = static_cast<TimePs>(rng.next_below(1 << 16));
-      q.push(t, EventType::kNicFree, round);
-      ref.push({t, seq++});
+  EventQueue q_;
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref_;
+  std::uint64_t seq_ = 0;
+  std::size_t high_water_ = 0;
+  int failures_ = 0;
+};
+
+constexpr SchedulerKind kBothSchedulers[] = {SchedulerKind::kHeap, SchedulerKind::kWheel};
+
+/// The wheel's chunk pool never holds more than the pending high-water mark
+/// plus one partial chunk per bucket and one chunk in transit.
+void expect_wheel_pool_bounded(QueueOracle& o) {
+  if (o.queue().scheduler() != SchedulerKind::kWheel) return;
+  const std::size_t bound =
+      o.high_water() + EventQueue::kChunkEvents *
+                           (EventQueue::kL1Buckets + EventQueue::kL2Buckets + 1);
+  EXPECT_LE(o.queue().pool_slots(), bound) << "high water " << o.high_water();
+}
+
+TEST(EventQueue4ary, MatchesReferenceHeapOnRandomStress) {
+  for (const SchedulerKind kind : kBothSchedulers) {
+    QueueOracle o(kind);
+    o.queue().reserve(1 << 12);
+    Rng rng(99);
+    // Interleave pushes and pops the way the simulator does (queue stays
+    // partially full), with a few okeys over a narrow time range so ties on
+    // time and on (time, okey) are common.
+    for (int round = 0; round < 2000; ++round) {
+      const int pushes = 1 + static_cast<int>(rng.next_below(8));
+      for (int i = 0; i < pushes; ++i) {
+        o.push(static_cast<TimePs>(rng.next_below(1 << 16)), rng.next_below(4));
+      }
+      const int pops = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(pushes) + 1));
+      for (int i = 0; i < pops && o.size() > 0; ++i) o.pop();
     }
-    const int pops = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(pushes) + 1));
-    for (int i = 0; i < pops && !ref.empty(); ++i) {
-      const Event e = q.pop();
-      EXPECT_EQ(e.time, ref.top().time);
-      EXPECT_EQ(e.seq, ref.top().seq);
-      ref.pop();
+    o.drain();
+    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
+    expect_wheel_pool_bounded(o);
+  }
+}
+
+TEST(EventQueueOracle, OkeyTiesAndPushesIntoTheActiveBucket) {
+  for (const SchedulerKind kind : kBothSchedulers) {
+    QueueOracle o(kind);
+    Rng rng(5);
+    for (int i = 0; i < 2048; ++i) {
+      o.push(static_cast<TimePs>(rng.next_below(1 << 12)), rng.next_below(4));
     }
+    for (int step = 0; step < 50'000; ++step) {
+      const TimePs now = o.pop();
+      // Same-time pushes whose okey sorts before or after the event just
+      // dispatched, pushes a few ps ahead (same 64 ps bucket), and pushes on
+      // the simulator's own scale.
+      switch (rng.next_below(4)) {
+        case 0:
+          o.push(now, rng.next_below(4));
+          break;
+        case 1:
+          o.push(now + static_cast<TimePs>(rng.next_below(64)), rng.next_below(4));
+          break;
+        default:
+          o.push(now + 1 + static_cast<TimePs>(rng.next_below(1 << 17)), rng.next_below(4));
+          break;
+      }
+    }
+    o.drain();
+    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
+    expect_wheel_pool_bounded(o);
   }
-  while (!ref.empty()) {
-    const Event e = q.pop();
-    EXPECT_EQ(e.time, ref.top().time);
-    EXPECT_EQ(e.seq, ref.top().seq);
-    ref.pop();
+}
+
+TEST(EventQueueOracle, PaperDensityWithHeapOverflow) {
+  // About as many resident events as a saturated SF q=13 run keeps pending
+  // (~100k), rescheduled on the simulator's time scale; one push in 32
+  // lands past the ~16.8 us L2 horizon and must come back through the heap.
+  constexpr int kResident = 1 << 16;
+  for (const SchedulerKind kind : kBothSchedulers) {
+    QueueOracle o(kind);
+    o.queue().reserve(kResident);
+    Rng rng(17);
+    for (int i = 0; i < kResident; ++i) {
+      o.push(static_cast<TimePs>(rng.next_below(1 << 17)), rng.next_below(1 << 20));
+    }
+    for (int step = 0; step < 200'000; ++step) {
+      const TimePs now = o.pop();
+      const TimePs ahead = rng.next_below(32) == 0
+                               ? (TimePs{1} << 24) + static_cast<TimePs>(rng.next_below(1 << 24))
+                               : 1 + static_cast<TimePs>(rng.next_below(1 << 17));
+      o.push(now + ahead, rng.next_below(1 << 20));
+    }
+    EXPECT_GE(o.high_water(), static_cast<std::size_t>(kResident));
+    expect_wheel_pool_bounded(o);
+    o.drain();
+    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
   }
-  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueOracle, SlidingHorizonPullsHeapEvents) {
+  // Sparse traffic rescheduled up to ~1 us ahead advances time across many
+  // ~16.8 us L2 spans, while one push in 16 lands up to three spans ahead.
+  // Those heap events must re-enter through the sliding L2 window ahead of
+  // the later near-future events that keep arriving around them.
+  for (const SchedulerKind kind : kBothSchedulers) {
+    QueueOracle o(kind);
+    Rng rng(31);
+    for (int i = 0; i < 512; ++i) {
+      o.push(static_cast<TimePs>(rng.next_below(1 << 20)), rng.next_below(4));
+    }
+    TimePs now = 0;
+    for (int step = 0; step < 100'000; ++step) {
+      now = o.pop();
+      const TimePs ahead = rng.next_below(16) == 0
+                               ? static_cast<TimePs>(rng.next_below(TimePs{3} << 24))
+                               : 1 + static_cast<TimePs>(rng.next_below(1 << 20));
+      o.push(now + ahead, rng.next_below(4));
+    }
+    EXPECT_GT(now, TimePs{4} << 24);  // crossed several L2 spans
+    o.drain();
+    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
+    expect_wheel_pool_bounded(o);
+  }
+}
+
+TEST(EventQueueOracle, ClearThenReuse) {
+  for (const SchedulerKind kind : kBothSchedulers) {
+    QueueOracle o(kind);
+    std::size_t first_pool = 0;
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      // Every cycle replays the same schedule from time 0, far behind where
+      // the previous cycle stopped, and abandons it part-way through.
+      Rng rng(23);
+      for (int i = 0; i < 10'000; ++i) {
+        o.push(static_cast<TimePs>(rng.next_below(1 << 20)), rng.next_below(8));
+      }
+      for (int step = 0; step < 30'000; ++step) {
+        const TimePs now = o.pop();
+        o.push(now + 1 + static_cast<TimePs>(rng.next_below(1 << 19)), rng.next_below(8));
+      }
+      EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
+      o.clear();
+      EXPECT_TRUE(o.queue().empty());
+      // clear() keeps the chunk pool: replaying the schedule carves no more.
+      if (cycle == 0) first_pool = o.queue().pool_slots();
+      EXPECT_EQ(o.queue().pool_slots(), first_pool);
+    }
+    o.push(7, 0);
+    o.drain();
+    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
+    expect_wheel_pool_bounded(o);
+  }
 }
 
 TEST(EventQueue4ary, NextTimeAndPopThrowOnEmpty) {
