@@ -15,10 +15,13 @@
 
 #include <sched.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -265,8 +268,7 @@ double best_ns_per_op(std::int64_t iters, std::int64_t ops_per_iter, Body&& body
 }
 
 /// Self-relative sharded events/sec on the paper-scale saturation scenario
-/// (SF q=13, ~3.4k nodes, uniform, load 0.9). One run per shard count —
-/// the runs are long enough that best-of-N would dominate snapshot time.
+/// (SF q=13, ~3.4k nodes, uniform, load 0.9), one run.
 std::int64_t sharded_events_per_sec(const Topology& topo, int shards) {
   UniformTraffic uni(topo.num_nodes());
   SimConfig cfg;
@@ -280,6 +282,19 @@ std::int64_t sharded_events_per_sec(const Topology& topo, int shards) {
              ? static_cast<std::int64_t>(
                    static_cast<double>(res.events_processed) / dt)
              : 0;
+}
+
+/// Median, min and max of a sample.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return {n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0, v.front(), v.back()};
 }
 
 /// Cores this process may run on (its affinity mask), which is what bounds
@@ -386,14 +401,29 @@ int write_json_snapshot(const std::string& path) {
   // host with fewer physical cores than shards, so the ratio saturates at
   // ~1.0 on one core and approaches the shard count only with >= `shards`
   // cores (see docs/sharded_sim.md).
+  // Each rep runs all three shard counts back to back, and each speedup is
+  // taken within one rep, so a host that drifts between reps moves the
+  // events/sec spread but not the ratios.
+  constexpr int kShardedReps = 5;
+  constexpr std::array<int, 3> kShardCounts = {1, 2, 4};
   const Topology paper = build_slim_fly(13);
-  const std::int64_t eps_sh1 = sharded_events_per_sec(paper, 1);
-  const std::int64_t eps_sh2 = sharded_events_per_sec(paper, 2);
-  const std::int64_t eps_sh4 = sharded_events_per_sec(paper, 4);
-  const auto speedup = [&](std::int64_t eps) {
-    return eps_sh1 > 0 ? static_cast<double>(eps) / static_cast<double>(eps_sh1)
-                       : 0.0;
-  };
+  std::array<std::vector<double>, 3> eps_runs;
+  std::array<std::vector<double>, 2> speedup_runs;
+  for (int rep = 0; rep < kShardedReps; ++rep) {
+    std::array<double, 3> eps{};
+    for (std::size_t k = 0; k < kShardCounts.size(); ++k) {
+      eps[k] = static_cast<double>(sharded_events_per_sec(paper, kShardCounts[k]));
+      eps_runs[k].push_back(eps[k]);
+    }
+    for (std::size_t k = 1; k < kShardCounts.size(); ++k) {
+      speedup_runs[k - 1].push_back(eps[0] > 0.0 ? eps[k] / eps[0] : 0.0);
+    }
+  }
+  const Spread eps_sh1 = spread_of(eps_runs[0]);
+  const Spread eps_sh2 = spread_of(eps_runs[1]);
+  const Spread eps_sh4 = spread_of(eps_runs[2]);
+  const Spread speedup_2 = spread_of(speedup_runs[0]);
+  const Spread speedup_4 = spread_of(speedup_runs[1]);
 
   const int cores = usable_cores();
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -412,17 +442,22 @@ int write_json_snapshot(const std::string& path) {
                static_cast<long long>(eps_ugal));
   std::fprintf(f,
                "  \"sharded_scenario\": \"slim_fly q=13, uniform, load 0.9, "
-               "4us run / 1us warmup, seed 1, single run\",\n");
+               "4us run / 1us warmup, seed 1, median of %d (min/max)\",\n",
+               kShardedReps);
   std::fprintf(f, "  \"cores\": %d,\n", cores);
   std::fprintf(f, "  \"cpu_model\": \"%s\",\n", cpu_model().c_str());
-  std::fprintf(f, "  \"events_per_sec_sharded_serial\": %lld,\n",
-               static_cast<long long>(eps_sh1));
-  std::fprintf(f, "  \"events_per_sec_sharded_2\": %lld,\n",
-               static_cast<long long>(eps_sh2));
-  std::fprintf(f, "  \"events_per_sec_sharded_4\": %lld,\n",
-               static_cast<long long>(eps_sh4));
-  std::fprintf(f, "  \"speedup_sharded_2\": %.3f,\n", speedup(eps_sh2));
-  std::fprintf(f, "  \"speedup_sharded_4\": %.3f,\n", speedup(eps_sh4));
+  // Median under the plain key (what scripts/ci.sh compares), then the
+  // run-to-run range.
+  const auto print_spread = [&](const char* key, const Spread& s, int decimals) {
+    std::fprintf(f, "  \"%s\": %.*f,\n", key, decimals, s.median);
+    std::fprintf(f, "  \"%s_min\": %.*f,\n", key, decimals, s.min);
+    std::fprintf(f, "  \"%s_max\": %.*f,\n", key, decimals, s.max);
+  };
+  print_spread("events_per_sec_sharded_serial", eps_sh1, 0);
+  print_spread("events_per_sec_sharded_2", eps_sh2, 0);
+  print_spread("events_per_sec_sharded_4", eps_sh4, 0);
+  print_spread("speedup_sharded_2", speedup_2, 3);
+  print_spread("speedup_sharded_4", speedup_4, 3);
   std::fprintf(f, "  \"ns_voq_push_pop\": %.2f,\n", ns_voq);
   std::fprintf(f, "  \"ns_pool_alloc_release\": %.2f,\n", ns_pool);
   std::fprintf(f, "  \"ns_csr_next_hops\": %.2f,\n", ns_csr);
@@ -434,11 +469,11 @@ int write_json_snapshot(const std::string& path) {
   std::printf("events/sec: minimal=%lld ugal=%lld -> %s\n",
               static_cast<long long>(eps_min), static_cast<long long>(eps_ugal),
               path.c_str());
-  std::printf("sharded events/sec (SF q=13, %d core(s)): serial=%lld 2=%lld "
-              "(%.2fx) 4=%lld (%.2fx)\n",
-              cores, static_cast<long long>(eps_sh1),
-              static_cast<long long>(eps_sh2), speedup(eps_sh2),
-              static_cast<long long>(eps_sh4), speedup(eps_sh4));
+  std::printf("sharded events/sec (SF q=13, %d core(s), median of %d): serial=%lld "
+              "2=%lld (%.2fx) 4=%lld (%.2fx)\n",
+              cores, kShardedReps, static_cast<long long>(eps_sh1.median),
+              static_cast<long long>(eps_sh2.median), speedup_2.median,
+              static_cast<long long>(eps_sh4.median), speedup_4.median);
   return 0;
 }
 

@@ -19,6 +19,8 @@
 # committed baseline is refreshed deliberately, see docs/perf.md). The band
 # applies only when the host fingerprint (usable cores and CPU model)
 # matches the baseline's; on any other host the table is informational.
+# The same stage runs the benchmark's own tests (perfbench/test_*.py),
+# which build perfbench_rep into .bench_build/ and fail the build.
 #
 # Stages 2 and 3 additionally run the transient-faults bench (whose
 # detection-delay sweep exercises modeled fault detection + link-state
@@ -218,6 +220,8 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     echo "flow perf smoke done (informational; refresh via" \
          "bench_micro_flow --json=BENCH_flow.json on a quiet machine)"
   fi
+  echo "--- benchmark self-tests (perfbench/test_*.py) ---"
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
 fi
 
 if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then

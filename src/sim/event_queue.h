@@ -26,6 +26,13 @@
 //    pending set plus one partial chunk per non-empty bucket, however the
 //    load moves between buckets.
 //
+// Every push builds its Event once, field by field, in the storage it will
+// be popped from: its chunk slot, the gap it opens in the active bucket or
+// its heap hole (slot_for()). An Event built on the stack and then copied
+// in is reloaded straight after its mixed-width stores, and that load
+// cannot be forwarded from them; at paper scale the stall was the engine's
+// hottest instruction.
+//
 // Both schedulers realize the exact same (time, okey, seq) total order, so
 // a run is bit-identical under either — enforced by
 // tests/test_determinism_digest via an FNV-1a digest of the full dispatched
@@ -129,12 +136,18 @@ enum class SchedulerKind : std::uint8_t {
 class EventQueue {
  public:
   // Wheel geometry. W2 == kL1Buckets * W1, so expanding one L2 bucket fills
-  // exactly one full L1 ring span. Public so tests can state the memory
-  // bound: pool_slots() never exceeds the pending high-water mark plus one
-  // chunk per bucket (and one chunk in transit during an L2 expansion).
+  // exactly one full L1 ring span. Public so tests can aim pushes at the
+  // tier boundaries and state the memory bound: pool_slots() never exceeds
+  // the pending high-water mark plus one chunk per bucket (and one chunk in
+  // transit during an L2 expansion).
   static constexpr std::size_t kL1Buckets = 4096;
   static constexpr std::size_t kL2Buckets = 64;
   static constexpr std::size_t kChunkEvents = 16;  ///< events per pool chunk
+  static constexpr int kL1Shift = 6;   ///< W1 = 2^6 ps = 64 ps
+  static constexpr int kL2Shift = 18;  ///< W2 = 2^18 ps ~ 262 ns
+  static constexpr TimePs kW1 = TimePs{1} << kL1Shift;
+  static constexpr TimePs kW2 = TimePs{1} << kL2Shift;
+  static constexpr TimePs kL2Span = kW2 * static_cast<TimePs>(kL2Buckets);
 
   /// Selects the scheduling structure; only valid while the queue is empty
   /// (NetworkSim calls it once at construction from SimConfig::scheduler).
@@ -156,36 +169,17 @@ class EventQueue {
 
   void push_keyed(TimePs time, std::uint64_t okey, EventType type, std::int32_t a = 0,
                   std::int32_t b = 0, std::int32_t c = 0, std::int32_t d = 0) {
-    const Event e{time, okey, next_seq_++, type, a, b, c, d};
+    const std::uint64_t seq = next_seq_++;
     ++size_;
-    if (kind_ == SchedulerKind::kHeap) {
-      push_heap(e);
-      return;
-    }
-    // Only pops move the windows (advance()), never a push: anchoring an
-    // empty queue at a push's time would route every earlier-timed push
-    // that follows it (NetworkSim's start-up generator ticks) into the
-    // active bucket's sorted insert.
-    if (time < l1_start_) {
-      // Lands in (or before) the active bucket: insertion-sort into the
-      // unconsumed tail. Searching from cur_pos_ clamps an event that would
-      // sort before already-consumed entries (a same-time push with a
-      // smaller okey than the event being dispatched) to "popped next" —
-      // exactly where the heap would surface it, since every
-      // already-consumed entry was the minimum of the pending set when it
-      // was popped.
-      cur_.insert(std::upper_bound(cur_.begin() + static_cast<std::ptrdiff_t>(cur_pos_),
-                                   cur_.end(), e, before),
-                  e);
-    } else if (time < l1_limit_) {
-      push_l1(e);
-    } else if (time < l2_start_ + kL2Span) {
-      const std::size_t b2 = l2_bucket(time);
-      append(l2_[b2], e);
-      l2_mask_ |= std::uint64_t{1} << b2;
-    } else {
-      push_heap(e);
-    }
+    Event& e = slot_for(time, okey, seq);  // built in place: see the file comment
+    e.time = time;
+    e.okey = okey;
+    e.seq = seq;
+    e.type = type;
+    e.a = a;
+    e.b = b;
+    e.c = c;
+    e.d = d;
   }
 
   bool empty() const { return size_ == 0; }
@@ -194,7 +188,11 @@ class EventQueue {
   Event pop() {
     D2NET_HOT_ASSERT(size_ > 0, "pop() on empty EventQueue");
     --size_;
-    if (kind_ == SchedulerKind::kHeap) return pop_heap();
+    if (kind_ == SchedulerKind::kHeap) {
+      Event e;
+      pop_heap(e);
+      return e;
+    }
     if (cur_pos_ >= cur_.size()) advance();
     return cur_[cur_pos_++];
   }
@@ -268,11 +266,6 @@ class EventQueue {
  private:
   static constexpr std::size_t kArity = 4;
 
-  static constexpr int kL1Shift = 6;   ///< W1 = 2^6 ps = 64 ps
-  static constexpr int kL2Shift = 18;  ///< W2 = 2^18 ps ~ 262 ns
-  static constexpr TimePs kW1 = TimePs{1} << kL1Shift;
-  static constexpr TimePs kW2 = TimePs{1} << kL2Shift;
-  static constexpr TimePs kL2Span = kW2 * static_cast<TimePs>(kL2Buckets);
   static_assert(kW2 == kW1 * static_cast<TimePs>(kL1Buckets));
   static_assert(kL1Buckets == 64 * 64, "two-level 64x64 L1 occupancy bitmap");
   static_assert(kL2Buckets == 64, "one-word L2 occupancy mask");
@@ -288,11 +281,12 @@ class EventQueue {
     std::uint32_t n = 0;  ///< events held
   };
 
-  static bool before(const Event& x, const Event& y) {
-    if (x.time != y.time) return x.time < y.time;
-    if (x.okey != y.okey) return x.okey < y.okey;
-    return x.seq < y.seq;
+  static bool before(TimePs time, std::uint64_t okey, std::uint64_t seq, const Event& y) {
+    if (time != y.time) return time < y.time;
+    if (okey != y.okey) return okey < y.okey;
+    return seq < y.seq;
   }
+  static bool before(const Event& x, const Event& y) { return before(x.time, x.okey, x.seq, y); }
 
   static std::size_t l1_bucket(TimePs t) {
     return static_cast<std::size_t>(t >> kL1Shift) & (kL1Buckets - 1);
@@ -311,22 +305,52 @@ class EventQueue {
     return (from + static_cast<std::size_t>(std::countr_zero(rotated))) % 64;
   }
 
+  /// The storage a new (time, okey, seq) event is popped from: the gap it
+  /// opens in the active bucket, its L1 or L2 chunk slot, or its heap hole.
+  /// The caller writes every field.
+  Event& slot_for(TimePs time, std::uint64_t okey, std::uint64_t seq) {
+    if (kind_ == SchedulerKind::kHeap) return heap_slot(time, okey, seq);
+    // Only pops move the windows (advance()), never a push: anchoring an
+    // empty queue at a push's time would route every earlier-timed push
+    // that follows it (NetworkSim's start-up generator ticks) into the
+    // active bucket's sorted insert.
+    if (time < l1_start_) {
+      // Lands in (or before) the active bucket: insertion-sort into the
+      // unconsumed tail. Searching from cur_pos_ clamps an event that would
+      // sort before already-consumed entries (a same-time push with a
+      // smaller okey than the event being dispatched) to "popped next" —
+      // exactly where the heap would surface it, since every
+      // already-consumed entry was the minimum of the pending set when it
+      // was popped.
+      const auto pos = std::upper_bound(
+          cur_.begin() + static_cast<std::ptrdiff_t>(cur_pos_), cur_.end(), time,
+          [&](TimePs t, const Event& y) { return before(t, okey, seq, y); });
+      return *cur_.insert(pos, Event{});
+    }
+    if (time < l1_limit_) return l1_slot(time);
+    if (time < l2_start_ + kL2Span) return l2_slot(time);
+    return heap_slot(time, okey, seq);
+  }
+
   // --- heap primitives (hole-based sifts: one Event moved per level) ---
 
-  void push_heap(const Event& e) {
-    heap_.push_back(e);
+  /// Sifts a hole up from a new last element to where (time, okey, seq)
+  /// belongs and returns it.
+  Event& heap_slot(TimePs time, std::uint64_t okey, std::uint64_t seq) {
+    heap_.emplace_back();
     std::size_t i = heap_.size() - 1;
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
-      if (!before(e, heap_[parent])) break;
+      if (!before(time, okey, seq, heap_[parent])) break;
       heap_[i] = heap_[parent];
       i = parent;
     }
-    heap_[i] = e;
+    return heap_[i];
   }
 
-  Event pop_heap() {
-    const Event top = heap_.front();
+  /// Moves the heap's minimum into `out` (storage outside heap_).
+  void pop_heap(Event& out) {
+    out = heap_.front();
     const Event last = heap_.back();
     heap_.pop_back();
     const std::size_t n = heap_.size();
@@ -346,7 +370,6 @@ class EventQueue {
       }
       heap_[i] = last;
     }
-    return top;
   }
 
   // --- chunk pool ---
@@ -362,9 +385,11 @@ class EventQueue {
     return static_cast<std::uint32_t>(chunks_.size() - 1);
   }
 
-  /// Appends to a bucket. `e` is taken by value: it may be read from a chunk
-  /// that alloc_chunk() is about to move.
-  void append(Bucket& bk, Event e) {
+  /// Reserves the next slot of a bucket, the one slot-reserving primitive of
+  /// both rings. The returned reference is valid only until the next
+  /// alloc_chunk(), which may reallocate chunks_: a caller copying an event
+  /// out of another chunk must index it again after this call.
+  Event& reserve_slot(Bucket& bk) {
     const std::size_t slot = bk.n % kChunkEvents;
     if (slot == 0) {
       const std::uint32_t c = alloc_chunk();
@@ -375,8 +400,8 @@ class EventQueue {
       }
       bk.tail = c;
     }
-    chunks_[bk.tail][slot] = e;
     ++bk.n;
+    return chunks_[bk.tail][slot];
   }
 
   /// Calls `sink(chunk, count)` for each chunk of a bucket in push order.
@@ -442,14 +467,20 @@ class EventQueue {
   // The L1 window [l1_start_, l1_limit_) always lies inside the one
   // W2-aligned span that ends at l1_limit_, so L1 ring positions never wrap:
   // the lowest occupied position is the earliest bucket.
-  void push_l1(Event e) {
-    const std::size_t b = l1_bucket(e.time);
+  Event& l1_slot(TimePs time) {
+    const std::size_t b = l1_bucket(time);
     Bucket& bk = l1_[b];
     if (bk.n == 0) {
       l1_bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
       l1_summary_ |= std::uint64_t{1} << (b >> 6);
     }
-    append(bk, e);
+    return reserve_slot(bk);
+  }
+
+  Event& l2_slot(TimePs time) {
+    const std::size_t b = l2_bucket(time);
+    l2_mask_ |= std::uint64_t{1} << b;
+    return reserve_slot(l2_[b]);
   }
 
   /// Re-anchors the (empty) wheel windows around the first pending time.
@@ -489,7 +520,10 @@ class EventQueue {
         l1_start_ = bucket_start;
         l1_limit_ = bucket_start + kW2;
         drain_bucket(l2_[b], [this](std::uint32_t c, std::uint32_t count) {
-          for (std::uint32_t i = 0; i < count; ++i) push_l1(chunks_[c][i]);
+          for (std::uint32_t i = 0; i < count; ++i) {
+            Event& dst = l1_slot(chunks_[c][i].time);
+            dst = chunks_[c][i];  // re-indexed: l1_slot() may move chunks_
+          }
         });
         l2_start_ = l1_limit_;
         drain_heap_into_l2();
@@ -505,15 +539,14 @@ class EventQueue {
   void drain_heap_into_l2() {
     const TimePs limit = l2_start_ + kL2Span;
     while (!heap_.empty() && heap_.front().time < limit) {
-      const Event e = pop_heap();
-      const std::size_t b2 = l2_bucket(e.time);
-      append(l2_[b2], e);
-      l2_mask_ |= std::uint64_t{1} << b2;
+      pop_heap(l2_slot(heap_.front().time));
     }
   }
 
   void drain_heap_into_l2_and_l1() {
-    while (!heap_.empty() && heap_.front().time < l1_limit_) push_l1(pop_heap());
+    while (!heap_.empty() && heap_.front().time < l1_limit_) {
+      pop_heap(l1_slot(heap_.front().time));
+    }
     drain_heap_into_l2();
   }
 

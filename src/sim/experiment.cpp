@@ -1,5 +1,7 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace d2net {
@@ -96,16 +98,22 @@ std::vector<SweepPoint> run_load_sweep(SimStack& stack, const TrafficPattern& pa
 }
 
 double saturation_point(const std::vector<SweepPoint>& sweep, double threshold) {
+  // A failed point has no measurement; a timed-out one measured only part
+  // of its window, so its throughput is not data either.
+  const auto judged = [](const SweepPoint& pt) { return !pt.failed && !pt.result.timed_out; };
   double sat = 0.0;
   for (const SweepPoint& pt : sweep) {
-    if (pt.failed) continue;  // no measurement to judge
+    if (!judged(pt)) continue;
     if (pt.result.accepted_throughput >= threshold * pt.offered) {
       sat = std::max(sat, pt.offered);
     }
   }
-  // If even the lowest load saturates, report its accepted throughput — the
-  // sustainable rate — rather than zero.
-  if (sat == 0.0 && !sweep.empty()) sat = sweep.front().result.accepted_throughput;
+  // If even the lowest judged load saturates, report its accepted
+  // throughput — the sustainable rate — rather than zero.
+  if (sat == 0.0) {
+    const auto first = std::find_if(sweep.begin(), sweep.end(), judged);
+    if (first != sweep.end()) sat = first->result.accepted_throughput;
+  }
   return sat;
 }
 

@@ -107,6 +107,8 @@ std::vector<SweepPoint> run_load_sweep(SimStack& stack, const TrafficPattern& pa
 
 /// Offered load of the last point that still accepts >= `threshold` of its
 /// offered traffic — the "throughput saturation point" reported in Fig. 6.
+/// Failed and timed-out points are not judged. If no judged point passes,
+/// the first judged point's accepted throughput (0 if there is none).
 double saturation_point(const std::vector<SweepPoint>& sweep, double threshold = 0.95);
 
 /// Default load grids.

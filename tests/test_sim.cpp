@@ -248,6 +248,36 @@ TEST(Experiment, SweepAndSaturationPoint) {
   EXPECT_NEAR(sat, 0.3, 0.01);
 }
 
+TEST(Experiment, SaturationPointSkipsTimedOutAndFailedPoints) {
+  const auto point = [](double offered, double accepted, bool timed_out = false,
+                        bool failed = false) {
+    SweepPoint pt;
+    pt.offered = offered;
+    pt.result.accepted_throughput = accepted;
+    pt.result.timed_out = timed_out;
+    pt.failed = failed;
+    return pt;
+  };
+  // A timed-out point that happens to read as passing does not raise the
+  // saturation point past the last complete passing load.
+  EXPECT_DOUBLE_EQ(saturation_point({point(0.1, 0.1), point(0.3, 0.3), point(0.5, 0.2),
+                                     point(0.8, 0.8, /*timed_out=*/true)}),
+                   0.3);
+  // Nor does a failed one.
+  EXPECT_DOUBLE_EQ(saturation_point({point(0.1, 0.1), point(0.5, 0.2),
+                                     point(0.8, 0.8, false, /*failed=*/true)}),
+                   0.1);
+  // All-saturated fallback: the first judged point's accepted throughput,
+  // not a timed-out or failed front point's.
+  EXPECT_DOUBLE_EQ(saturation_point({point(0.1, 0.02, /*timed_out=*/true),
+                                     point(0.2, 0.0, false, /*failed=*/true),
+                                     point(0.3, 0.05), point(0.5, 0.06)}),
+                   0.05);
+  // Nothing judged at all: zero.
+  EXPECT_DOUBLE_EQ(saturation_point({point(0.1, 0.1, /*timed_out=*/true)}), 0.0);
+  EXPECT_DOUBLE_EQ(saturation_point({}), 0.0);
+}
+
 TEST(Experiment, NumVcsProvisioning) {
   const Topology sf = build_slim_fly(5);
   const Topology mlfm = build_mlfm(3);

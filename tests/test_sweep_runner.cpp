@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <atomic>
 #include <queue>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -111,8 +113,11 @@ TEST(ThreadPool, ParallelForPropagatesBodyException) {
 // ------------------------------------------------------------ event queue
 
 // Drives an EventQueue and a reference min-heap on (time, okey, seq) with
-// the same operations and checks every pop against it. The reference
-// mirrors the queue's seq counter, which continues across clear().
+// the same operations and checks every pop against it, payload included:
+// each push carries a random type and random operands a..d, so a queue that
+// builds, moves or copies an event wrongly fails even when its order is
+// right. The reference mirrors the queue's seq counter, which continues
+// across clear().
 class QueueOracle {
  public:
   explicit QueueOracle(SchedulerKind kind) { q_.set_scheduler(kind); }
@@ -123,20 +128,26 @@ class QueueOracle {
   int failures() const { return failures_; }
 
   void push(TimePs t, std::uint64_t okey) {
-    q_.push_keyed(t, okey, EventType::kNicFree);
-    ref_.push({t, okey, seq_++});
+    const auto type = static_cast<EventType>(payload_.next_below(
+        static_cast<std::uint64_t>(EventType::kFloodArrive) + 1));
+    const auto operand = [this] { return static_cast<std::int32_t>(payload_()); };
+    const std::int32_t a = operand();
+    const std::int32_t b = operand();
+    const std::int32_t c = operand();
+    const std::int32_t d = operand();
+    q_.push_keyed(t, okey, type, a, b, c, d);
+    ref_.push({t, okey, seq_++, type, a, b, c, d});
     high_water_ = std::max(high_water_, ref_.size());
   }
 
   /// Pops from both and returns the dispatched time.
   TimePs pop() {
     const Event e = q_.pop();
-    const Ref r = ref_.top();
+    const Ref got{e.time, e.okey, e.seq, e.type, e.a, e.b, e.c, e.d};
+    const Ref want = ref_.top();
     ref_.pop();
-    if ((e.time != r.time || e.okey != r.okey || e.seq != r.seq) && failures_++ == 0) {
-      ADD_FAILURE() << "first mismatch: got (" << e.time << ", " << e.okey << ", "
-                    << e.seq << "), want (" << r.time << ", " << r.okey << ", " << r.seq
-                    << ")";
+    if (got != want && failures_++ == 0) {
+      ADD_FAILURE() << "first mismatch: got " << got.str() << ", want " << want.str();
     }
     return e.time;
   }
@@ -156,14 +167,25 @@ class QueueOracle {
     TimePs time;
     std::uint64_t okey;
     std::uint64_t seq;
+    EventType type;
+    std::int32_t a, b, c, d;
     bool operator>(const Ref& o) const {
       if (time != o.time) return time > o.time;
       if (okey != o.okey) return okey > o.okey;
       return seq > o.seq;
     }
+    bool operator==(const Ref&) const = default;
+    std::string str() const {
+      std::ostringstream os;
+      os << "(" << time << ", " << okey << ", " << seq << " | type " << static_cast<int>(type)
+         << ", " << a << ", " << b << ", " << c << ", " << d << ")";
+      return os.str();
+    }
   };
+
   EventQueue q_;
   std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref_;
+  Rng payload_{0x5EED};
   std::uint64_t seq_ = 0;
   std::size_t high_water_ = 0;
   int failures_ = 0;
@@ -279,6 +301,62 @@ TEST(EventQueueOracle, SlidingHorizonPullsHeapEvents) {
       o.push(now + ahead, rng.next_below(4));
     }
     EXPECT_GT(now, TimePs{4} << 24);  // crossed several L2 spans
+    o.drain();
+    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
+    expect_wheel_pool_bounded(o);
+  }
+}
+
+TEST(EventQueueOracle, PushesOnEveryTierAndBoundary) {
+  // Every push is aimed relative to the event just popped, whose L1 window
+  // ends at the next W2 boundary (the L2 window starts there) and whose L2
+  // window ends kL2Span later. Pushes land in the active bucket, L1, exactly
+  // on the L1/L2 boundary, L2, exactly on the L2 horizon and in the heap.
+  constexpr TimePs kW1 = EventQueue::kW1;
+  constexpr TimePs kW2 = EventQueue::kW2;
+  constexpr TimePs kL2Span = EventQueue::kL2Span;
+  for (const SchedulerKind kind : kBothSchedulers) {
+    QueueOracle o(kind);
+    Rng rng(41);
+    for (int i = 0; i < 1024; ++i) {
+      o.push(static_cast<TimePs>(rng.next_below(4 * kW2)), rng.next_below(4));
+    }
+    for (int step = 0; step < 60'000; ++step) {
+      const TimePs now = o.pop();
+      const TimePs l1_limit = (now / kW2 + 1) * kW2;
+      const TimePs horizon = l1_limit + kL2Span;
+      TimePs t = now;  // case 0: the active bucket, at the dispatch time
+      switch (rng.next_below(9)) {
+        case 1:  // the active bucket or the L1 bucket just after it
+          t = now + static_cast<TimePs>(rng.next_below(2 * kW1));
+          break;
+        case 2:  // anywhere in L1
+          t = now + static_cast<TimePs>(
+                        rng.next_below(static_cast<std::uint64_t>(l1_limit - now)));
+          break;
+        case 3:  // the last L1 time
+          t = l1_limit - 1;
+          break;
+        case 4:  // exactly on the L1/L2 boundary: the first L2 time
+          t = l1_limit;
+          break;
+        case 5:  // anywhere in L2
+          t = l1_limit + static_cast<TimePs>(rng.next_below(kL2Span));
+          break;
+        case 6:  // the last L2 time
+          t = horizon - 1;
+          break;
+        case 7:  // exactly on the L2 horizon: the first heap time
+          t = horizon;
+          break;
+        case 8:  // deeper in the heap
+          t = horizon + static_cast<TimePs>(rng.next_below(2 * kL2Span));
+          break;
+        default:
+          break;
+      }
+      o.push(t, rng.next_below(4));
+    }
     o.drain();
     EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
     expect_wheel_pool_bounded(o);
