@@ -14,7 +14,6 @@
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "sim/campaign.h"
-#include "sim/traffic.h"
 #include "topology/mlfm.h"
 #include "topology/oft.h"
 #include "topology/slim_fly.h"
@@ -164,11 +163,15 @@ BenchOptions read_standard_flags(const Cli& cli, int workers) {
   return opts;
 }
 
+namespace {
+
 Topology paper_slim_fly(bool full, bool ceil_p) {
   return build_slim_fly(full ? 13 : 7, ceil_p ? SlimFlyP::kCeil : SlimFlyP::kFloor);
 }
 Topology paper_mlfm(bool full) { return build_mlfm(full ? 15 : 7); }
 Topology paper_oft(bool full) { return build_oft(full ? 12 : 6); }
+
+}  // namespace
 
 std::vector<SystemConfig> paper_systems(bool full) {
   std::vector<SystemConfig> out;
@@ -824,73 +827,6 @@ std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
   }
   if (report != nullptr) report->add_exchange(title, out, stats);
   return out;
-}
-
-std::vector<double> bench_uniform_loads() {
-  return {0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0};
-}
-
-std::vector<double> bench_adversarial_loads() {
-  return {0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1.0};
-}
-
-void run_adaptive_figure(const Topology& topo, const AdaptiveFigureSpec& spec,
-                         const BenchOptions& opts, BenchReport* report) {
-  const auto table = std::make_shared<const MinimalTable>(topo);
-  Rng rng(opts.seed);
-  const auto wc = make_worst_case(topo, *table, rng);
-  const UniformTraffic uni(topo.num_nodes());
-  const bool threshold = spec.strategy == RoutingStrategy::kUgalThreshold;
-
-  auto panel = [&](const std::string& subtitle,
-                   const std::function<UgalParams(std::size_t)>& make_params,
-                   const std::vector<std::string>& labels) {
-    for (const auto* pat : {static_cast<const TrafficPattern*>(&uni),
-                            static_cast<const TrafficPattern*>(wc.get())}) {
-      const bool is_uni = pat == &uni;
-      const auto& loads = is_uni ? bench_uniform_loads() : bench_adversarial_loads();
-      std::vector<SweepSeriesSpec> specs;
-      for (std::size_t v = 0; v < labels.size(); ++v) {
-        SweepSeriesSpec s;
-        s.label = labels[v];
-        s.topo = &topo;
-        s.table = table;
-        s.strategy = spec.strategy;
-        s.params = make_params(v);
-        s.pattern = pat;
-        s.loads = loads;
-        specs.push_back(std::move(s));
-      }
-      run_and_print_sweep(
-          spec.title + " — " + subtitle + (is_uni ? " — UNI" : " — WC"), specs, opts,
-          report);
-    }
-  };
-
-  {
-    std::vector<std::string> labels;
-    for (int ni : spec.ni_values) labels.push_back("nI=" + std::to_string(ni));
-    panel("vary nI (c=" + fmt(spec.fixed_c, 2) + ")",
-          [&](std::size_t v) {
-            UgalParams p = default_ugal_params(topo.kind(), threshold);
-            p.num_indirect = spec.ni_values[v];
-            p.c = spec.fixed_c;
-            return p;
-          },
-          labels);
-  }
-  {
-    std::vector<std::string> labels;
-    for (double c : spec.c_values) labels.push_back("c=" + fmt(c, 2));
-    panel("vary c (nI=" + std::to_string(spec.fixed_ni) + ")",
-          [&](std::size_t v) {
-            UgalParams p = default_ugal_params(topo.kind(), threshold);
-            p.num_indirect = spec.fixed_ni;
-            p.c = spec.c_values[v];
-            return p;
-          },
-          labels);
-  }
 }
 
 }  // namespace d2net::bench

@@ -1,10 +1,10 @@
-// Shared plumbing for the per-figure bench binaries: standard flags, the
-// paper's four topology configurations (scaled-down defaults + --full for
-// the exact Section 4.1 systems), parallel sweep execution (--jobs), sweep
-// table printing, and machine-readable perf/result JSON (--json).
+// Shared plumbing for d2net_campaign and the bench binaries: standard
+// flags, the paper's four topology configurations (scaled-down defaults +
+// --full for the exact Section 4.1 systems), parallel sweep execution
+// (--jobs), sweep table printing, and machine-readable perf/result JSON
+// (--json).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,11 +86,6 @@ struct SystemConfig {
 /// MLFM h=7, OFT k=6 (N ~ 370-590). --full: SF q=13 (p=9/10), MLFM h=15,
 /// OFT k=12 (N ~ 3042-3600, the CORAL-Summit-like systems of the paper).
 std::vector<SystemConfig> paper_systems(bool full);
-
-/// Individual builders (used by the adaptive-routing figures).
-Topology paper_slim_fly(bool full, bool ceil_p);
-Topology paper_mlfm(bool full);
-Topology paper_oft(bool full);
 
 /// Accumulates one record per executed sweep and (if --json was given)
 /// writes a single JSON document on write():
@@ -268,35 +263,14 @@ struct ExchangeRunControl {
 /// rows marked WEDGED / DEADLINE / TIMEOUT), appends to `report` when
 /// non-null, and — when the report carries a journal — journals every row
 /// under that composed title as the scope, restoring completed rows on
-/// --resume with byte-identical output. Both bench_fig13_all_to_all and
-/// d2net_campaign execute through this one function, which is what makes
-/// ported campaign specs reproduce the binary byte-for-byte.
+/// --resume with byte-identical output. The solo and multi-worker campaign
+/// paths both execute through this one function, which is what makes a
+/// merged worker run reproduce the solo output byte-for-byte.
 std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
                                             const std::vector<ExchangeRowSpec>& rows,
                                             std::int64_t bytes_per_pair, A2aOrder order,
                                             TimePs time_limit, const BenchOptions& opts,
                                             BenchReport* report,
                                             const ExchangeRunControl* ctl = nullptr);
-
-/// Default offered-load grids for the bench binaries (coarser than the
-/// library's, sized for a single-core host).
-std::vector<double> bench_uniform_loads();
-std::vector<double> bench_adversarial_loads();
-
-/// Spec for the adaptive-routing figures (Figs. 7-12): two panels, (a)
-/// varying nI at a fixed cost penalty and (b) varying the penalty at a
-/// fixed nI, each under uniform random (UNI) and worst-case (WC) traffic.
-struct AdaptiveFigureSpec {
-  std::string title;
-  RoutingStrategy strategy = RoutingStrategy::kUgal;  ///< kUgal or kUgalThreshold
-  std::vector<int> ni_values;
-  double fixed_c = 2.0;
-  std::vector<double> c_values;
-  int fixed_ni = 4;
-};
-
-/// Runs and prints one adaptive figure for the given topology.
-void run_adaptive_figure(const Topology& topo, const AdaptiveFigureSpec& spec,
-                         const BenchOptions& opts, BenchReport* report = nullptr);
 
 }  // namespace d2net::bench

@@ -1,13 +1,12 @@
 // Declarative campaign runner: one driver for the whole bench matrix.
 //
 // Reads a committed JSON spec (campaigns/*.json, schema in
-// docs/campaigns.md), expands it into the exact sweep/exchange work the
-// hand-written bench binaries construct in code, and executes it through
-// the shared machinery — SweepRunner (--jobs/--shards), the crash-safe
-// journal (--journal/--resume), per-point deadlines (--point-timeout) and
-// BenchReport --json output. A spec ported from a bench binary reproduces
-// that binary's --json byte-for-byte (scripts/ci.sh stage 6 enforces this
-// for fig6, fig13 and the transient-faults ablation).
+// docs/campaigns.md), expands it into sweep/exchange work, and executes it
+// through the shared machinery — SweepRunner (--jobs/--shards), the
+// crash-safe journal (--journal/--resume), per-point deadlines
+// (--point-timeout) and BenchReport --json output. Each figure spec's
+// normalised --json at CI args matches its committed sha256 in
+// campaigns/ci_digests.txt (scripts/ci.sh stage 6 enforces this).
 //
 // The journal manifest additionally pins the spec text's FNV-1a hash:
 // editing a spec invalidates its journals, so a resumed campaign can never

@@ -2,16 +2,20 @@
 # Tier-1 CI: a clean release build (warnings are errors) with the full
 # ctest suite, then a ThreadSanitizer build that runs the parallel-sweep
 # determinism test and the sharded-simulation digest suites to prove both
-# kinds of parallelism are race-free (not just
-# accidentally ordered), then an ASan+UBSan build that runs the
-# fault-injection and simulator-edge suites — the code paths that tear
-# down in-flight state mid-run and are therefore the likeliest source of
-# lifetime/indexing bugs — and finally an end-to-end kill/resume drill on a
-# real bench binary: journal a sweep, truncate the journal mid-file with a
-# torn final line (what a SIGKILL leaves behind), resume, and require the
+# kinds of parallelism are race-free (not just accidentally ordered), then
+# an ASan+UBSan build that runs the fault-injection and simulator-edge
+# suites — the code paths that tear down in-flight state mid-run and are
+# therefore the likeliest source of lifetime/indexing bugs — and then an
+# end-to-end kill/resume drill on d2net_campaign with campaigns/fig6.json
+# under parallel sweeps: journal a sweep, truncate the journal mid-file with
+# a torn final line (what a SIGKILL leaves behind), resume, and require the
 # resumed --json output to be byte-identical to an uninterrupted run (see
 # docs/durable_sweeps.md).
 #
+# Stages 2 and 3 additionally run campaigns/transient_faults.json (whose
+# detection-delay sweep exercises modeled fault detection + link-state
+# propagation, see docs/resilience.md) under TSan and ASan+UBSan, and stage
+# 2 runs campaigns/fig6.json on the flow engine under --jobs=4.
 #
 # Stage 5 is a warn-only perf smoke: bench_micro_core --json against the
 # committed BENCH_core.json baseline with a +/-15% band. It prints a
@@ -22,23 +26,19 @@
 # The same stage runs the benchmark's own tests (perfbench/test_*.py),
 # which build perfbench_rep into .bench_build/ and fail the build.
 #
-# Stages 2 and 3 additionally run the transient-faults bench (whose
-# detection-delay sweep exercises modeled fault detection + link-state
-# propagation, see docs/resilience.md) under TSan and ASan+UBSan.
-#
 # Stage 6 enforces the campaign porting contract (docs/campaigns.md): every
-# committed spec under campaigns/ must --dry-run clean, the specs ported
-# from bench binaries must reproduce those binaries' --json output
-# byte-for-byte (fig6, fig8's grid panels, fig13, transient_faults —
-# including the propagation sweep, whose convergence times also get a
-# warn-only +/-20% smoke against BENCH_convergence.json), and a mixed
-# load/fault/exchange campaign must survive a
-# simulated SIGKILL (journal truncated mid-file with a torn final line) and
-# resume to byte-identical output. It closes with the multi-worker chaos
-# drill: three cooperating --workers processes, one SIGKILLed right after
-# claiming a shard (before journaling anything), a survivor stealing the
-# stale lease, and --merge output byte-identical (diff + sha256 digest) to
-# the single-process reference.
+# committed spec under campaigns/ must --dry-run clean, and every spec named
+# in campaigns/ci_digests.txt must produce normalised --json output whose
+# sha256 equals its committed digest (fig6-fig13 and transient_faults; the
+# transient_faults propagation sweep's convergence times also get a
+# warn-only +/-20% smoke against BENCH_convergence.json). A mixed
+# load/fault/exchange campaign must survive a simulated SIGKILL (journal
+# truncated mid-file with a torn final line) and resume to byte-identical
+# output. It closes with the multi-worker chaos drill: three cooperating
+# --workers processes, one SIGKILLed right after claiming a shard (before
+# journaling anything), a survivor stealing the stale lease, and --merge
+# output byte-identical (diff + sha256 digest) to the single-process
+# reference.
 #
 #   scripts/ci.sh            # all stages, build trees under build-ci*/
 #   SKIP_TSAN=1 scripts/ci.sh
@@ -71,22 +71,23 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/tests/test_sharded_sim
   # Modeled fault propagation adds control-plane events that cross shard
   # lanes through the coordinator; run its digest suite and the
-  # transient-faults bench (detection-delay sweep included) under TSan too.
-  cmake --build build-ci-tsan -j "$JOBS" --target bench_ablation_transient_faults
+  # transient-faults campaign (detection-delay sweep included) under TSan
+  # too.
+  cmake --build build-ci-tsan -j "$JOBS" --target d2net_campaign
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-ci-tsan/tests/test_determinism_digest --gtest_filter='*Propagation*'
-  TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/bench/bench_ablation_transient_faults \
-    --duration-us=2 --warmup-us=0.5 --seed=3 --wedge-demo=false >/dev/null
+  TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/bench/d2net_campaign \
+    --spec=campaigns/transient_faults.json \
+    --duration-us=2 --warmup-us=0.5 --seed=3 >/dev/null
   # Flow-engine sweep under --jobs: each point is an independent FlowSim,
   # so a race can only come from the sweep fan-out sharing state it must
   # not (scratch buffers, tables, the journal writer).
-  cmake --build build-ci-tsan -j "$JOBS" --target bench_fig6_oblivious
   # Batched rate ticks: exact recompute past the knee walks a
   # network-spanning component per event, which TSan's slowdown turns
   # into tens of minutes; the thread structure under test is identical.
-  TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/bench/bench_fig6_oblivious \
-    --engine=flow --flow-interval-us=0.2 --duration-us=2 --warmup-us=0.5 \
-    --seed=3 --jobs=4 >/dev/null
+  TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/bench/d2net_campaign \
+    --spec=campaigns/fig6.json --engine=flow --flow-interval-us=0.2 \
+    --duration-us=2 --warmup-us=0.5 --seed=3 --jobs=4 >/dev/null
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
@@ -100,10 +101,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # Propagation tears down in-flight state on stale local views (salvage
   # resamples, misroute detours, drains at detection time) — exactly the
   # lifetime-bug surface this stage exists for.
-  cmake --build build-ci-asan -j "$JOBS" --target bench_ablation_transient_faults
+  cmake --build build-ci-asan -j "$JOBS" --target d2net_campaign
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
-    ./build-ci-asan/bench/bench_ablation_transient_faults \
-    --duration-us=2 --warmup-us=0.5 --seed=3 --wedge-demo=false >/dev/null
+    ./build-ci-asan/bench/d2net_campaign --spec=campaigns/transient_faults.json \
+    --duration-us=2 --warmup-us=0.5 --seed=3 >/dev/null
   # The flow engine's slot-recycled flow table and component-local
   # waterfill are all index arithmetic over flat arrays — the same
   # indexing-bug surface. Its test suite covers create/destroy churn,
@@ -114,12 +115,13 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_RESUME:-0}" != "1" ]]; then
-  echo "=== stage 4: crash/resume durability drill (bench_fig6_oblivious) ==="
-  cmake --build build-ci -j "$JOBS" --target bench_fig6_oblivious
-  BENCH=./build-ci/bench/bench_fig6_oblivious
+  echo "=== stage 4: crash/resume durability drill (campaigns/fig6.json) ==="
+  cmake --build build-ci -j "$JOBS" --target d2net_campaign
+  BENCH=./build-ci/bench/d2net_campaign
   WORK=build-ci/resume-drill
   rm -rf "$WORK" && mkdir -p "$WORK"
-  ARGS=(--duration-us=2 --warmup-us=0.5 --seed=3)
+  # Default --jobs: the one resume drill that runs under parallel sweeps.
+  ARGS=(--spec=campaigns/fig6.json --duration-us=2 --warmup-us=0.5 --seed=3)
   # wall_seconds / events_per_second are genuine wall-clock measurements and
   # legitimately differ between runs; everything else must match exactly.
   normalize() { sed -E 's/"(wall_seconds|events_per_second)": [0-9.eE+-]+/"\1": X/g' "$1"; }
@@ -225,18 +227,13 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
-  echo "=== stage 6: declarative campaign drill (specs vs ported benches) ==="
-  cmake --build build-ci -j "$JOBS" --target d2net_campaign \
-    --target bench_fig6_oblivious --target bench_fig13_all_to_all \
-    --target bench_ablation_transient_faults \
-    --target bench_fig7_sf_adaptive --target bench_fig8_sf_adaptive_th \
-    --target bench_fig9_mlfm_adaptive --target bench_fig10_oft_adaptive \
-    --target bench_fig11_mlfm_adaptive_th --target bench_fig12_oft_adaptive_th
+  echo "=== stage 6: declarative campaign drill (specs vs committed digests) ==="
+  cmake --build build-ci -j "$JOBS" --target d2net_campaign
   CAMPAIGN=./build-ci/bench/d2net_campaign
   WORK=build-ci/campaign-drill
   rm -rf "$WORK" && mkdir -p "$WORK"
-  # --jobs=1 because bench_ablation_transient_faults runs serially by
-  # construction and the top-level "jobs" JSON field must agree.
+  # --jobs=1 because the committed digests cover the top-level "jobs" JSON
+  # field too.
   ARGS=(--duration-us=2 --warmup-us=0.5 --seed=3 --jobs=1)
   normalize() { sed -E 's/"(wall_seconds|events_per_second)": [0-9.eE+-]+/"\1": X/g' "$1"; }
 
@@ -245,41 +242,25 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
     "$CAMPAIGN" --spec="$spec" --dry-run >/dev/null
   done
 
-  # Porting contract: byte-identical --json from spec and binary.
-  ./build-ci/bench/bench_fig6_oblivious "${ARGS[@]}" \
-    --json="$WORK/fig6-bench.json" >/dev/null
-  "$CAMPAIGN" --spec=campaigns/fig6.json "${ARGS[@]}" \
-    --json="$WORK/fig6-spec.json" >/dev/null
-  diff <(normalize "$WORK/fig6-spec.json") <(normalize "$WORK/fig6-bench.json")
-
-  # fig13 at the committed 7680 B/pair is minutes of simulation; shrink the
-  # exchange identically on both sides for CI.
+  # Porting contract: each digested spec's normalised --json hashes to its
+  # committed line. fig13 at the committed 7680 B/pair is minutes of
+  # simulation; its digest is recorded at 256 B/pair.
   sed 's/"bytes_per_pair": 7680/"bytes_per_pair": 256/' campaigns/fig13.json \
     > "$WORK/fig13-small.json"
-  ./build-ci/bench/bench_fig13_all_to_all "${ARGS[@]}" --bytes-per-pair=256 \
-    --json="$WORK/fig13-bench.json" >/dev/null
-  "$CAMPAIGN" --spec="$WORK/fig13-small.json" "${ARGS[@]}" \
-    --json="$WORK/fig13-spec.json" >/dev/null
-  diff <(normalize "$WORK/fig13-spec.json") <(normalize "$WORK/fig13-bench.json")
-
-  ./build-ci/bench/bench_ablation_transient_faults "${ARGS[@]}" \
-    --json="$WORK/tf-bench.json" >/dev/null
-  "$CAMPAIGN" --spec=campaigns/transient_faults.json "${ARGS[@]}" \
-    --json="$WORK/tf-spec.json" >/dev/null
-  diff <(normalize "$WORK/tf-spec.json") <(normalize "$WORK/tf-bench.json")
-
-  # The adaptive panel benches (Figs. 7-12) all exercise the grid axis
-  # ("vary nI" / "vary c" panels) over their three topologies.
-  for pair in "fig7 bench_fig7_sf_adaptive" "fig8 bench_fig8_sf_adaptive_th" \
-              "fig9 bench_fig9_mlfm_adaptive" "fig10 bench_fig10_oft_adaptive" \
-              "fig11 bench_fig11_mlfm_adaptive_th" "fig12 bench_fig12_oft_adaptive_th"; do
-    read -r fig bin <<< "$pair"
-    ./build-ci/bench/"$bin" "${ARGS[@]}" --json="$WORK/$fig-bench.json" >/dev/null
-    "$CAMPAIGN" --spec="campaigns/$fig.json" "${ARGS[@]}" \
-      --json="$WORK/$fig-spec.json" >/dev/null
-    diff <(normalize "$WORK/$fig-spec.json") <(normalize "$WORK/$fig-bench.json")
-  done
-  echo "campaign porting contract OK: fig6-fig13/transient_faults byte-identical"
+  MISMATCHES=0
+  while read -r -u 3 name want; do
+    [[ -z "$name" || "$name" == \#* ]] && continue
+    spec="campaigns/$name.json"
+    [[ "$name" == fig13 ]] && spec="$WORK/fig13-small.json"
+    "$CAMPAIGN" --spec="$spec" "${ARGS[@]}" --json="$WORK/$name.json" >/dev/null
+    got=$(normalize "$WORK/$name.json" | sha256sum | cut -d' ' -f1)
+    if [[ "$got" != "$want" ]]; then
+      echo "digest MISMATCH for $name: committed $want, got $got"
+      MISMATCHES=$(( MISMATCHES + 1 ))
+    fi
+  done 3< campaigns/ci_digests.txt
+  [[ "$MISMATCHES" -eq 0 ]]
+  echo "campaign porting contract OK: every spec matches its committed digest"
 
   # Warn-only convergence smoke: detection-to-consistency times of the
   # modeled control plane vs the committed reference, +/-20% band. The
@@ -289,8 +270,8 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
   if [[ -f BENCH_convergence.json ]]; then
     mapfile -t ref < <(grep -oE '"consistency_us_mean": [0-9.]+' BENCH_convergence.json \
       | awk '{print $2}')
-    mapfile -t cur < <(grep -oE '"consistency_us_mean": [0-9.]+' "$WORK/tf-bench.json" \
-      | awk '{print $2}')
+    mapfile -t cur < <(grep -oE '"consistency_us_mean": [0-9.]+' \
+      "$WORK/transient_faults.json" | awk '{print $2}')
     if [[ "${#ref[@]}" -eq 0 || "${#ref[@]}" -ne "${#cur[@]}" ]]; then
       echo "convergence smoke: point count mismatch (ref ${#ref[@]}," \
            "current ${#cur[@]}) — refresh BENCH_convergence.json (warn-only)"

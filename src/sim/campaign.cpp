@@ -476,8 +476,7 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
 
   // Build every system's topology up front (cheap, and validates all spec
   // strings before any simulation); minimal tables are built lazily — an
-  // exchange-only campaign leaves SimStack to build its own per run,
-  // exactly as the hand-written fig13 bench does.
+  // exchange-only campaign leaves SimStack to build its own per run.
   std::vector<const Topology*> topos;
   out.tables.assign(spec.systems.size(), nullptr);
   for (const CampaignSystem& sys : spec.systems) {
@@ -554,8 +553,8 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
     spec_.pattern = ensure_pattern(i, sw.traffic, sw.shift);
     spec_.loads = sw.loads;
     if (sw.fault) {
-      // The transient-faults bench's arithmetic, verbatim (integer TimePs
-      // division): burst a quarter into the measurement window, restored
+      // Integer TimePs division (the times are part of the digested
+      // output): burst a quarter into the measurement window, restored
       // halfway, sampled into duration/sample_div buckets.
       const TimePs window = params.duration - params.warmup;
       const TimePs at = params.warmup + window / sw.fault->at_div;

@@ -2,32 +2,30 @@
 //
 // A campaign spec is a committed JSON file describing a matrix of
 // {topology, routing, traffic, loads, fault schedule} combinations; the
-// d2net_campaign driver expands it into the exact SweepSeriesSpec /
-// exchange-table work the hand-written bench binaries construct in code,
-// and executes it through the same SweepRunner journal/resume/deadline
-// layer. The porting contract is byte-identity: a campaign spec ported
-// from a bench binary must reproduce that binary's --json output
-// byte-for-byte (enforced by scripts/ci.sh stage 6), so the expansion
-// rules below mirror the benches' construction order precisely:
+// d2net_campaign driver expands it into concrete SweepSeriesSpec /
+// exchange-table work and executes it through the SweepRunner
+// journal/resume/deadline layer. The porting contract is a committed
+// digest: each spec's normalised --json output at CI args must hash to
+// its line in campaigns/ci_digests.txt (enforced by scripts/ci.sh stage
+// 6), so the expansion order below is part of the output format:
 //
 //  - Load sweeps expand system-major, series-minor: for each selected
-//    system, one SweepSeriesSpec per series entry, in spec order. That is
-//    the loop order of bench_fig6_oblivious (labels and point indices —
-//    and therefore derived seeds and journal keys — depend on it).
+//    system, one SweepSeriesSpec per series entry, in spec order (labels
+//    and point indices — and therefore derived seeds and journal keys —
+//    depend on it).
 //  - A sweep's optional `grid` axis multiplies each series entry by the
 //    grid values, series-major grid-minor, substituting {grid} in labels
-//    ("nI=4" / "c=0.25") — the loop order of the adaptive panel benches
-//    (bench_fig8_sf_adaptive_th and friends).
+//    ("nI=4" / "c=0.25") — the adaptive panels of Figs. 7-12.
 //  - Worst-case traffic builds its permutation from a fresh Rng seeded
-//    with the invocation seed per system, matching the benches.
+//    with the invocation seed per system.
 //  - seed_mode "base" pins every point of the sweep to the invocation
-//    seed (SweepSeriesSpec::seed_override) — the policy of the ported
-//    serial benches; "derived" (default) uses the per-point SplitMix64
+//    seed (SweepSeriesSpec::seed_override) — the policy of the serial
+//    fault sweeps; "derived" (default) uses the per-point SplitMix64
 //    stream.
-//  - Fault bursts compute their times with the benches' integer
-//    arithmetic: burst at warmup + (duration - warmup) / at_div, restored
-//    after (duration - warmup) / restore_div (0 = permanent), recovery
-//    sampled in duration / sample_div buckets.
+//  - Fault bursts compute their times with integer arithmetic: burst at
+//    warmup + (duration - warmup) / at_div, restored after
+//    (duration - warmup) / restore_div (0 = permanent), recovery sampled
+//    in duration / sample_div buckets.
 //
 // Parsing is strict (unknown keys, bad enums and empty matrices are
 // ArgumentErrors naming the offending spec path): a silently ignored typo
@@ -100,7 +98,7 @@ struct CampaignSeries {
 
 /// Parameter-grid axis of a load sweep: crosses every series entry with
 /// each value of one UGAL knob — the "vary nI" / "vary c" panels of the
-/// adaptive benches (Fig. 8/10/12 shape). Expansion is series-major,
+/// adaptive-routing figures (Figs. 7-12). Expansion is series-major,
 /// grid-minor: for each series entry, one expanded series per grid value
 /// in spec order, with the value substituted for {grid} in the label
 /// ("nI=4", "c=0.25").

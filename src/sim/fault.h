@@ -97,7 +97,7 @@ struct FaultConfig {
 
   /// When > 0, delivered bytes are additionally accumulated into buckets of
   /// this width (FaultStats::delivered_bytes_buckets) — the degradation-
-  /// and-recovery curve of bench_ablation_transient_faults.
+  /// and-recovery curve of campaigns/transient_faults.json.
   TimePs recovery_sample = 0;
 
   /// Modeled control plane (docs/resilience.md, "Detection and

@@ -109,9 +109,22 @@ std::vector<int> slim_fly_wc_router_permutation(const Topology& topo,
       }
       if (pick < 0) pick = c;
     }
-    D2NET_ASSERT(pick >= 0, "no destination left for router pairing");
-    dst_of[a] = pick;
-    dst_used[pick] = true;
+    if (pick >= 0) {
+      dst_of[a] = pick;
+      dst_used[pick] = true;
+      continue;
+    }
+    // The last unpaired router's only free destination is itself: take over
+    // the destination of a placed router x and send x to a instead, which
+    // keeps the map a derangement.
+    for (int x : order) {
+      if (x == a || dst_of[x] < 0 || dst_of[x] == a) continue;
+      dst_of[a] = dst_of[x];
+      dst_of[x] = a;
+      dst_used[a] = true;
+      break;
+    }
+    D2NET_ASSERT(dst_of[a] >= 0, "no destination left for router pairing");
   }
   return dst_of;
 }

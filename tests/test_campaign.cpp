@@ -1,12 +1,16 @@
 // Campaign-runner tests (see docs/campaigns.md): the strict JSON parser,
 // spec validation (unknown keys, bad enums, empty matrices are loud
 // errors), matrix expansion (labels/titles/order/table sharing/fault
-// arithmetic/seed policy), and — the porting contract — executor
-// equivalence: an expanded campaign run through SweepRunner must render
-// every point byte-identically to the hand-written construction it ports.
+// arithmetic/seed policy; every committed campaigns/*.json expands), and
+// — the porting contract — executor equivalence: an expanded campaign run
+// through SweepRunner must render every point byte-identically to the
+// hand-written construction it ports.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -505,6 +509,28 @@ TEST(CampaignExpansion, RejectsBadTopologySpecWithSystemContext) {
     FAIL() << "expected ArgumentError";
   } catch (const ArgumentError& e) {
     EXPECT_NE(std::string(e.what()).find("campaign system 'S'"), std::string::npos);
+  }
+}
+
+TEST(CampaignSpec, EveryCommittedSpecParsesAndExpands) {
+  std::vector<std::filesystem::path> specs;
+  for (const auto& entry : std::filesystem::directory_iterator(D2NET_CAMPAIGNS_DIR)) {
+    if (entry.path().extension() == ".json") specs.push_back(entry.path());
+  }
+  ASSERT_FALSE(specs.empty()) << "no specs under " << D2NET_CAMPAIGNS_DIR;
+  CampaignParams params;
+  params.duration = us(16.0);
+  params.warmup = us(4.0);
+  for (const auto& path : specs) {
+    SCOPED_TRACE(path.string());
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const CampaignSpec spec = parse_campaign_spec(text.str(), path.string());
+    const ExpandedCampaign plan = expand_campaign(spec, params);
+    std::size_t points = 0;
+    for (const CampaignStep& step : plan.steps) points += step_point_count(step);
+    EXPECT_GT(points, 0u);
   }
 }
 

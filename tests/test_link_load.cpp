@@ -48,6 +48,29 @@ TEST(LinkLoad, SlimFlyWorstCaseBoundIsOneOverTwoP) {
   const LinkLoadReport rep = minimal_link_loads(topo, table, wc->permutation());
   EXPECT_DOUBLE_EQ(rep.max_load, 2.0 * topo.endpoints_of(0));
   EXPECT_DOUBLE_EQ(rep.throughput_bound, 0.1);
+
+  // The greedy pairing can leave its last router with only itself as a free
+  // destination (seeds 90 and 93 at q=7, 110 at q=13); the pairing must
+  // still be a derangement that keeps the 2p bound on every seed.
+  for (const int q : {7, 13}) {
+    const Topology sf = build_slim_fly(q, SlimFlyP::kFloor);
+    const MinimalTable sf_table(sf);
+    const int p = sf.endpoints_of(0);
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      SCOPED_TRACE("q=" + std::to_string(q) + " seed=" + std::to_string(seed));
+      Rng seed_rng(seed);
+      const auto perm = make_worst_case(sf, sf_table, seed_rng);
+      std::vector<bool> hit(sf.num_routers(), false);
+      for (int r = 0; r < sf.num_routers(); ++r) {
+        const int d = sf.router_of_node(perm->permutation()[sf.node_base(r)]);
+        EXPECT_NE(d, r);
+        EXPECT_FALSE(hit[d]);
+        hit[d] = true;
+      }
+      EXPECT_DOUBLE_EQ(minimal_link_loads(sf, sf_table, perm->permutation()).max_load,
+                       2.0 * p);
+    }
+  }
 }
 
 TEST(LinkLoad, UniformMinimalIsNearFullBandwidth) {
