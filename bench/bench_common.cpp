@@ -1,5 +1,7 @@
 #include "bench_common.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -396,9 +398,9 @@ void write_point_json(std::ostream& os, const SweepPoint& pt) {
   // Flow-engine points only: packet-engine points stay byte-identical.
   if (pt.result.flow.enabled) {
     const FlowEngineStats& fl = pt.result.flow;
-    os << ", \"flow\": {\"repairs\": " << fl.repairs << ", \"fallbacks\": " << fl.fallbacks
-       << ", \"flows_touched\": " << fl.flows_touched << ", \"rate_changes\": " << fl.rate_changes
-       << ", \"stale_completions\": " << fl.stale_completions << "}";
+    os << ", \"flow\": {\"repairs\": " << fl.repairs << ", \"widen_rounds\": " << fl.widen_rounds
+       << ", \"fallbacks\": " << fl.fallbacks << ", \"flows_touched\": " << fl.flows_touched
+       << ", \"rate_changes\": " << fl.rate_changes << ", \"stale_completions\": " << fl.stale_completions << "}";
   }
   if (pt.result.metrics != nullptr) {
     os << ", \"metrics\": ";
@@ -827,6 +829,29 @@ std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
   }
   if (report != nullptr) report->add_exchange(title, out, stats);
   return out;
+}
+
+int usable_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+  return ThreadPool::hardware_concurrency();
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    const std::size_t first = line.find_first_not_of(" \t", colon + 1);
+    if (colon == std::string::npos || first == std::string::npos) break;
+    std::string model;
+    for (const char ch : line.substr(first)) {
+      if (ch != '"' && ch != '\\') model += ch;  // keep the JSON string plain
+    }
+    return model;
+  }
+  return "unknown";
 }
 
 }  // namespace d2net::bench

@@ -273,4 +273,13 @@ std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
                                             BenchReport* report,
                                             const ExchangeRunControl* ctl = nullptr);
 
+/// Cores this process may run on (its affinity mask); hardware_concurrency()
+/// counts the machine's.
+int usable_cores();
+
+/// The first "model name" of /proc/cpuinfo, or "unknown". Together with
+/// usable_cores() it fingerprints the host in a BENCH_*.json snapshot, so a
+/// baseline's timings are compared only on the host it was recorded on.
+std::string cpu_model();
+
 }  // namespace d2net::bench

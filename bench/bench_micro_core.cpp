@@ -13,18 +13,15 @@
 //                                    see docs/perf.md for refreshing it).
 #include <benchmark/benchmark.h>
 
-#include <sched.h>
-
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "gf/galois_field.h"
 #include "partition/bisection_bandwidth.h"
 #include "routing/factory.h"
@@ -297,34 +294,6 @@ Spread spread_of(std::vector<double> v) {
   return {n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0, v.front(), v.back()};
 }
 
-/// Cores this process may run on (its affinity mask), which is what bounds
-/// the sharded speedup; hardware_concurrency() counts the machine's.
-int usable_cores() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
-  return ThreadPool::hardware_concurrency();
-}
-
-/// The first "model name" of /proc/cpuinfo, or "unknown". Together with
-/// usable_cores() it fingerprints the host, so a baseline is compared only
-/// on the host it was recorded on.
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    const std::size_t first = line.find_first_not_of(" \t", colon + 1);
-    if (colon == std::string::npos || first == std::string::npos) break;
-    std::string model;
-    for (const char ch : line.substr(first)) {
-      if (ch != '"' && ch != '\\') model += ch;  // keep the JSON string plain
-    }
-    return model;
-  }
-  return "unknown";
-}
-
 int write_json_snapshot(const std::string& path) {
   const Topology topo = build_slim_fly(7);
 
@@ -425,7 +394,7 @@ int write_json_snapshot(const std::string& path) {
   const Spread speedup_2 = spread_of(speedup_runs[0]);
   const Spread speedup_4 = spread_of(speedup_runs[1]);
 
-  const int cores = usable_cores();
+  const int cores = bench::usable_cores();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_micro_core: cannot open %s\n", path.c_str());
@@ -445,7 +414,7 @@ int write_json_snapshot(const std::string& path) {
                "4us run / 1us warmup, seed 1, median of %d (min/max)\",\n",
                kShardedReps);
   std::fprintf(f, "  \"cores\": %d,\n", cores);
-  std::fprintf(f, "  \"cpu_model\": \"%s\",\n", cpu_model().c_str());
+  std::fprintf(f, "  \"cpu_model\": \"%s\",\n", bench::cpu_model().c_str());
   // Median under the plain key (what scripts/ci.sh compares), then the
   // run-to-run range.
   const auto print_spread = [&](const char* key, const Spread& s, int decimals) {

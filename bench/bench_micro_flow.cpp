@@ -13,11 +13,13 @@
 //                                  runs need a few GB and tens of seconds)
 //
 // Deterministic result fields (accepted throughput, completion time) are
-// exact for a given seed; only the wall-clock fields are machine-noisy.
+// exact for a given seed; only the wall-clock fields are machine-noisy, so
+// the snapshot records the host (cores, cpu_model) they were measured on.
 #include <chrono>
 #include <cstdio>
 #include <string>
 
+#include "bench_common.h"
 #include "flowsim/flow_sim.h"
 #include "routing/minimal_table.h"
 #include "sim/experiment.h"
@@ -119,6 +121,8 @@ int run(const std::string& json_path, bool skip_large) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"bench_micro_flow\",\n");
+  std::fprintf(f, "  \"cores\": %d,\n", bench::usable_cores());
+  std::fprintf(f, "  \"cpu_model\": \"%s\",\n", bench::cpu_model().c_str());
   std::fprintf(f,
                "  \"scenario\": \"slim_fly q=7, uniform, MIN, 16us run / 4us "
                "warmup, seed 1, best of 3; exact recompute at load 0.5, "

@@ -295,16 +295,19 @@ int run_campaign_worker(const CampaignSpec& spec, const ExpandedCampaign& plan,
     for (const CampaignShard& sh : shards) {
       if (claimer.is_done(sh.id)) continue;
       all_done = false;
-      bool stolen = false;
       if (!claimer.try_claim(sh.id)) {
-        if (!claimer.try_steal(sh.id)) continue;  // live lease or lost race
-        stolen = true;
+        // Whoever renames the stale lease away logs it, even when another
+        // worker then wins the re-claim.
+        bool evicted = false;
+        const bool stolen = claimer.try_steal(sh.id, &evicted);
+        if (evicted) {
+          logf("evicted stale lease on shard %d%s", sh.id,
+               stolen ? "" : " (another worker re-claimed it)");
+        }
+        if (!stolen) continue;  // live lease or lost race
         ++stolen_shards;
       }
       claimer.reset_backoff();
-      if (stolen) {
-        logf("stole stale lease on shard %d", sh.id);
-      }
       logf("executing shard %d: %s points [%zu, %zu)", sh.id,
            step_scope(plan.steps[sh.step]).c_str(), sh.begin, sh.end);
       execute_shard(sh);

@@ -147,15 +147,16 @@ fi
 
 if [[ "${SKIP_PERF:-0}" != "1" ]]; then
   echo "=== stage 5: perf smoke (warn-only, vs committed BENCH_core.json) ==="
+  # Extract one numeric / string field from a flat BENCH_*.json, and the
+  # host fingerprint a snapshot was recorded on.
+  field() { sed -nE "s/.*\"$2\": ([0-9.]+).*/\1/p" "$1"; }
+  sfield() { sed -nE "s/.*\"$2\": \"([^\"]*)\".*/\1/p" "$1"; }
+  fingerprint() { echo "$(field "$1" cores) core(s), $(sfield "$1" cpu_model)"; }
   if [[ ! -f BENCH_core.json ]]; then
     echo "perf smoke skipped: no committed BENCH_core.json baseline"
   else
     cmake --build build-ci -j "$JOBS" --target bench_micro_core
     ./build-ci/bench/bench_micro_core --json=build-ci/BENCH_core.json >/dev/null
-    # Extract one numeric / string field from a flat BENCH_core.json.
-    field() { sed -nE "s/.*\"$2\": ([0-9.]+).*/\1/p" "$1"; }
-    sfield() { sed -nE "s/.*\"$2\": \"([^\"]*)\".*/\1/p" "$1"; }
-    fingerprint() { echo "$(field "$1" cores) core(s), $(sfield "$1" cpu_model)"; }
     base_host=$(fingerprint BENCH_core.json)
     cur_host=$(fingerprint build-ci/BENCH_core.json)
     same_host=0
@@ -192,12 +193,19 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
   else
     # Flow-engine smoke (docs/flow_engine.md): bench-scale scenarios only
     # (--skip-large — the q=43 fields in the committed baseline are
-    # refreshed manually with the full run). +/-20% band, warn-only: flow
-    # scenarios are end-to-end wall timings, noisier than micro-op loops.
+    # refreshed manually with the full run). +/-20% band on flows/s,
+    # warn-only and only on the baseline's host: flow scenarios are
+    # end-to-end wall timings, noisier than micro-op loops. The accepted
+    # throughputs are deterministic and checked on every host.
     cmake --build build-ci -j "$JOBS" --target bench_micro_flow
     ./build-ci/bench/bench_micro_flow --skip-large \
       --json=build-ci/BENCH_flow.json >/dev/null
-    field() { sed -nE "s/.*\"$2\": ([0-9.]+).*/\1/p" "$1"; }
+    base_host=$(fingerprint BENCH_flow.json)
+    cur_host=$(fingerprint build-ci/BENCH_flow.json)
+    same_host=0
+    [[ "$base_host" == "$cur_host" ]] && same_host=1
+    echo "baseline host: $base_host"
+    echo "current host:  $cur_host"
     printf '%-26s %14s %14s %8s  %s\n' metric baseline current delta verdict
     for key in flows_per_sec_exact flows_per_sec_batched \
                accepted_exact accepted_batched; do
@@ -210,10 +218,11 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
       fi
       # flows/sec regress downward; accepted throughput is deterministic
       # for a given seed, so any drift there is a model change, not noise.
-      awk -v key="$key" -v base="$base" -v cur="$cur" 'BEGIN {
+      awk -v key="$key" -v base="$base" -v cur="$cur" -v same="$same_host" 'BEGIN {
         delta = base > 0 ? (cur - base) / base * 100 : 0
         worse = (key ~ /^flows_per_sec/) ? -delta : (delta < 0 ? -delta : delta)
         verdict = worse > 20 ? "REGRESSION (warn-only)" : "ok"
+        if (key ~ /^flows_per_sec/ && same != 1) verdict = "informational (host differs)"
         if (key ~ /^accepted/ && (delta > 0.01 || delta < -0.01))
           verdict = "DRIFT (deterministic field moved; warn-only)"
         printf "%-26s %14s %14s %+7.1f%%  %s\n", key, base, cur, delta, verdict
@@ -337,8 +346,10 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
   S2=$!
   wait "$S1"
   wait "$S2"
-  # Exactly the dead worker's shard must have been stolen.
-  grep -h "stole stale lease" "$WORK/survivor1.log" "$WORK/survivor2.log"
+  # A survivor must have evicted the dead worker's stale lease. Whoever
+  # renames it away logs the eviction, even when the other survivor then
+  # wins the re-claim, so this holds on every interleaving.
+  grep -h "evicted stale lease" "$WORK/survivor1.log" "$WORK/survivor2.log"
   "$CAMPAIGN" --spec=campaigns/smoke.json "${ARGS[@]}" --journal="$DIST" --status
   "$CAMPAIGN" --spec=campaigns/smoke.json "${ARGS[@]}" \
     --journal="$DIST" --merge --json="$WORK/smoke-merged.json" >/dev/null
@@ -346,7 +357,7 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
   MERGED_DIGEST=$(normalize "$WORK/smoke-merged.json" | sha256sum | cut -d' ' -f1)
   REFERENCE_DIGEST=$(normalize "$WORK/smoke-clean.json" | sha256sum | cut -d' ' -f1)
   [[ "$MERGED_DIGEST" == "$REFERENCE_DIGEST" ]]
-  echo "multi-worker chaos drill OK: survivor stole the dead worker's lease," \
+  echo "multi-worker chaos drill OK: survivor evicted the dead worker's lease," \
        "merged digest $MERGED_DIGEST matches the single-process reference"
 fi
 

@@ -268,6 +268,7 @@ int FlowSim::start_flow(int src_node, int dst_node, double bytes) {
 void FlowSim::recompute(const std::int32_t* links, int n) {
   const RepairResult r = repair_from(table_, links, n, scratch_, *this);
   ++stats_.repairs;
+  stats_.widen_rounds += r.rounds;
   if (r.fell_back) ++stats_.fallbacks;
   stats_.flows_touched += r.flows_touched;
 }

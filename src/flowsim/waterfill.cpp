@@ -91,7 +91,7 @@ void WaterfillScratch::ensure(int num_links, int flow_capacity) {
     link_mark.resize(n, 0);
     rem_cap.resize(n, 0.0);
     unfrozen.resize(n, 0);
-    dirty_mark.resize(n, 0);
+    heap_slot.resize(n, -1);
     stat_mark.resize(n, 0);
     link_max.resize(n, 0.0);
   }
@@ -103,13 +103,14 @@ void WaterfillScratch::ensure(int num_links, int flow_capacity) {
     tent_rate.resize(n, 0.0);
     tent_bottleneck.resize(n, -1);
   }
-  // A repair advances the epoch once per round, and every round grows the
-  // dirty set by at least one link, so num_links + 2 epochs of headroom
-  // keep one call from wrapping.
-  const std::uint32_t headroom = static_cast<std::uint32_t>(num_links) + 2;
+  // A repair takes one epoch for its free set and one per round, and every
+  // round but the last grows the free set by at least one flow, so
+  // max(num_links, flow_capacity) + 2 epochs of headroom keep one call from
+  // wrapping.
+  const std::uint32_t headroom =
+      static_cast<std::uint32_t>(std::max(num_links, flow_capacity)) + 2;
   if (epoch >= std::numeric_limits<std::uint32_t>::max() - headroom) {
-    for (auto* marks :
-         {&link_mark, &flow_mark, &flow_frozen, &dirty_mark, &stat_mark, &cert_mark}) {
+    for (auto* marks : {&link_mark, &flow_mark, &flow_frozen, &stat_mark, &cert_mark}) {
       std::fill(marks->begin(), marks->end(), 0);
     }
     epoch = 0;
@@ -117,13 +118,104 @@ void WaterfillScratch::ensure(int num_links, int flow_capacity) {
 }
 
 namespace {
-// Min-heap on (fill ratio, link id): the pair's lexicographic order makes
-// the link id a deterministic tie-break.
-struct HeapCmp {
-  bool operator()(const std::pair<double, std::int32_t>& a,
-                  const std::pair<double, std::int32_t>& b) const {
-    return a > b;
+// Indexed binary min-heap over ws.heap on (fill ratio, link id), the link
+// id a deterministic tie-break; ws.heap_slot maps each link in the heap to
+// its index and every other link to -1.
+class FillHeap {
+ public:
+  explicit FillHeap(WaterfillScratch& ws) : h_(ws.heap), slot_(ws.heap_slot) {}
+
+  /// Heapifies the entries the caller appended to ws.heap, one per link.
+  void build() {
+    const std::size_t n = h_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      slot_[static_cast<std::size_t>(h_[i].link)] = static_cast<std::int32_t>(i);
+    }
+    for (std::size_t i = n / 2; i-- > 0;) sift_down(i, h_[i]);
   }
+
+  bool empty() const { return h_.empty(); }
+
+  FillEntry pop() {
+    const FillEntry top = h_.front();
+    slot_[static_cast<std::size_t>(top.link)] = -1;
+    const FillEntry last = h_.back();
+    h_.pop_back();
+    if (!h_.empty()) sift_down(0, last);
+    return top;
+  }
+
+  bool contains(std::int32_t link) const { return slot_[static_cast<std::size_t>(link)] >= 0; }
+
+  /// Re-keys a link in the heap.
+  void update(std::int32_t link, double ratio) {
+    const std::size_t i = static_cast<std::size_t>(slot_[static_cast<std::size_t>(link)]);
+    const FillEntry e{ratio, link};
+    // Ratios rise as flows freeze; rounding can lower one by an ulp.
+    if (ratio < h_[i].ratio) {
+      sift_up(i, e);
+    } else {
+      sift_down(i, e);
+    }
+  }
+
+  /// Takes a link out of the heap.
+  void remove(std::int32_t link) {
+    const std::size_t i = static_cast<std::size_t>(slot_[static_cast<std::size_t>(link)]);
+    slot_[static_cast<std::size_t>(link)] = -1;
+    const FillEntry last = h_.back();
+    h_.pop_back();
+    if (i == h_.size()) return;
+    if (less(last, h_[i])) {
+      sift_up(i, last);
+    } else {
+      sift_down(i, last);
+    }
+  }
+
+  /// Empties the heap, leaving every link's slot at -1.
+  void clear() {
+    for (const FillEntry& e : h_) slot_[static_cast<std::size_t>(e.link)] = -1;
+    h_.clear();
+  }
+
+ private:
+  static bool less(const FillEntry& a, const FillEntry& b) {
+    return a.ratio < b.ratio || (a.ratio == b.ratio && a.link < b.link);
+  }
+
+  void place(std::size_t i, const FillEntry& e) {
+    h_[i] = e;
+    slot_[static_cast<std::size_t>(e.link)] = static_cast<std::int32_t>(i);
+  }
+
+  // Moves `e` from hole `i` towards the root.
+  void sift_up(std::size_t i, const FillEntry e) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!less(e, h_[parent])) break;
+      place(i, h_[parent]);
+      i = parent;
+    }
+    place(i, e);
+  }
+
+  // Moves `e` from hole `i` towards the leaves.
+  void sift_down(std::size_t i, const FillEntry e) {
+    const std::size_t n = h_.size();
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && less(h_[child + 1], h_[child])) ++child;
+      if (!less(h_[child], e)) break;
+      place(i, h_[child]);
+      i = child;
+    }
+    place(i, e);
+  }
+
+  std::vector<FillEntry>& h_;
+  std::vector<std::int32_t>& slot_;
 };
 
 // Certificate tolerance: a link is saturated when its spare capacity is at
@@ -172,53 +264,48 @@ void collect_flow(const FlowTable& t, WaterfillScratch& ws, int f, std::uint32_t
   }
 }
 
-// Progressive filling over the flows marked in ws.flow_mark with `epoch`
-// (ws.flows lists them), from one ws.heap entry per link in ws.links with
-// ws.rem_cap/ws.unfrozen set: repeatedly freeze the unfrozen flows of the
-// link with the smallest remaining fair share, calling freeze(flow, rate,
-// link) once per flow. Heap entries are lazy — every state update pushes a
-// fresh entry, so a popped entry whose ratio no longer matches the link's
-// current state is a stale duplicate to skip.
+// Progressive filling over the flows marked in ws.flow_mark with
+// `member_epoch` (ws.flows lists them), from one ws.heap entry per link in
+// ws.links with ws.rem_cap/ws.unfrozen set: repeatedly freeze the unfrozen
+// flows of the link with the smallest remaining fair share, calling
+// freeze(flow, rate, link) once per flow. Frozen flows are stamped with
+// `pass_epoch`.
 template <typename Freeze>
-void progressive_fill(const FlowTable& t, WaterfillScratch& ws, std::uint32_t epoch,
-                      Freeze&& freeze) {
-  const HeapCmp cmp;
-  std::make_heap(ws.heap.begin(), ws.heap.end(), cmp);
+void progressive_fill(const FlowTable& t, WaterfillScratch& ws, std::uint32_t member_epoch,
+                      std::uint32_t pass_epoch, Freeze&& freeze) {
+  FillHeap heap(ws);
+  heap.build();
   std::size_t unfrozen_flows = ws.flows.size();
   while (unfrozen_flows > 0) {
-    D2NET_ASSERT(!ws.heap.empty(), "waterfill heap drained with unfrozen flows");
-    std::pop_heap(ws.heap.begin(), ws.heap.end(), cmp);
-    const double ratio = ws.heap.back().first;
-    const std::int32_t l = ws.heap.back().second;
-    ws.heap.pop_back();
-    if (ws.unfrozen[static_cast<std::size_t>(l)] <= 0) continue;
-    const double fair = std::max(ws.rem_cap[static_cast<std::size_t>(l)], 0.0) /
-                        ws.unfrozen[static_cast<std::size_t>(l)];
-    if (fair != ratio) continue;
-
+    D2NET_ASSERT(!heap.empty(), "waterfill heap drained with unfrozen flows");
+    const FillEntry top = heap.pop();
+    const double fair = top.ratio;
+    const std::int32_t l = top.link;
     for (std::int32_t s = t.link_head[static_cast<std::size_t>(l)]; s >= 0;
          s = t.slot_next[static_cast<std::size_t>(s)]) {
       const int f = s / kMaxLinksPerFlow;
-      if (ws.flow_mark[static_cast<std::size_t>(f)] != epoch ||
-          ws.flow_frozen[static_cast<std::size_t>(f)] == epoch) {
+      if (ws.flow_mark[static_cast<std::size_t>(f)] != member_epoch ||
+          ws.flow_frozen[static_cast<std::size_t>(f)] == pass_epoch) {
         continue;
       }
-      ws.flow_frozen[static_cast<std::size_t>(f)] = epoch;
+      ws.flow_frozen[static_cast<std::size_t>(f)] = pass_epoch;
       --unfrozen_flows;
       freeze(f, fair, l);
       const int base = f * kMaxLinksPerFlow;
       for (int j = 0; j < t.nlinks[static_cast<std::size_t>(f)]; ++j) {
         const std::int32_t m = t.slot_link[static_cast<std::size_t>(base + j)];
-        ws.rem_cap[static_cast<std::size_t>(m)] -= fair;
-        if (--ws.unfrozen[static_cast<std::size_t>(m)] > 0) {
-          ws.heap.emplace_back(std::max(ws.rem_cap[static_cast<std::size_t>(m)], 0.0) /
-                                   ws.unfrozen[static_cast<std::size_t>(m)],
-                               m);
-          std::push_heap(ws.heap.begin(), ws.heap.end(), cmp);
+        const double rem = ws.rem_cap[static_cast<std::size_t>(m)] -= fair;
+        const std::int32_t left = --ws.unfrozen[static_cast<std::size_t>(m)];
+        if (!heap.contains(m)) continue;  // l itself, drained by this loop
+        if (left > 0) {
+          heap.update(m, std::max(rem, 0.0) / left);
+        } else {
+          heap.remove(m);
         }
       }
     }
   }
+  heap.clear();
 }
 }  // namespace
 
@@ -228,7 +315,6 @@ void waterfill_from(FlowTable& t, const std::int32_t* seeds, int nseeds,
   const std::uint32_t epoch = ++ws.epoch;
   ws.links.clear();
   ws.flows.clear();
-  ws.heap.clear();
 
   // Collect the component(s): alternate link -> member flows -> their links.
   // Only links that currently carry flows join (an empty seed contributes
@@ -248,12 +334,13 @@ void waterfill_from(FlowTable& t, const std::int32_t* seeds, int nseeds,
   }
   if (ws.flows.empty()) return;
 
+  ws.heap.clear();
   for (std::int32_t l : ws.links) {
     ws.rem_cap[static_cast<std::size_t>(l)] = 1.0;
     ws.unfrozen[static_cast<std::size_t>(l)] = t.link_nflows[static_cast<std::size_t>(l)];
-    ws.heap.emplace_back(1.0 / t.link_nflows[static_cast<std::size_t>(l)], l);
+    ws.heap.push_back({1.0 / t.link_nflows[static_cast<std::size_t>(l)], l});
   }
-  progressive_fill(t, ws, epoch, [&](int f, double fair, std::int32_t l) {
+  progressive_fill(t, ws, epoch, epoch, [&](int f, double fair, std::int32_t l) {
     // The sink accrues at the old rate and writes the new one back; it must
     // not create or destroy flows mid-pass.
     if (t.rate[static_cast<std::size_t>(f)] != fair) sink.on_rate_change(f, fair);
@@ -274,15 +361,19 @@ RepairResult repair_from(FlowTable& t, const std::int32_t* seeds, int nseeds,
                          WaterfillScratch& ws, RateChangeSink& sink) {
   ws.ensure(t.num_links, t.capacity());
   RepairResult res;
-  const std::uint32_t dirty_epoch = ++ws.epoch;
-  ws.dirty.clear();
-  const auto add_dirty = [&](std::int32_t l) {
-    if (ws.dirty_mark[static_cast<std::size_t>(l)] == dirty_epoch) return false;
-    ws.dirty_mark[static_cast<std::size_t>(l)] = dirty_epoch;
-    ws.dirty.push_back(l);
-    return true;
-  };
-  for (int i = 0; i < nseeds; ++i) add_dirty(seeds[i]);
+  // The free flows (ws.flows) and the links they touch (ws.links) only grow
+  // over the rounds of one repair, so their marks share one epoch. The
+  // first round frees every flow on a seed link.
+  const std::uint32_t free_epoch = ++ws.epoch;
+  ws.flows.clear();
+  ws.links.clear();
+  for (int i = 0; i < nseeds; ++i) {
+    for (std::int32_t s = t.link_head[static_cast<std::size_t>(seeds[i])]; s >= 0;
+         s = t.slot_next[static_cast<std::size_t>(s)]) {
+      collect_flow(t, ws, s / kMaxLinksPerFlow, free_epoch);
+    }
+  }
+  if (ws.flows.empty()) return res;
 
   const auto fall_back = [&] {
     RoundingFilterSink filtered(t, sink);
@@ -297,18 +388,9 @@ RepairResult repair_from(FlowTable& t, const std::int32_t* seeds, int nseeds,
 
   for (;;) {
     const std::uint32_t epoch = ++ws.epoch;
-    // Free flows: every flow crossing a dirty link. Touched links: theirs.
-    ws.flows.clear();
-    ws.links.clear();
-    for (std::int32_t l : ws.dirty) {
-      for (std::int32_t s = t.link_head[static_cast<std::size_t>(l)]; s >= 0;
-           s = t.slot_next[static_cast<std::size_t>(s)]) {
-        collect_flow(t, ws, s / kMaxLinksPerFlow, epoch);
-      }
-    }
-    if (ws.flows.empty()) return res;
     res.flows_touched += static_cast<std::int64_t>(ws.flows.size());
     if (res.flows_touched > budget) return fall_back();
+    ++res.rounds;
 
     // Each touched link offers the free flows what its fixed flows leave.
     // link_max starts as the fastest fixed flow and the fill raises it.
@@ -320,7 +402,7 @@ RepairResult repair_from(FlowTable& t, const std::int32_t* seeds, int nseeds,
       for (std::int32_t s = t.link_head[static_cast<std::size_t>(l)]; s >= 0;
            s = t.slot_next[static_cast<std::size_t>(s)]) {
         const int f = s / kMaxLinksPerFlow;
-        if (ws.flow_mark[static_cast<std::size_t>(f)] == epoch) {
+        if (ws.flow_mark[static_cast<std::size_t>(f)] == free_epoch) {
           ++nfree;
         } else {
           rem -= t.rate[static_cast<std::size_t>(f)];
@@ -331,11 +413,11 @@ RepairResult repair_from(FlowTable& t, const std::int32_t* seeds, int nseeds,
       ws.unfrozen[static_cast<std::size_t>(l)] = nfree;
       ws.link_max[static_cast<std::size_t>(l)] = fixed_max;
       ws.stat_mark[static_cast<std::size_t>(l)] = epoch;
-      ws.heap.emplace_back(std::max(rem, 0.0) / nfree, l);
+      ws.heap.push_back({std::max(rem, 0.0) / nfree, l});
     }
     // Fill the free flows into tentative rates: nothing is reported until
     // the certificate holds.
-    progressive_fill(t, ws, epoch, [&](int f, double fair, std::int32_t l) {
+    progressive_fill(t, ws, free_epoch, epoch, [&](int f, double fair, std::int32_t l) {
       ws.tent_rate[static_cast<std::size_t>(f)] = fair;
       ws.tent_bottleneck[static_cast<std::size_t>(f)] = l;
       const int base = f * kMaxLinksPerFlow;
@@ -370,8 +452,8 @@ RepairResult repair_from(FlowTable& t, const std::int32_t* seeds, int nseeds,
       return ws.rem_cap[ms] <= kCertEps && r >= ws.link_max[ms] - kCertEps;
     };
     ws.rebind.clear();
+    ws.freed.clear();
     bool violated = false;
-    bool grew = false;
     for (std::int32_t l : ws.links) {
       for (std::int32_t s = t.link_head[static_cast<std::size_t>(l)]; s >= 0;
            s = t.slot_next[static_cast<std::size_t>(s)]) {
@@ -379,10 +461,10 @@ RepairResult repair_from(FlowTable& t, const std::int32_t* seeds, int nseeds,
         const std::size_t fs = static_cast<std::size_t>(f);
         if (ws.cert_mark[fs] == epoch) continue;
         ws.cert_mark[fs] = epoch;
-        const bool is_free = ws.flow_mark[fs] == epoch;
+        const bool is_free = ws.flow_mark[fs] == free_epoch;
         const double r = is_free ? ws.tent_rate[fs] : t.rate[fs];
         const std::int32_t b = is_free ? ws.tent_bottleneck[fs] : t.bottleneck[fs];
-        if (b >= 0 && ((!is_free && ws.link_mark[static_cast<std::size_t>(b)] != epoch) ||
+        if (b >= 0 && ((!is_free && ws.link_mark[static_cast<std::size_t>(b)] != free_epoch) ||
                        certifies(b, r))) {
           continue;
         }
@@ -397,15 +479,33 @@ RepairResult repair_from(FlowTable& t, const std::int32_t* seeds, int nseeds,
           continue;
         }
         violated = true;
+        if (!is_free) {
+          ws.freed.push_back(f);
+          continue;
+        }
+        // A free flow fills to a saturated bottleneck on which no free flow
+        // is faster, so it fails only where a faster fixed flow sits: free
+        // the fixed flows on its links that outrun it.
         for (int j = 0; j < t.nlinks[fs]; ++j) {
-          grew = add_dirty(t.slot_link[static_cast<std::size_t>(base + j)]) || grew;
+          const std::int32_t m = t.slot_link[static_cast<std::size_t>(base + j)];
+          for (std::int32_t s2 = t.link_head[static_cast<std::size_t>(m)]; s2 >= 0;
+               s2 = t.slot_next[static_cast<std::size_t>(s2)]) {
+            const int g = s2 / kMaxLinksPerFlow;
+            if (ws.flow_mark[static_cast<std::size_t>(g)] != free_epoch &&
+                t.rate[static_cast<std::size_t>(g)] > r + kCertEps) {
+              ws.freed.push_back(g);
+            }
+          }
         }
       }
     }
     if (!violated) break;
-    // A violator whose links are all dirty already is free, and a free
-    // flow fails only on rounding; widening cannot help, so recompute.
-    if (!grew) return fall_back();
+    // Free flows failing only on rounding free nothing; widening cannot
+    // help, so recompute.
+    if (ws.freed.empty()) return fall_back();
+    // The picks join only now, so the pass above judged every flow against
+    // this round's fill.
+    for (std::int32_t g : ws.freed) collect_flow(t, ws, g, free_epoch);
   }
 
   for (std::int32_t f : ws.flows) {

@@ -6,6 +6,12 @@
 // path needs — create, destroy, iterate a link's flows — is O(1) or O(flow
 // links), with no per-event allocation after warm-up.
 //
+// Progressive filling keeps an indexed binary min-heap with one entry per
+// link, keyed on (fill ratio, link id). Freezing a flow updates each of its
+// links in place (a ratio only rises as flows freeze, up to rounding), and
+// a link with no unfrozen flows leaves the heap, so a pass does one heap
+// operation per (frozen flow, link) and nothing more.
+//
 // Two recompute entry points:
 //
 // - waterfill_from() recomputes exact max-min rates for the connected
@@ -16,19 +22,20 @@
 //   diameter-two network at moderate load the sharing graph percolates and
 //   the "component" is the whole network.
 // - repair_from() is the exact-mode path run after every flow arrival or
-//   departure. It re-fills only the flows crossing a dirty link set, with
-//   every other flow held at its rate, then checks the max-min bottleneck
-//   certificate on every link it touched. Violators widen the dirty set and
-//   the fill repeats; when the certificate holds, the allocation is the
-//   unique max-min fixed point. A repair that stops making progress, or
-//   grows past the cost of a component recompute, falls back to
-//   waterfill_from (see docs/flow_engine.md).
+//   departure. It re-fills only a free flow set — at first the flows on the
+//   seed links — with every other flow held at its rate, then checks the
+//   max-min bottleneck certificate on every link the free flows touch.
+//   Each violator frees only what it needs: a fixed violator joins the free
+//   set itself, and a free violator frees the fixed flows on its links that
+//   run faster than it. The fill then repeats; when the certificate holds,
+//   the allocation is the unique max-min fixed point. A repair that stops
+//   making progress, or grows past the cost of a component recompute,
+//   falls back to waterfill_from (see docs/flow_engine.md).
 //
-// Determinism: the bottleneck selection heap orders by (fill ratio, link
-// id) with exact double comparison, and membership lists are walked in
-// their deterministic insertion order, so recomputing the same flow set
-// always freezes flows in the same order and reproduces bit-identical
-// rates.
+// Determinism: the fill heap orders by (fill ratio, link id) with exact
+// double comparison, and membership lists are walked in their
+// deterministic insertion order, so recomputing the same flow set always
+// freezes flows in the same order and reproduces bit-identical rates.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +98,12 @@ class RateChangeSink {
   virtual void on_rate_change(int flow, double new_rate) = 0;
 };
 
+/// One fill-heap entry: a link and its current fair share.
+struct FillEntry {
+  double ratio;  ///< remaining capacity / unfrozen flows
+  std::int32_t link;
+};
+
 /// Epoch-stamped scratch reused across waterfill passes; never shrinks.
 struct WaterfillScratch {
   std::vector<std::uint32_t> link_mark;
@@ -99,18 +112,18 @@ struct WaterfillScratch {
   std::uint32_t epoch = 0;
   std::vector<double> rem_cap;
   std::vector<std::int32_t> unfrozen;
-  std::vector<std::int32_t> links;  ///< collected component links
-  std::vector<std::int32_t> flows;  ///< collected component flows
-  std::vector<std::pair<double, std::int32_t>> heap;
+  std::vector<std::int32_t> links;      ///< collected component (or touched) links
+  std::vector<std::int32_t> flows;      ///< collected component (or free) flows
+  std::vector<FillEntry> heap;          ///< indexed min-heap on (ratio, link id)
+  std::vector<std::int32_t> heap_slot;  ///< link -> heap index, -1 between passes
 
   // repair_from only.
-  std::vector<std::uint32_t> dirty_mark;  ///< dirty-set membership (repair epoch)
   std::vector<std::uint32_t> stat_mark;   ///< rem_cap/link_max final this round (round epoch)
   std::vector<std::uint32_t> cert_mark;   ///< flow certified this round
   std::vector<double> link_max;           ///< fastest flow on the link
   std::vector<double> tent_rate;          ///< free flow's filled rate
   std::vector<std::int32_t> tent_bottleneck;
-  std::vector<std::int32_t> dirty;        ///< the dirty link set
+  std::vector<std::int32_t> freed;        ///< flows the violators free for the next round
   std::vector<std::pair<std::int32_t, std::int32_t>> rebind;  ///< (flow, new bottleneck)
 
   void ensure(int num_links, int flow_capacity);
@@ -128,6 +141,7 @@ void waterfill_all(FlowTable& table, WaterfillScratch& ws, RateChangeSink& sink)
 /// What one repair_from call cost.
 struct RepairResult {
   std::int64_t flows_touched = 0;  ///< free flows over all rounds, plus the fallback's component
+  std::int64_t rounds = 0;         ///< fill rounds run (the fallback's recompute not counted)
   bool fell_back = false;          ///< finished by waterfill_from
 };
 

@@ -194,7 +194,8 @@ bool ShardClaimer::try_claim(int shard) {
   return true;
 }
 
-bool ShardClaimer::try_steal(int shard) {
+bool ShardClaimer::try_steal(int shard, bool* evicted) {
+  if (evicted != nullptr) *evicted = false;
   if (is_done(shard)) return false;
   const std::string path = lease_path(shard);
   const std::string content = read_whole_file(path);
@@ -215,6 +216,7 @@ bool ShardClaimer::try_steal(int shard) {
         std::to_string(token_ & 0xffffff)))
           .string();
   if (::rename(path.c_str(), moved.c_str()) != 0) return false;
+  if (evicted != nullptr) *evicted = true;
   ::unlink(moved.c_str());
   if (opts_.durable) fsync_dir((fs::path(opts_.dir) / "leases").string());
   // The shard is now unclaimed; claim it like anyone else (a third worker

@@ -115,8 +115,10 @@ class ShardClaimer {
 
   /// Attempts to take over a stale lease: rename it away (one stealer
   /// wins), then claim afresh. False when the lease is live, missing, or
-  /// another stealer won.
-  bool try_steal(int shard);
+  /// another stealer won. `evicted` (optional) is set to whether this
+  /// worker's rename removed the stale lease — true also when another
+  /// worker then won the re-claim, which leaves this call false.
+  bool try_steal(int shard, bool* evicted = nullptr);
 
   /// Refreshes this worker's lease on `shard`. False when the lease was
   /// stolen or removed — the caller should treat the shard as lost (any

@@ -60,6 +60,7 @@ class MinimalTable;
 struct FlowEngineStats {
   bool enabled = false;
   std::int64_t repairs = 0;            ///< exact-mode local max-min repairs
+  std::int64_t widen_rounds = 0;       ///< fill rounds run by repairs
   std::int64_t fallbacks = 0;          ///< repairs finished by a component re-waterfill
   std::int64_t flows_touched = 0;      ///< flows recomputed by repairs, fallbacks and ticks
   std::int64_t rate_changes = 0;       ///< rate changes committed

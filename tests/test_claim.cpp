@@ -160,7 +160,9 @@ TEST(ShardClaimerTest, HeartbeatKeepsLeaseFreshAndBlocksSteal) {
   // Just short of the TTL the lease is live: no steal.
   fc.t += 9.0;
   EXPECT_EQ(b.inspect(0).state, ShardState::kLeased);
-  EXPECT_FALSE(b.try_steal(0));
+  bool evicted = true;
+  EXPECT_FALSE(b.try_steal(0, &evicted));
+  EXPECT_FALSE(evicted);
   ASSERT_TRUE(a.heartbeat(0));
   // The refresh restarts the staleness window.
   fc.t += 9.0;
@@ -195,11 +197,16 @@ TEST(ShardClaimerTest, OnlyOneOfManyStealersWins) {
   fc.t += 20.0;
 
   int wins = 0;
+  int evictions = 0;
   for (const char* id : {"s1", "s2", "s3"}) {
     ShardClaimer s(claim_opts(dir, id, fc));
-    if (s.try_steal(0)) ++wins;
+    bool evicted = true;
+    if (s.try_steal(0, &evicted)) ++wins;
+    if (evicted) ++evictions;
   }
   EXPECT_EQ(wins, 1);
+  // Exactly one stealer renamed the stale lease away, and it reports so.
+  EXPECT_EQ(evictions, 1);
 }
 
 TEST(ShardClaimerTest, RestartedWorkerStealsItsOwnStaleLease) {

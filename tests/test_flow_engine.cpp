@@ -1,7 +1,8 @@
 // Flow-level engine (src/flowsim/): water-filling unit behavior, the
 // exact-mode local repair against the waterfill_all oracle (randomized
-// arrivals/departures and a forced fallback), engine sanity on tiny
-// topologies, the work-based wall-clock deadline, batched-vs-exact
+// arrivals/departures, multi-round widening through a faster fixed flow,
+// and a forced fallback), engine sanity on tiny topologies, a pinned
+// batched run, the work-based wall-clock deadline, batched-vs-exact
 // recompute agreement,
 // flow-vs-packet cross-validation (saturation knee within one load step,
 // exchange completion-time ordering), determinism across --jobs, journal
@@ -178,6 +179,7 @@ TEST(Repair, MatchesWaterfillAllUnderRandomArrivalsAndDepartures) {
       ApplySink sink(&t);
       std::vector<int> live;
       std::int64_t repairs = 0;
+      std::int64_t rounds = 0;
       std::int64_t fallbacks = 0;
       for (int op = 0; op < 1500; ++op) {
         std::int32_t seeds[2 * flowsim::kMaxLinksPerFlow];
@@ -200,6 +202,7 @@ TEST(Repair, MatchesWaterfillAllUnderRandomArrivalsAndDepartures) {
         }
         const RepairResult r = flowsim::repair_from(t, seeds, nseeds, ws, sink);
         ++repairs;
+        rounds += r.rounds;
         if (r.fell_back) ++fallbacks;
         expect_matches_oracle(t, 1e-12,
                               "links " + std::to_string(shape.num_links) + " seed " +
@@ -210,8 +213,70 @@ TEST(Repair, MatchesWaterfillAllUnderRandomArrivalsAndDepartures) {
       // fall back often, but not always.
       EXPECT_LT(fallbacks * (shape.sparse ? 4 : 1), repairs)
           << "links " << shape.num_links << " seed " << seed;
+      // Dense tables widen: many repairs need more than one fill round.
+      if (!shape.sparse) {
+        EXPECT_GT(rounds, repairs) << "links " << shape.num_links << " seed " << seed;
+      }
     }
   }
+}
+
+TEST(Repair, FreeFlowWidensThroughAFasterFixedFlow) {
+  // Flow f crosses seed link S and link B; flow k crosses B only; m
+  // crowders share S with f. S bottlenecks f at 1/(m+1), so k takes the
+  // rest of B. Each crowder departure frees f and the crowders left on S,
+  // but k stays fixed at its old rate, and the first fill freezes f on B
+  // at what k leaves — slower than k, so B certifies nothing for f. The
+  // free violator f must free k, the faster fixed flow on its fill
+  // bottleneck, and the second round settles both without a fallback. Arrivals undo
+  // the departures: there k, fixed, loses its saturated bottleneck and
+  // frees itself. Bystanders on a third link keep the repair far below
+  // the cost of a full recompute, so only a failure to widen falls back.
+  constexpr int m = 4;
+  constexpr int kBystanders = 16;
+  constexpr std::int32_t kS = 0;
+  constexpr std::int32_t kB = 1;
+  FlowTable t;
+  t.reset(3);
+  WaterfillScratch ws;
+  ApplySink sink(&t);
+  const std::int32_t f_links[] = {kS, kB};
+  const std::int32_t k_links[] = {kB};
+  const std::int32_t s_links[] = {kS};
+  const std::int32_t bystander_links[] = {2};
+  const int f = t.create(f_links, 2, 1.0);
+  const int k = t.create(k_links, 1, 1.0);
+  std::vector<int> crowders;
+  for (int i = 0; i < m; ++i) crowders.push_back(t.create(s_links, 1, 1.0));
+  for (int i = 0; i < kBystanders; ++i) t.create(bystander_links, 1, 1.0);
+  flowsim::waterfill_all(t, ws, sink);
+  ASSERT_DOUBLE_EQ(t.rate[static_cast<std::size_t>(f)], 1.0 / (m + 1));
+
+  std::int64_t repairs = 0;
+  std::int64_t rounds = 0;
+  const auto repair = [&](const std::string& step) {
+    const RepairResult r = flowsim::repair_from(t, s_links, 1, ws, sink);
+    ++repairs;
+    rounds += r.rounds;
+    EXPECT_FALSE(r.fell_back) << step;
+    expect_matches_oracle(t, 1e-12, step);
+    // f gets its share of S, at most half of B; k takes the rest of B.
+    const double share = std::min(1.0 / t.link_nflows[kS], 0.5);
+    EXPECT_NEAR(t.rate[static_cast<std::size_t>(f)], share, 1e-12) << step;
+    EXPECT_NEAR(t.rate[static_cast<std::size_t>(k)], 1.0 - share, 1e-12) << step;
+  };
+  while (!crowders.empty()) {
+    t.destroy(crowders.back());
+    crowders.pop_back();
+    repair("departure, " + std::to_string(crowders.size()) + " crowders left");
+    if (HasFatalFailure()) return;
+  }
+  for (int i = 0; i < m; ++i) {
+    t.create(s_links, 1, 1.0);
+    repair("arrival " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(rounds, repairs);
 }
 
 TEST(Repair, SaturatedHubForcesTheFallback) {
@@ -301,6 +366,24 @@ OpenLoopResult run_point(const Topology& topo, SimEngine eng, double load,
   SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
   UniformTraffic uni(topo.num_nodes());
   return stack.run_open_loop(uni, load, us(8), us(2));
+}
+
+TEST(FlowSim, BatchedRunMatchesPinnedDigest) {
+  // Batched ticks re-waterfill whole components, so the freeze order of
+  // waterfill_from — (fill ratio, link id) — decides every rate bit. The
+  // pinned event digest and accepted throughput of one saturated SF q=5
+  // run change if that order or the fill arithmetic does.
+  const Topology topo = build_slim_fly(5);
+  SimConfig cfg;
+  cfg.engine = SimEngine::kFlow;
+  cfg.flow.rate_interval = ns(200);
+  cfg.collect_event_digest = true;
+  SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
+  UniformTraffic uni(topo.num_nodes());
+  const OpenLoopResult res = stack.run_open_loop(uni, 0.9, us(8), us(2));
+  EXPECT_EQ(res.event_digest, 0xc0c924571945b0a8ull);
+  EXPECT_EQ(res.events_processed, 24928);
+  EXPECT_EQ(res.accepted_throughput, 0x1.8eb57de77c6bcp-1);  // 0.7787284226489741
 }
 
 TEST(FlowSim, BatchedRecomputeMatchesExactThroughput) {
@@ -441,6 +524,7 @@ SweepRunOptions flow_opts(std::uint64_t seed, TimePs rate_interval = ns(200)) {
 void expect_same_flow_stats(const FlowEngineStats& a, const FlowEngineStats& b) {
   EXPECT_EQ(a.enabled, b.enabled);
   EXPECT_EQ(a.repairs, b.repairs);
+  EXPECT_EQ(a.widen_rounds, b.widen_rounds);
   EXPECT_EQ(a.fallbacks, b.fallbacks);
   EXPECT_EQ(a.flows_touched, b.flows_touched);
   EXPECT_EQ(a.rate_changes, b.rate_changes);
@@ -507,6 +591,7 @@ TEST(FlowSweep, ExactModeIsReproducibleAndIndependentOfJobs) {
       const FlowEngineStats& fl = a[s][l].result.flow;
       EXPECT_TRUE(fl.enabled);
       EXPECT_GT(fl.repairs, 0);
+      EXPECT_GT(fl.widen_rounds, 0);
       EXPECT_LE(fl.fallbacks, fl.repairs);
       EXPECT_GT(fl.rate_changes, 0);
     }
@@ -514,6 +599,7 @@ TEST(FlowSweep, ExactModeIsReproducibleAndIndependentOfJobs) {
   // The counters reach --json on flow points only.
   const std::string json = bench::render_point_json(a[0][1]);
   EXPECT_NE(json.find("\"flow\": {\"repairs\": "), std::string::npos) << json;
+  EXPECT_NE(json.find("\"widen_rounds\": "), std::string::npos) << json;
 }
 
 TEST(FlowSim, WallLimitStopsARecomputeHeavyExchangePromptly) {
