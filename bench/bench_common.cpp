@@ -26,7 +26,6 @@ SweepRunOptions BenchOptions::sweep_options() const {
   SweepRunOptions out;
   out.jobs = jobs;
   out.config.seed = seed;
-  out.config.shards = shards;
   out.config.metrics.enabled = metrics;
   if (metrics_sample > 0) out.config.metrics.sample_period = metrics_sample;
   out.config.engine = engine;
@@ -49,10 +48,6 @@ void add_standard_flags(Cli& cli) {
       .flag("jobs", std::int64_t{0},
             "concurrent sweep points (0 = all hardware threads); results "
             "are identical for every value")
-      .flag("shards", std::int64_t{1},
-            "worker event cores per simulation (conservative time-window "
-            "sharding; results are bit-identical for every value, see "
-            "docs/sharded_sim.md)")
       .flag("json", std::string{},
             "write per-sweep timing/result JSON to this path")
       .flag("metrics", false,
@@ -95,36 +90,22 @@ BenchOptions read_standard_flags(const Cli& cli, int workers) {
   opts.csv = cli.get_bool("csv");
   opts.jobs = static_cast<int>(cli.get_int("jobs"));
   D2NET_REQUIRE(opts.jobs >= 0, "--jobs must be >= 0");
-  opts.shards = static_cast<int>(cli.get_int("shards"));
-  D2NET_REQUIRE(opts.shards >= 1, "--shards must be >= 1");
-  // With explicit --jobs the user overrides the auto-division; flag the
-  // combination that lands shards x jobs threads on fewer cores. --jobs 0
-  // never oversubscribes solo (SweepRunner divides the machine by shards),
-  // but N co-located campaign workers each take that division — the
-  // auto-sized case oversubscribes exactly when workers > 1.
-  if ((opts.jobs > 0 && opts.shards > 1) || workers > 1) {
+  // --jobs 0 never oversubscribes one process (SweepRunner sizes itself to
+  // the machine), but N co-located campaign workers each take the whole
+  // machine — flag the combination that lands workers x jobs threads on
+  // fewer cores.
+  if (workers > 1) {
     const int hw = ThreadPool::hardware_concurrency();
-    const int eff_jobs =
-        opts.jobs > 0 ? opts.jobs : std::max(1, hw / std::max(1, opts.shards));
-    const long long threads = static_cast<long long>(workers) * opts.shards * eff_jobs;
-    // atomic for the same reason as the demotion notes in sim/network.cpp:
-    // warn-once flags in reusable code must assume concurrent callers.
+    const int eff_jobs = opts.jobs > 0 ? opts.jobs : hw;
+    const long long threads = static_cast<long long>(workers) * eff_jobs;
+    // Warn-once flags in reusable code must assume concurrent callers.
     static std::atomic<bool> warned{false};
     if (threads > hw && !warned.exchange(true, std::memory_order_relaxed)) {
-      if (workers > 1) {
-        std::fprintf(stderr,
-                     "warning: --workers %d x --shards %d x %d job(s) = %lld "
-                     "simulation threads exceeds hardware concurrency (%d) if "
-                     "all workers share this host; expect contention, not "
-                     "speedup\n",
-                     workers, opts.shards, eff_jobs, threads, hw);
-      } else {
-        std::fprintf(stderr,
-                     "warning: --shards %d x --jobs %d = %lld simulation "
-                     "threads exceeds hardware concurrency (%d); expect "
-                     "contention, not speedup\n",
-                     opts.shards, opts.jobs, threads, hw);
-      }
+      std::fprintf(stderr,
+                   "warning: --workers %d x %d job(s) = %lld simulation threads "
+                   "exceeds hardware concurrency (%d) if all workers share this "
+                   "host; expect contention, not speedup\n",
+                   workers, eff_jobs, threads, hw);
     }
   }
   opts.json_path = cli.get_string("json");
@@ -259,30 +240,6 @@ void write_metrics(std::ostream& os, const SimMetrics& m) {
        << ", \"bytes\": " << m.occupancy[i].buffered_bytes << "}";
   }
   os << "]";
-  // Sharded runs additionally report window-barrier synchronization and
-  // per-shard engine sizing (absent for serial runs, keeping their output
-  // byte-stable across versions).
-  if (m.sharding.shards > 1) {
-    const ShardingMetrics& sh = m.sharding;
-    os << ", \"sharding\": {\"shards\": " << sh.shards
-       << ", \"windows\": " << sh.windows << ", \"mean_window_width_ns\": ";
-    write_json_double(os, sh.mean_window_width_ns);
-    os << ", \"cross_shard_messages\": " << sh.cross_shard_messages
-       << ", \"shards_detail\": [";
-    for (std::size_t s = 0; s < sh.shard.size(); ++s) {
-      const ShardMetrics& sm = sh.shard[s];
-      os << (s ? ", " : "") << "{\"shard\": " << s
-         << ", \"routers\": " << sm.routers << ", \"nodes\": " << sm.nodes
-         << ", \"events\": " << sm.events
-         << ", \"messages_sent\": " << sm.messages_sent
-         << ", \"capacities\": {\"event_queue_reserved\": "
-         << sm.capacities.event_queue_reserved
-         << ", \"packet_pool_reserved\": " << sm.capacities.packet_pool_reserved
-         << ", \"packet_pool_slots\": " << sm.capacities.packet_pool_slots
-         << ", \"voq_cells\": " << sm.capacities.voq_cells << "}}";
-    }
-    os << "]}";
-  }
   os << ", \"ports\": [";
   bool first_port = true;
   for (const PortMetrics& pm : m.ports) {
@@ -452,9 +409,8 @@ std::string render_exchange_row_json(const ExchangeRow& row) {
 
 std::string bench_manifest(const std::string& bench_name, const BenchOptions& opts) {
   // Everything that changes simulated results belongs here; presentation
-  // knobs (--json path, --csv, --jobs, --shards) deliberately do not —
-  // results are identical for every value (for --shards that is the
-  // digest-verified sharding guarantee), so resuming across them is safe.
+  // knobs (--json path, --csv, --jobs) deliberately do not — results are
+  // identical for every value, so resuming across them is safe.
   std::ostringstream os;
   os.precision(17);
   os << "bench=" << bench_name << "\n"
@@ -526,7 +482,10 @@ void BenchReport::write() const {
   os << "  \"bench\": \"" << json_escape(bench_name_) << "\",\n";
   os << "  \"jobs\": " << (sweeps_.empty() ? opts_.jobs : sweeps_.front().stats.jobs)
      << ",\n";
-  os << "  \"shards\": " << opts_.shards << ",\n";
+  // Always 1 (one serial event loop per simulation). The key stays so
+  // existing --json consumers and the committed output digests
+  // (campaigns/ci_digests.txt) remain byte-identical.
+  os << "  \"shards\": 1,\n";
   os << "  \"seed\": " << opts_.seed << ",\n";
   os << "  \"full\": " << (opts_.full ? "true" : "false") << ",\n";
   os << "  \"duration_us\": " << to_us(opts_.duration) << ",\n";

@@ -27,11 +27,6 @@ struct BenchOptions {
   std::uint64_t seed = 1;
   bool csv = false;          ///< additionally dump CSV after each table
   int jobs = 0;              ///< sweep-point parallelism; 0 = all cores
-  /// Worker event cores per simulation (SimConfig::shards). Results are
-  /// bit-identical for every value; jobs auto-sizing (--jobs 0) divides the
-  /// machine by this so shards x points compose without oversubscription
-  /// (see docs/sharded_sim.md).
-  int shards = 1;
   std::string json_path;     ///< write timing/result JSON here ("" = off)
   bool metrics = false;      ///< collect per-port/VC detail (see docs/observability.md)
   TimePs metrics_sample = 0; ///< occupancy sampling period with --metrics
@@ -72,8 +67,8 @@ void add_standard_flags(Cli& cli);
 
 /// Reads them back after parsing. `workers` is the number of cooperating
 /// campaign worker processes expected on this machine (1 for every plain
-/// bench): the oversubscription warning accounts for workers x jobs x
-/// shards threads landing on one host's cores.
+/// bench): the oversubscription warning accounts for workers x jobs
+/// threads landing on one host's cores.
 BenchOptions read_standard_flags(const Cli& cli, int workers = 1);
 
 /// One of the paper's four evaluated systems (Section 4.1).
@@ -133,11 +128,7 @@ std::vector<SystemConfig> paper_systems(bool full);
 ///             "bytes", "credit_stall_ns", "occ_mean_bytes", "occ_max_bytes",
 ///             "vcs": [{"vc", "packets", "bytes", "minimal", "indirect"}]}]}
 /// (only ports that forwarded traffic or stalled on credit are listed; see
-/// docs/observability.md for semantics). Points simulated with --shards > 1
-/// additionally carry metrics.sharding: {"shards", "windows",
-/// "mean_window_width_ns", "cross_shard_messages", "shards_detail":
-/// [{"shard", "routers", "nodes", "events", "messages_sent",
-///   "capacities": {...}}]} (see docs/sharded_sim.md).
+/// docs/observability.md for semantics).
 /// One row of an exchange table (Fig. 13 shape): one (system, routing)
 /// combination's all-to-all result. Restored rows carry their journaled
 /// JSON fragment, spliced back verbatim like sweep points.

@@ -14,11 +14,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
@@ -119,14 +117,10 @@ BENCHMARK(BM_EventQueue);
 void BM_EventQueueStress(benchmark::State& state) {
   // Simulator-shaped stress: the queue stays around `resident` entries while
   // pushes and pops interleave, so scheduling costs reflect steady-state
-  // depth rather than a single fill/drain ramp. Arg 1 selects the scheduler
-  // (0 = 4-ary heap, 1 = bucketed wheel).
+  // depth rather than a single fill/drain ramp.
   const int resident = static_cast<int>(state.range(0));
-  const auto kind =
-      state.range(1) == 0 ? SchedulerKind::kHeap : SchedulerKind::kWheel;
   for (auto _ : state) {
     EventQueue q;
-    q.set_scheduler(kind);
     q.reserve(resident + 8);
     Rng rng(1);
     TimePs now = 0;
@@ -145,12 +139,9 @@ void BM_EventQueueStress(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueStress)
-    ->Args({1 << 8, 0})
-    ->Args({1 << 12, 0})
-    ->Args({100'000, 0})
-    ->Args({1 << 8, 1})
-    ->Args({1 << 12, 1})
-    ->Args({100'000, 1})
+    ->Arg(1 << 8)
+    ->Arg(1 << 12)
+    ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_VoqPushPop(benchmark::State& state) {
@@ -264,36 +255,6 @@ double best_ns_per_op(std::int64_t iters, std::int64_t ops_per_iter, Body&& body
   return best;
 }
 
-/// Self-relative sharded events/sec on the paper-scale saturation scenario
-/// (SF q=13, ~3.4k nodes, uniform, load 0.9), one run.
-std::int64_t sharded_events_per_sec(const Topology& topo, int shards) {
-  UniformTraffic uni(topo.num_nodes());
-  SimConfig cfg;
-  cfg.seed = 1;
-  cfg.shards = shards;
-  SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
-  const double t0 = now_seconds();
-  const OpenLoopResult res = stack.run_open_loop(uni, 0.9, us(4), us(1));
-  const double dt = now_seconds() - t0;
-  return dt > 0.0
-             ? static_cast<std::int64_t>(
-                   static_cast<double>(res.events_processed) / dt)
-             : 0;
-}
-
-/// Median, min and max of a sample.
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Spread spread_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return {n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0, v.front(), v.back()};
-}
-
 int write_json_snapshot(const std::string& path) {
   const Topology topo = build_slim_fly(7);
 
@@ -339,13 +300,12 @@ int write_json_snapshot(const std::string& path) {
   });
 
   // Steady-state event-queue push+pop pair with `resident` events pending:
-  // 4,096 for both schedulers, and for the wheel also 100,000, about what a
-  // saturated SF q=13 run keeps pending. Rescheduling up to 2^17 ps ahead
-  // then dispatches ~1.5 events per ps, the paper-scale density.
-  const auto queue_ns = [&](SchedulerKind kind, int resident) {
+  // 4,096, and 100,000, about what a saturated SF q=13 run keeps pending.
+  // Rescheduling up to 2^17 ps ahead then dispatches ~1.5 events per ps,
+  // the paper-scale density.
+  const auto queue_ns = [&](int resident) {
     return best_ns_per_op(1 << 21, 1, [&](std::int64_t iters) {
       EventQueue q;
-      q.set_scheduler(kind);
       q.reserve(static_cast<std::size_t>(resident));
       Rng rng(1);
       for (int i = 0; i < resident; ++i) {
@@ -361,38 +321,8 @@ int write_json_snapshot(const std::string& path) {
       benchmark::DoNotOptimize(q.empty());
     });
   };
-  const double ns_heap = queue_ns(SchedulerKind::kHeap, 1 << 12);
-  const double ns_wheel = queue_ns(SchedulerKind::kWheel, 1 << 12);
-  const double ns_wheel_dense = queue_ns(SchedulerKind::kWheel, 100'000);
-
-  // Paper-scale sharded-vs-serial comparison. The speedup ratios are only
-  // meaningful relative to the recorded usable cores: lanes time-slice on a
-  // host with fewer physical cores than shards, so the ratio saturates at
-  // ~1.0 on one core and approaches the shard count only with >= `shards`
-  // cores (see docs/sharded_sim.md).
-  // Each rep runs all three shard counts back to back, and each speedup is
-  // taken within one rep, so a host that drifts between reps moves the
-  // events/sec spread but not the ratios.
-  constexpr int kShardedReps = 5;
-  constexpr std::array<int, 3> kShardCounts = {1, 2, 4};
-  const Topology paper = build_slim_fly(13);
-  std::array<std::vector<double>, 3> eps_runs;
-  std::array<std::vector<double>, 2> speedup_runs;
-  for (int rep = 0; rep < kShardedReps; ++rep) {
-    std::array<double, 3> eps{};
-    for (std::size_t k = 0; k < kShardCounts.size(); ++k) {
-      eps[k] = static_cast<double>(sharded_events_per_sec(paper, kShardCounts[k]));
-      eps_runs[k].push_back(eps[k]);
-    }
-    for (std::size_t k = 1; k < kShardCounts.size(); ++k) {
-      speedup_runs[k - 1].push_back(eps[0] > 0.0 ? eps[k] / eps[0] : 0.0);
-    }
-  }
-  const Spread eps_sh1 = spread_of(eps_runs[0]);
-  const Spread eps_sh2 = spread_of(eps_runs[1]);
-  const Spread eps_sh4 = spread_of(eps_runs[2]);
-  const Spread speedup_2 = spread_of(speedup_runs[0]);
-  const Spread speedup_4 = spread_of(speedup_runs[1]);
+  const double ns_wheel = queue_ns(1 << 12);
+  const double ns_wheel_dense = queue_ns(100'000);
 
   const int cores = bench::usable_cores();
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -409,28 +339,11 @@ int write_json_snapshot(const std::string& path) {
                static_cast<long long>(eps_min));
   std::fprintf(f, "  \"events_per_sec_ugal\": %lld,\n",
                static_cast<long long>(eps_ugal));
-  std::fprintf(f,
-               "  \"sharded_scenario\": \"slim_fly q=13, uniform, load 0.9, "
-               "4us run / 1us warmup, seed 1, median of %d (min/max)\",\n",
-               kShardedReps);
   std::fprintf(f, "  \"cores\": %d,\n", cores);
   std::fprintf(f, "  \"cpu_model\": \"%s\",\n", bench::cpu_model().c_str());
-  // Median under the plain key (what scripts/ci.sh compares), then the
-  // run-to-run range.
-  const auto print_spread = [&](const char* key, const Spread& s, int decimals) {
-    std::fprintf(f, "  \"%s\": %.*f,\n", key, decimals, s.median);
-    std::fprintf(f, "  \"%s_min\": %.*f,\n", key, decimals, s.min);
-    std::fprintf(f, "  \"%s_max\": %.*f,\n", key, decimals, s.max);
-  };
-  print_spread("events_per_sec_sharded_serial", eps_sh1, 0);
-  print_spread("events_per_sec_sharded_2", eps_sh2, 0);
-  print_spread("events_per_sec_sharded_4", eps_sh4, 0);
-  print_spread("speedup_sharded_2", speedup_2, 3);
-  print_spread("speedup_sharded_4", speedup_4, 3);
   std::fprintf(f, "  \"ns_voq_push_pop\": %.2f,\n", ns_voq);
   std::fprintf(f, "  \"ns_pool_alloc_release\": %.2f,\n", ns_pool);
   std::fprintf(f, "  \"ns_csr_next_hops\": %.2f,\n", ns_csr);
-  std::fprintf(f, "  \"ns_event_queue_heap\": %.2f,\n", ns_heap);
   std::fprintf(f, "  \"ns_event_queue_wheel\": %.2f,\n", ns_wheel);
   std::fprintf(f, "  \"ns_event_queue_wheel_dense\": %.2f\n", ns_wheel_dense);
   std::fprintf(f, "}\n");
@@ -438,11 +351,6 @@ int write_json_snapshot(const std::string& path) {
   std::printf("events/sec: minimal=%lld ugal=%lld -> %s\n",
               static_cast<long long>(eps_min), static_cast<long long>(eps_ugal),
               path.c_str());
-  std::printf("sharded events/sec (SF q=13, %d core(s), median of %d): serial=%lld "
-              "2=%lld (%.2fx) 4=%lld (%.2fx)\n",
-              cores, kShardedReps, static_cast<long long>(eps_sh1.median),
-              static_cast<long long>(eps_sh2.median), speedup_2.median,
-              static_cast<long long>(eps_sh4.median), speedup_4.median);
   return 0;
 }
 

@@ -2,7 +2,7 @@
 //
 // Reads a committed JSON spec (campaigns/*.json, schema in
 // docs/campaigns.md), expands it into sweep/exchange work, and executes it
-// through the shared machinery — SweepRunner (--jobs/--shards), the
+// through the shared machinery — SweepRunner (--jobs), the
 // crash-safe journal (--journal/--resume), per-point deadlines
 // (--point-timeout) and BenchReport --json output. Each figure spec's
 // normalised --json at CI args matches its committed sha256 in

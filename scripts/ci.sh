@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI: a clean release build (warnings are errors) with the full
 # ctest suite, then a ThreadSanitizer build that runs the parallel-sweep
-# determinism test and the sharded-simulation digest suites to prove both
-# kinds of parallelism are race-free (not just accidentally ordered), then
-# an ASan+UBSan build that runs the fault-injection and simulator-edge
+# tests and the propagation digest suite to prove sweep parallelism — the
+# one parallel mode; each simulation is a serial event loop — is race-free
+# (not just accidentally ordered), then an ASan+UBSan build that runs the fault-injection and simulator-edge
 # suites — the code paths that tear down in-flight state mid-run and are
 # therefore the likeliest source of lifetime/indexing bugs — and then an
 # end-to-end kill/resume drill on d2net_campaign with campaigns/fig6.json
@@ -60,19 +60,11 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "=== stage 2: ThreadSanitizer determinism check ==="
   cmake -B build-ci-tsan -S . -DD2NET_SANITIZE=thread >/dev/null
   cmake --build build-ci-tsan -j "$JOBS" --target test_sweep_runner \
-    --target test_determinism_digest --target test_sharded_sim
+    --target test_determinism_digest
   TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/tests/test_sweep_runner
-  # Sharded single-simulation execution: the digest suite runs serial and
-  # 2/4/7-shard engines over the same scenarios (including the fault
-  # schedule), so a data race between lanes shows up here even on a host
-  # whose single core would otherwise serialize the interleaving.
-  TSAN_OPTIONS="halt_on_error=1" \
-    ./build-ci-tsan/tests/test_determinism_digest --gtest_filter='*Sharded*'
-  TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/tests/test_sharded_sim
-  # Modeled fault propagation adds control-plane events that cross shard
-  # lanes through the coordinator; run its digest suite and the
-  # transient-faults campaign (detection-delay sweep included) under TSan
-  # too.
+  # Modeled fault propagation: its pinned digest and the transient-faults
+  # campaign (detection-delay sweep included, points run concurrently)
+  # under TSan too.
   cmake --build build-ci-tsan -j "$JOBS" --target d2net_campaign
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-ci-tsan/tests/test_determinism_digest --gtest_filter='*Propagation*'
@@ -164,10 +156,8 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     echo "baseline host: $base_host"
     echo "current host:  $cur_host"
     printf '%-26s %14s %14s %8s  %s\n' metric baseline current delta verdict
-    for key in events_per_sec_minimal events_per_sec_ugal \
-               events_per_sec_sharded_serial events_per_sec_sharded_2 \
-               events_per_sec_sharded_4 ns_voq_push_pop \
-               ns_pool_alloc_release ns_csr_next_hops ns_event_queue_heap \
+    for key in events_per_sec_minimal events_per_sec_ugal ns_voq_push_pop \
+               ns_pool_alloc_release ns_csr_next_hops \
                ns_event_queue_wheel ns_event_queue_wheel_dense; do
       base=$(field BENCH_core.json "$key")
       cur=$(field build-ci/BENCH_core.json "$key")

@@ -60,14 +60,6 @@ void LogHistogram::add(std::int64_t value) {
   sum_ += static_cast<double>(value);
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
-  for (int b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
-  total_ += other.total_;
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  sum_ += other.sum_;
-}
-
 double LogHistogram::percentile(double p) const {
   if (total_ == 0) return 0.0;
   p = std::clamp(p, 0.0, 100.0);

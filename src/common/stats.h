@@ -40,12 +40,6 @@ class RunningStats {
 class LogHistogram {
  public:
   void add(std::int64_t value);
-  /// Element-wise accumulation of another histogram. For integer-valued
-  /// inputs (every simulator use: latencies in whole ns) the running sum_
-  /// stays an exactly-represented integer below 2^53, so merging per-shard
-  /// histograms is exact and order-independent — sharded and serial runs
-  /// report bit-identical means.
-  void merge(const LogHistogram& other);
   std::int64_t count() const { return total_; }
 
   /// Approximate p-th percentile (p in [0,100]) by linear interpolation

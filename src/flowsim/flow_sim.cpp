@@ -70,9 +70,6 @@ FlowSim::FlowSim(const Topology& topo, const SimConfig& cfg)
   D2NET_REQUIRE(!cfg.metrics.enabled,
                 "the flow engine does not support per-port/VC metrics (--metrics); "
                 "use the packet engine (engine=packet)");
-  D2NET_REQUIRE(cfg.shards == 1,
-                "the flow engine runs one serial event loop per simulation; use "
-                "--jobs for sweep parallelism instead of --shards");
   D2NET_REQUIRE(cfg.flow.flow_bytes >= 1, "flow.flow_bytes must be >= 1");
   D2NET_REQUIRE(cfg.flow.max_active_per_node >= 1, "flow.max_active_per_node must be >= 1");
   D2NET_REQUIRE(cfg.flow.rate_interval >= 0, "flow.rate_interval must be >= 0");
@@ -466,15 +463,20 @@ OpenLoopResult FlowSim::run_open_loop(const TrafficPattern& pattern, double load
     push_event(cfg_.flow.rate_interval, EventKind::kRateTick, 0, 0);
   }
   const bool finished = run_until(duration);
-  if (finished) final_accrual(duration);
+  // A timed-out run accrues its active flows up to the simulated time it
+  // reached and is normalized by that shorter window (0 if it stopped
+  // inside the warmup).
+  const TimePs t_stop = finished ? duration : now_;
+  final_accrual(t_stop);
 
   OpenLoopResult res;
   res.offered_load = load;
   res.timed_out = timed_out_;
-  const double window_ps = static_cast<double>(window_end_ - window_start_);
+  res.t_stop = t_stop;
+  const double window_ps = static_cast<double>(std::max(t_stop, warmup) - warmup);
   const double capacity_bytes =
       window_ps / static_cast<double>(cfg_.ps_per_byte) * topo_.num_nodes();
-  res.accepted_throughput = delivered_window_bytes_ / capacity_bytes;
+  res.accepted_throughput = window_ps > 0 ? delivered_window_bytes_ / capacity_bytes : 0.0;
   res.avg_latency_ns = latency_ns_.mean();
   res.p50_latency_ns = latency_ns_.percentile(50);
   res.p99_latency_ns = latency_ns_.percentile(99);

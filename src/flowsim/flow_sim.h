@@ -28,7 +28,7 @@
 // always one serial event loop.
 //
 // Packet-only features are rejected up front (ArgumentError): fault
-// schedules, --metrics, and --shards > 1 have no flow-level counterpart
+// schedules and --metrics have no flow-level counterpart
 // (see docs/flow_engine.md, "What is and isn't comparable").
 #pragma once
 
@@ -55,7 +55,7 @@ namespace d2net::flowsim {
 class FlowSim final : public PortLoadProvider, private RateChangeSink {
  public:
   /// Throws ArgumentError when `cfg` requests packet-only features (fault
-  /// injection, metrics, shards > 1) or carries invalid flow knobs.
+  /// injection, metrics) or carries invalid flow knobs.
   FlowSim(const Topology& topo, const SimConfig& cfg);
 
   /// Attaches the routing algorithm; must be called before running.

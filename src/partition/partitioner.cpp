@@ -267,8 +267,7 @@ std::vector<std::uint8_t> bisect_recursive(const CsrGraph& g, const BisectionOpt
   const std::int64_t total = g.total_vertex_weight();
   const auto max_imb =
       std::max<std::int64_t>(1, static_cast<std::int64_t>(opts.max_imbalance * total));
-  const auto target0 =
-      static_cast<std::int64_t>(std::llround(opts.target_fraction * static_cast<double>(total)));
+  const std::int64_t target0 = (total + 1) / 2;  // side 0 takes the odd unit
 
   std::vector<std::uint8_t> side;
   if (g.num_vertices <= opts.coarsen_to || depth > 64) {
@@ -310,91 +309,9 @@ std::vector<std::uint8_t> bisect_recursive(const CsrGraph& g, const BisectionOpt
 
 BisectionResult bisect(const CsrGraph& graph, const BisectionOptions& options) {
   D2NET_REQUIRE(graph.num_vertices > 1, "bisection needs at least two vertices");
-  D2NET_REQUIRE(options.target_fraction > 0.0 && options.target_fraction < 1.0,
-                "target_fraction must be in (0, 1)");
   Rng rng(options.seed);
   std::vector<std::uint8_t> side = bisect_recursive(graph, options, rng, 0);
   return finalize_result(graph, std::move(side));
-}
-
-namespace {
-
-/// Extracts the side-s induced subgraph (cut edges dropped) and records the
-/// subgraph-to-parent vertex mapping.
-CsrGraph extract_side(const CsrGraph& g, const std::vector<std::uint8_t>& side, int s,
-                      std::vector<int>& to_parent) {
-  std::vector<int> local(g.num_vertices, -1);
-  to_parent.clear();
-  for (int u = 0; u < g.num_vertices; ++u) {
-    if (side[u] == s) {
-      local[u] = static_cast<int>(to_parent.size());
-      to_parent.push_back(u);
-    }
-  }
-  std::vector<int> vwgt(to_parent.size());
-  for (std::size_t i = 0; i < to_parent.size(); ++i) vwgt[i] = g.vwgt[to_parent[i]];
-  std::vector<std::array<int, 3>> edges;
-  for (int u = 0; u < g.num_vertices; ++u) {
-    if (local[u] < 0) continue;
-    for (int e = g.xadj[u]; e < g.xadj[u + 1]; ++e) {
-      const int v = g.adjncy[e];
-      if (u < v && local[v] >= 0) edges.push_back({local[u], local[v], g.adjwgt[e]});
-    }
-  }
-  return make_csr(static_cast<int>(to_parent.size()), edges, std::move(vwgt));
-}
-
-/// Recursive bisection: split k parts as floor(k/2) / ceil(k/2) with a
-/// weight-proportional target fraction, so odd k stays balanced.
-void kway_recurse(const CsrGraph& g, const std::vector<int>& to_global, int k, int part_base,
-                  const BisectionOptions& opts, std::vector<int>& part) {
-  if (k <= 1) {
-    for (int v = 0; v < g.num_vertices; ++v) part[to_global[v]] = part_base;
-    return;
-  }
-  if (g.num_vertices <= k) {
-    // Degenerate: one vertex per part (trailing parts stay empty).
-    for (int v = 0; v < g.num_vertices; ++v) part[to_global[v]] = part_base + v;
-    return;
-  }
-  const int k0 = k / 2;
-  BisectionOptions level = opts;
-  level.target_fraction = static_cast<double>(k0) / static_cast<double>(k);
-  const BisectionResult r = bisect(g, level);
-  for (int s = 0; s < 2; ++s) {
-    std::vector<int> to_parent;
-    const CsrGraph sub = extract_side(g, r.side, s, to_parent);
-    std::vector<int> sub_to_global(to_parent.size());
-    for (std::size_t i = 0; i < to_parent.size(); ++i) {
-      sub_to_global[i] = to_global[to_parent[i]];
-    }
-    kway_recurse(sub, sub_to_global, s == 0 ? k0 : k - k0,
-                 s == 0 ? part_base : part_base + k0, opts, part);
-  }
-}
-
-}  // namespace
-
-KwayResult partition_kway(const CsrGraph& graph, int k, const BisectionOptions& options) {
-  D2NET_REQUIRE(k >= 1, "partition_kway needs k >= 1");
-  D2NET_REQUIRE(graph.num_vertices >= 1, "partition_kway needs a non-empty graph");
-  KwayResult r;
-  r.part.assign(graph.num_vertices, -1);
-  std::vector<int> identity(graph.num_vertices);
-  std::iota(identity.begin(), identity.end(), 0);
-  kway_recurse(graph, identity, k, 0, options, r.part);
-  r.weights.assign(k, 0);
-  for (int u = 0; u < graph.num_vertices; ++u) {
-    D2NET_REQUIRE(r.part[u] >= 0 && r.part[u] < k, "internal: unassigned vertex");
-    r.weights[r.part[u]] += graph.vwgt[u];
-  }
-  for (int u = 0; u < graph.num_vertices; ++u) {
-    for (int e = graph.xadj[u]; e < graph.xadj[u + 1]; ++e) {
-      const int v = graph.adjncy[e];
-      if (u < v && r.part[u] != r.part[v]) r.cut_weight += graph.adjwgt[e];
-    }
-  }
-  return r;
 }
 
 }  // namespace d2net

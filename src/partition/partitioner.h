@@ -46,10 +46,6 @@ struct BisectionOptions {
   int initial_tries = 8;        ///< region-growing restarts on coarsest graph
   int refine_passes = 8;        ///< max FM passes per level
   std::uint64_t seed = 1;
-  /// Fraction of the total vertex weight assigned to side 0. The default is
-  /// a classic balanced bisection; partition_kway uses skewed fractions
-  /// (e.g. 2/5) to split an odd part count without cascading imbalance.
-  double target_fraction = 0.5;
 };
 
 /// Bisects the graph minimizing edge cut subject to the balance constraint.
@@ -57,19 +53,5 @@ BisectionResult bisect(const CsrGraph& graph, const BisectionOptions& options = 
 
 /// Recomputes the cut of a given assignment (for verification in tests).
 std::int64_t cut_weight(const CsrGraph& graph, const std::vector<std::uint8_t>& side);
-
-/// K-way partition produced by recursive bisection.
-struct KwayResult {
-  std::vector<int> part;              ///< part id per vertex, in [0, k)
-  std::vector<std::int64_t> weights;  ///< vertex weight per part, size k
-  std::int64_t cut_weight = 0;        ///< total weight of inter-part edges
-};
-
-/// Partitions the graph into k parts by recursive bisection with
-/// weight-proportional target fractions (so k need not be a power of two).
-/// Parts may be empty only when k exceeds the vertex count. Deterministic
-/// for a fixed (graph, k, options). options.target_fraction is ignored —
-/// each bisection level derives its own fraction from the part split.
-KwayResult partition_kway(const CsrGraph& graph, int k, const BisectionOptions& options = {});
 
 }  // namespace d2net

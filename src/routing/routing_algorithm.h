@@ -74,13 +74,6 @@ class RoutingAlgorithm {
   /// Upper bound on VC indices this algorithm emits, for simulator sizing.
   virtual int num_vcs() const = 0;
 
-  /// True when route decisions read only source-router-local state (the
-  /// PortLoadProvider queries stay on the source router). Sharded execution
-  /// requires it — a shard owns its routers' state exclusively between
-  /// window barriers — so NetworkSim demotes shard-unsafe algorithms
-  /// (UGAL-G reads every router on each candidate path) to serial runs.
-  virtual bool shard_safe() const { return true; }
-
   virtual std::string name() const = 0;
 };
 

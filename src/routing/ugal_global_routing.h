@@ -34,8 +34,6 @@ class UgalGlobalRouting final : public RoutingAlgorithm {
 
   void route_into(int src_router, int dst_router, Rng& rng, Route& out) const override;
   int num_vcs() const override;
-  /// Reads queue occupancies of every router on each candidate path.
-  bool shard_safe() const override { return false; }
   std::string name() const override { return "UGAL-G"; }
 
  private:

@@ -1,30 +1,28 @@
 // Discrete-event core: a time-ordered queue with a deterministic
 // (okey, seq) tie-break so identical seeds replay identical packet traces.
 //
-// Two interchangeable scheduling structures live behind one interface,
-// selected by set_scheduler() (driven by SimConfig::scheduler):
+// The queue is a two-level bucketed near-future wheel in front of an
+// overflow heap (calendar/ladder-queue style):
 //
-//  * SchedulerKind::kHeap — an implicit 4-ary min-heap over a flat vector.
-//    The shallow tree halves the cache lines touched per sift relative to
-//    std::priority_queue's binary heap. pop()/push() sift with a hole instead of swapping,
-//    so each level moves one Event instead of three.
-//
-//  * SchedulerKind::kWheel — a two-level bucketed near-future wheel in
-//    front of that same heap (calendar/ladder-queue style). Level 1 is a
-//    ring of 4096 buckets of 64 ps each, found through a two-level 64x64
-//    occupancy bitmap; level 2 is a ring of 64 buckets of 2^18 ps (~262
-//    ns, exactly one full L1 span) each; events beyond the ~16.8 us L2
-//    horizon overflow into the heap. Pops consume a sorted "active
-//    bucket"; pushes are O(1) bucket appends except for a push into the
-//    active bucket itself, which insertion-sorts into its unconsumed tail.
-//    At paper scale (SF q=13, ~1.5 events dispatched per ps) a 64 ps bucket
-//    holds tens of events over only 64 distinct times, so a counting sort
-//    on the time offset orders it in linear time and any such insert stays
-//    cheap.
+//  * Level 1 is a ring of 4096 buckets of 64 ps each, found through a
+//    two-level 64x64 occupancy bitmap; level 2 is a ring of 64 buckets of
+//    2^18 ps (~262 ns, exactly one full L1 span) each. Pops consume a
+//    sorted "active bucket"; pushes are O(1) bucket appends except for a
+//    push into the active bucket itself, which insertion-sorts into its
+//    unconsumed tail. At paper scale (SF q=13, ~1.5 events dispatched per
+//    ps) a 64 ps bucket holds tens of events over only 64 distinct times,
+//    so a counting sort on the time offset orders it in linear time and any
+//    such insert stays cheap.
 //    Both rings store their events in one pool of fixed-size chunks with a
 //    free list (a bucket is a chunk list), so the wheel holds about the
 //    pending set plus one partial chunk per non-empty bucket, however the
 //    load moves between buckets.
+//
+//  * Events beyond the ~16.8 us L2 horizon overflow into an implicit 4-ary
+//    min-heap over a flat vector. The shallow tree halves the cache lines
+//    touched per sift relative to std::priority_queue's binary heap, and
+//    sifts move a hole instead of swapping, so each level moves one Event
+//    instead of three.
 //
 // Every push builds its Event once, field by field, in the storage it will
 // be popped from: its chunk slot, the gap it opens in the active bucket or
@@ -33,18 +31,15 @@
 // cannot be forwarded from them; at paper scale the stall was the engine's
 // hottest instruction.
 //
-// Both schedulers realize the exact same (time, okey, seq) total order, so
-// a run is bit-identical under either — enforced by
-// tests/test_determinism_digest via an FNV-1a digest of the full dispatched
-// event stream. The okey (ordering key) ranks same-time events by a
-// content-derived identity instead of raw insertion order, which makes the
-// realized order independent of *where* an event was pushed from — the
-// property sharded execution needs so that cross-shard arrivals delivered
-// at a window barrier sort exactly where the serial engine would have
-// placed them (see docs/sharded_sim.md). Two distinct pending events never
-// tie on (time, okey) in-bounds (the key packs the event's full identity),
-// so seq only orders byte-identical duplicates, whose relative order cannot
-// matter.
+// The queue realizes the (time, okey, seq) total order exactly —
+// tests/test_sweep_runner checks it against a reference heap, and
+// tests/test_determinism_digest pins the FNV-1a digest of the dispatched
+// event stream of the whole engine. The okey (ordering key) ranks
+// same-time events by a content-derived identity instead of raw insertion
+// order, which makes the realized order independent of *where* an event
+// was pushed from. Two distinct pending events never tie on (time, okey)
+// in-bounds (the key packs the event's full identity), so seq only orders
+// byte-identical duplicates, whose relative order cannot matter.
 #pragma once
 
 #include <algorithm>
@@ -82,8 +77,7 @@ enum class EventType : std::uint8_t {
   kWatchdog,
   /// a = router, d = fault-schedule index (fault.propagation only): the
   /// router's missed-credit timeout fires and it learns about an attached
-  /// fault, then originates a link-state flood. Control-plane event: runs
-  /// in serialized steps when sharded, exactly like kFault.
+  /// fault, then originates a link-state flood.
   kFaultDetect,
   /// a = router, d = fault-schedule index (fault.propagation only): a
   /// flooded link-state update reaches the router. Operands b and c are
@@ -108,9 +102,8 @@ struct Event {
 
 /// Ordering key for events whose operands are stable entity identities
 /// (everything except the packet-carrying kinds, whose `a` is a pool slot):
-/// type:8 | a:22 | b:12 | c:4 | d:18. NetworkSim enforces these widths when
-/// sharding; a serial run with out-of-range operands merely aliases keys and
-/// falls back to the (still deterministic) seq tie-break.
+/// type:8 | a:22 | b:12 | c:4 | d:18. Out-of-range operands merely alias keys
+/// and fall back to the (still deterministic) seq tie-break.
 inline std::uint64_t pack_event_okey(EventType type, std::int32_t a, std::int32_t b,
                                      std::int32_t c, std::int32_t d) {
   return (static_cast<std::uint64_t>(type) << 56) |
@@ -122,16 +115,10 @@ inline std::uint64_t pack_event_okey(EventType type, std::int32_t a, std::int32_
 
 /// Ordering key for packet-carrying events (kArriveRouter, kArriveNode,
 /// kRetryInject): the packet's pool-independent uid replaces the operand
-/// pack, so the key survives migration between per-shard pools.
+/// pack, so the key does not depend on which pool slot holds the packet.
 inline std::uint64_t pack_packet_okey(EventType type, std::uint64_t uid) {
   return (static_cast<std::uint64_t>(type) << 56) | (uid & 0x00FFFFFFFFFFFFFFull);
 }
-
-/// Which scheduling structure EventQueue uses (see the file comment).
-enum class SchedulerKind : std::uint8_t {
-  kHeap,   ///< 4-ary implicit min-heap only
-  kWheel,  ///< two-level bucketed wheel + heap overflow
-};
 
 class EventQueue {
  public:
@@ -148,18 +135,6 @@ class EventQueue {
   static constexpr TimePs kW1 = TimePs{1} << kL1Shift;
   static constexpr TimePs kW2 = TimePs{1} << kL2Shift;
   static constexpr TimePs kL2Span = kW2 * static_cast<TimePs>(kL2Buckets);
-
-  /// Selects the scheduling structure; only valid while the queue is empty
-  /// (NetworkSim calls it once at construction from SimConfig::scheduler).
-  void set_scheduler(SchedulerKind kind) {
-    D2NET_REQUIRE(size_ == 0, "set_scheduler() on a non-empty EventQueue");
-    kind_ = kind;
-    if (kind == SchedulerKind::kWheel && l1_.empty()) {
-      l1_.resize(kL1Buckets);
-      l2_.resize(kL2Buckets);
-    }
-  }
-  SchedulerKind scheduler() const { return kind_; }
 
   /// Convenience push for identity-operand events (computes the okey).
   void push(TimePs time, EventType type, std::int32_t a = 0, std::int32_t b = 0,
@@ -188,11 +163,6 @@ class EventQueue {
   Event pop() {
     D2NET_HOT_ASSERT(size_ > 0, "pop() on empty EventQueue");
     --size_;
-    if (kind_ == SchedulerKind::kHeap) {
-      Event e;
-      pop_heap(e);
-      return e;
-    }
     if (cur_pos_ >= cur_.size()) advance();
     return cur_[cur_pos_++];
   }
@@ -202,30 +172,14 @@ class EventQueue {
   /// state change).
   TimePs next_time() {
     D2NET_HOT_ASSERT(size_ > 0, "next_time() on empty EventQueue");
-    if (kind_ == SchedulerKind::kHeap) return heap_.front().time;
     if (cur_pos_ >= cur_.size()) advance();
     return cur_[cur_pos_].time;
   }
 
-  /// The event pop() would return next, without removing it (the sharded
-  /// coordinator's serialized-timestamp step interleaves several queues by
-  /// comparing heads). Same const caveat as next_time().
-  const Event& peek() {
-    D2NET_HOT_ASSERT(size_ > 0, "peek() on empty EventQueue");
-    if (kind_ == SchedulerKind::kHeap) return heap_.front();
-    if (cur_pos_ >= cur_.size()) advance();
-    return cur_[cur_pos_];
-  }
-
-  /// Pre-sizes the backing store (one sim reuses the queue across runs):
-  /// the heap in heap mode, the chunk pool's index in wheel mode (the
-  /// overflow heap grows on demand; it holds only events beyond the L2
-  /// horizon).
+  /// Pre-sizes the chunk pool's index (one sim reuses the queue across
+  /// runs); the overflow heap grows on demand, as it holds only events
+  /// beyond the L2 horizon.
   void reserve(std::size_t n) {
-    if (kind_ == SchedulerKind::kHeap) {
-      heap_.reserve(n);
-      return;
-    }
     const std::size_t chunks = n / kChunkEvents + 1;
     chunks_.reserve(chunks);
     next_.reserve(chunks);
@@ -234,8 +188,8 @@ class EventQueue {
   /// Event slots carved into the wheel's chunk pool (in use or free).
   std::size_t pool_slots() const { return chunks_.size() * kChunkEvents; }
 
-  /// Event slots the queue holds without reallocating: heap capacity, plus
-  /// in wheel mode the active bucket's capacity and the chunk pool.
+  /// Event slots the queue holds without reallocating: heap capacity, the
+  /// active bucket's capacity and the chunk pool.
   /// Exposed through EngineCapacities.
   std::size_t reserved() const { return heap_.capacity() + cur_.capacity() + pool_slots(); }
 
@@ -309,7 +263,6 @@ class EventQueue {
   /// opens in the active bucket, its L1 or L2 chunk slot, or its heap hole.
   /// The caller writes every field.
   Event& slot_for(TimePs time, std::uint64_t okey, std::uint64_t seq) {
-    if (kind_ == SchedulerKind::kHeap) return heap_slot(time, okey, seq);
     // Only pops move the windows (advance()), never a push: anchoring an
     // empty queue at a push's time would route every earlier-timed push
     // that follows it (NetworkSim's start-up generator ticks) into the
@@ -319,7 +272,7 @@ class EventQueue {
       // unconsumed tail. Searching from cur_pos_ clamps an event that would
       // sort before already-consumed entries (a same-time push with a
       // smaller okey than the event being dispatched) to "popped next" —
-      // exactly where the heap would surface it, since every
+      // exactly where a plain min-heap would surface it, since every
       // already-consumed entry was the minimum of the pending set when it
       // was popped.
       const auto pos = std::upper_bound(
@@ -550,7 +503,6 @@ class EventQueue {
     drain_heap_into_l2();
   }
 
-  SchedulerKind kind_ = SchedulerKind::kHeap;
   std::size_t size_ = 0;
   std::vector<Event> heap_;
   std::uint64_t next_seq_ = 0;
@@ -562,8 +514,8 @@ class EventQueue {
   // free list is threaded through next_ from free_.
   std::vector<Event> cur_;
   std::size_t cur_pos_ = 0;
-  std::vector<Bucket> l1_;
-  std::vector<Bucket> l2_;
+  std::vector<Bucket> l1_ = std::vector<Bucket>(kL1Buckets);
+  std::vector<Bucket> l2_ = std::vector<Bucket>(kL2Buckets);
   std::array<std::uint64_t, kL1Buckets / 64> l1_bits_{};  ///< occupied L1 buckets
   std::uint64_t l1_summary_ = 0;  ///< bit w set iff l1_bits_[w] != 0
   std::uint64_t l2_mask_ = 0;

@@ -32,6 +32,9 @@ SimStack::SimStack(const Topology& topo, std::shared_ptr<const MinimalTable> tab
                    RoutingStrategy strategy, const SimConfig& cfg,
                    std::optional<UgalParams> params, SharedIntermediates intermediates)
     : topo_(topo), table_(std::move(table)), cfg_engine_(cfg.engine) {
+  D2NET_REQUIRE(cfg.shards == 1,
+                "SimConfig::shards must be 1: each simulation runs one serial event "
+                "loop; use --jobs to run sweep points in parallel");
   const MinimalTable* routing_table = &checked_table(table_, topo);
   const UgalParams p = params.has_value()
                            ? *params
@@ -41,7 +44,7 @@ SimStack::SimStack(const Topology& topo, std::shared_ptr<const MinimalTable> tab
     // Only the selected engine is constructed: the packet engine's VOQ and
     // credit arrays are prohibitive exactly at the scales the flow engine
     // exists for. FlowSim's constructor rejects packet-only config
-    // (faults, metrics, shards) with a descriptive ArgumentError.
+    // (faults, metrics) with a descriptive ArgumentError.
     flow_ = std::make_unique<flowsim::FlowSim>(topo, cfg);
     algo_ = make_routing(topo_, *routing_table, strategy, *flow_, p, std::move(intermediates));
     flow_->set_routing(*algo_);

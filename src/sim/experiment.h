@@ -60,7 +60,7 @@ class SimStack {
   const MinimalTable& table() const { return *table_; }
   const RoutingAlgorithm& routing() const { return *algo_; }
   /// The packet engine instance; rejects flow-engine stacks (callers that
-  /// poke packet internals — tracing, channel stats, shard counts — have
+  /// poke packet internals — tracing, channel stats — have
   /// no flow-level counterpart to fall back on).
   NetworkSim& sim();
   /// Engine selected by the config this stack was built with.

@@ -84,32 +84,12 @@ struct OccupancySample {
 /// shape (radix x VC count x expected in-flight), and the *_reserved
 /// fields confirm what the backing stores actually grew to by run end.
 struct EngineCapacities {
-  /// Event slots the queue holds: heap capacity, plus in wheel mode the
-  /// active bucket's capacity and every chunk carved into the wheel's pool.
+  /// Event slots the queue holds: overflow-heap capacity, the active
+  /// bucket's capacity and every chunk carved into the wheel's pool.
   std::size_t event_queue_reserved = 0;
   std::size_t packet_pool_reserved = 0;  ///< packet slots without reallocation
   std::size_t packet_pool_slots = 0;     ///< pool slots ever allocated (peak in-flight)
   std::size_t voq_cells = 0;             ///< intrusive VOQ cells (in x vc x out, all routers)
-};
-
-/// One shard (worker event core) of a sharded run: its slice of the router
-/// set and the engine storage its private lane grew to.
-struct ShardMetrics {
-  int routers = 0;                 ///< routers owned by this shard
-  int nodes = 0;                   ///< endpoints attached to those routers
-  std::int64_t events = 0;         ///< events dispatched on this lane
-  std::int64_t messages_sent = 0;  ///< cross-shard packets/credits sent
-  EngineCapacities capacities;     ///< per-lane queue/pool/VOQ sizing
-};
-
-/// Window-barrier synchronization counters for a sharded run (see
-/// docs/sharded_sim.md). All zero for serial runs.
-struct ShardingMetrics {
-  int shards = 1;                        ///< lanes actually used (after demotion/clamping)
-  std::int64_t windows = 0;              ///< conservative time windows executed
-  double mean_window_width_ns = 0.0;     ///< mean simulated-time span per window
-  std::int64_t cross_shard_messages = 0; ///< total mailbox deliveries (all barriers)
-  std::vector<ShardMetrics> shard;       ///< per-shard breakdown, size `shards`
 };
 
 /// Everything the instrumentation collected for one run. Attached to the
@@ -118,7 +98,6 @@ struct SimMetrics {
   TimePs sample_period = 0;
   EngineCapacities capacities;
   RunPhaseBreakdown phases;
-  ShardingMetrics sharding;
   std::vector<PortMetrics> ports;          ///< ordered by (router, out port)
   std::vector<OccupancySample> occupancy;  ///< whole-run, one entry per sample tick
   /// Scalar sinks: counters "grants", "credit_blocked_skips",

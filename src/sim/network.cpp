@@ -1,18 +1,12 @@
 #include "sim/network.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
-#include "partition/partitioner.h"
 #include "routing/minimal_table.h"
 #include "sim/traffic.h"
 #include "topology/topology.h"
@@ -57,7 +51,7 @@ inline std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t v) {
 }
 
 // The digest words fold an event's full identity without its pool slot:
-// `a` is a per-lane pool index for the packet-carrying kinds (and is
+// `a` is a pool index for the packet-carrying kinds (and is
 // embedded in the okey for every other kind), so hashing it would make the
 // digest depend on allocator state instead of simulation content.
 inline std::uint64_t digest_w1(const Event& e) {
@@ -80,17 +74,14 @@ inline std::uint64_t fold_digest(std::uint64_t h, TimePs time, std::uint64_t oke
 }
 
 // SplitMix64 finalizer: decorrelated per-entity seed streams from one run
-// seed. Entity-local streams are what keep random draws identical between
-// serial and sharded execution (the draw order within one entity is fixed
-// by the realized event order, which sharding reproduces exactly).
+// seed (the draw order within one entity is fixed by the realized event
+// order).
 inline std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
   std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (stream + 1);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
-
-constexpr TimePs kNoEvent = std::numeric_limits<TimePs>::max();
 
 // Bounded shared-table resamples against the local fault view before a
 // salvage escalates to a local-greedy detour (propagation runs only). The
@@ -102,7 +93,6 @@ NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
     : topo_(topo), cfg_(cfg), num_vcs_(num_vcs) {
   D2NET_REQUIRE(topo.finalized(), "topology must be finalized");
   D2NET_REQUIRE(num_vcs >= 1 && num_vcs <= 8, "unreasonable VC count");
-  D2NET_REQUIRE(cfg_.shards >= 1, "shard count must be >= 1");
   vc_buffer_bytes_ = cfg_.buffer_bytes_per_port / num_vcs_;
   D2NET_REQUIRE(vc_buffer_bytes_ >= cfg_.packet_bytes,
                 "per-VC buffer smaller than one packet");
@@ -198,76 +188,17 @@ NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
   router_dead_.assign(routers_.size(), 0);
   table_router_dead_.assign(routers_.size(), 0);
 
-  // --- shard assignment (fixed for the life of the instance) ---
-  // The okey packing (event_queue.h) gives same-time events a total order
-  // independent of which lane pushed them — but only when every operand
-  // fits its field. Serial runs degrade gracefully to the seq tie-break;
-  // sharded runs must not, so the widths become hard requirements here.
-  num_lanes_ = std::clamp(cfg_.shards, 1, topo.num_routers());
-  lane_of_router_.assign(routers_.size(), 0);
-  lane_of_node_.assign(nics_.size(), 0);
-  if (num_lanes_ > 1) {
-    D2NET_REQUIRE(cfg_.link_latency > 0,
-                  "sharded execution needs link_latency > 0 (conservative lookahead)");
-    D2NET_REQUIRE(topo.num_routers() < (1 << 22) && topo.num_nodes() < (1 << 22),
-                  "sharded okey packing requires router/node ids < 2^22");
-    D2NET_REQUIRE(cfg_.packet_bytes < (1 << 18),
-                  "sharded okey packing requires packet_bytes < 2^18");
-    for (const RouterState& rs : routers_) {
-      D2NET_REQUIRE(rs.in_ports.size() < 4096,
-                    "sharded okey packing requires port indices < 2^12");
-    }
-    D2NET_REQUIRE(cfg_.fault.schedule.size() < (1u << 22),
-                  "sharded okey packing requires fault schedule indices < 2^22");
-    if (cfg_.fault.propagation_enabled()) {
-      // kFaultDetect/kFloodArrive carry the schedule index in the 18-bit
-      // d-field (the a-field holds the learning router).
-      D2NET_REQUIRE(cfg_.fault.schedule.size() < (1u << 18),
-                    "fault propagation okey packing requires schedule indices < 2^18");
-    }
-    // Balanced low-cut shard assignment from the multilevel partitioner.
-    // Vertex weight approximates per-router event work: endpoint ports run
-    // generation + injection + ejection on top of forwarding.
-    std::vector<std::array<int, 3>> edges;
-    std::vector<int> vwgt(routers_.size());
-    for (int r = 0; r < topo.num_routers(); ++r) {
-      vwgt[r] = 2 * topo.endpoints_of(r) + topo.network_degree(r);
-      for (int n : topo.neighbors(r)) {
-        if (n > r) edges.push_back({r, n, 1});
-      }
-    }
-    const KwayResult kp =
-        partition_kway(make_csr(topo.num_routers(), edges, std::move(vwgt)), num_lanes_, {});
-    lane_of_router_ = kp.part;
-    for (int n = 0; n < topo.num_nodes(); ++n) {
-      lane_of_node_[n] = lane_of_router_[topo.router_of_node(n)];
-    }
-  }
-
   // Pre-size the engine stores from the topology shape so a run's ramp-up
   // does not grow them one element at a time: at saturation every node has
   // a handful of generator/NIC events in flight and every network port a
   // few pending channel/credit events; packets in flight scale with ports
-  // times a small per-VC queue depth. Reported via EngineCapacities. Lane 0
-  // keeps the full-topology reserve (serial and demoted runs execute
-  // everything there); the other lanes get a 2x proportional share so
-  // imbalance does not force early regrowth.
+  // times a small per-VC queue depth. Reported via EngineCapacities.
   const std::size_t q_reserve = static_cast<std::size_t>(topo.num_nodes()) * 8 +
                                 total_ports * static_cast<std::size_t>(num_vcs_) * 2;
   const std::size_t p_reserve = static_cast<std::size_t>(topo.num_nodes()) * 4 +
                                 total_ports * static_cast<std::size_t>(num_vcs_) * 4;
-  lanes_.resize(static_cast<std::size_t>(num_lanes_));
-  for (int l = 0; l < num_lanes_; ++l) {
-    Lane& ln = lanes_[static_cast<std::size_t>(l)];
-    ln.id = l;
-    ln.queue.set_scheduler(cfg_.scheduler);
-    ln.queue.reserve(l == 0 ? q_reserve
-                            : q_reserve * 2 / static_cast<std::size_t>(num_lanes_));
-    ln.pool.reserve(l == 0 ? p_reserve
-                           : p_reserve * 2 / static_cast<std::size_t>(num_lanes_));
-    ln.outbox.resize(static_cast<std::size_t>(num_lanes_));
-  }
-  control_.set_scheduler(cfg_.scheduler);
+  queue_.reserve(q_reserve);
+  pool_.reserve(p_reserve);
   node_rng_.resize(nics_.size());
   router_rng_.resize(routers_.size());
   node_uid_ctr_.assign(nics_.size(), 0);
@@ -321,37 +252,10 @@ void NetworkSim::reset() {
   timed_out_ = false;
   progress_ = 0;
   watch_last_ = 0;
-  for (Lane& ln : lanes_) {
-    ln.queue.clear();
-    ln.pool.recycle_all();
-    ln.events_processed = 0;
-    ln.progress = 0;
-    ln.ejected_bytes_window = 0;
-    ln.packets_injected = 0;
-    ln.packets_minimal = 0;
-    ln.hop_sum = 0;
-    ln.hop_count = 0;
-    ln.latency_ns = LogHistogram{};
-    ln.phases = RunPhaseBreakdown{};
-    ln.dropped = 0;
-    ln.retried = 0;
-    ln.lost = 0;
-    ln.reroutes = 0;
-    ln.misroutes = 0;
-    ln.budget_drops = 0;
-    ln.delivered_buckets.clear();
-    ln.m_grants = 0;
-    ln.m_credit_skips = 0;
-    ln.m_injection_stalls = 0;
-    ln.carryover_ns = LogHistogram{};
-    ln.messages_sent = 0;
-    for (auto& box : ln.outbox) box.clear();
-    ln.ledger.clear();
-    ln.dlog.clear();
-  }
-  control_.clear();
+  queue_.clear();
+  pool_.recycle_all();
   // Per-entity RNG streams: every run replays the same per-node/per-router
-  // draw sequences regardless of shard count (see the header comment).
+  // draw sequences (see the header comment).
   for (std::size_t n = 0; n < node_rng_.size(); ++n) {
     node_rng_[n].reseed(mix_seed(cfg_.seed, static_cast<std::uint64_t>(n)));
   }
@@ -359,12 +263,6 @@ void NetworkSim::reset() {
     router_rng_[r].reseed(mix_seed(cfg_.seed, node_rng_.size() + static_cast<std::uint64_t>(r)));
   }
   std::fill(node_uid_ctr_.begin(), node_uid_ctr_.end(), std::uint64_t{0});
-  active_lanes_ = 1;
-  sharded_run_ = false;
-  barrier_phase_ = false;
-  windows_ = 0;
-  window_width_ps_ = 0;
-  coord_events_ = 0;
   now_ = 0;
   events_processed_ = 0;
   event_digest_ = kDigestOffset;
@@ -447,7 +345,7 @@ std::vector<NetworkSim::ChannelStats> NetworkSim::channel_stats() const {
   return out;
 }
 
-bool NetworkSim::start_injection(Lane& ln, int node, int dst, int size, TimePs gen_time,
+bool NetworkSim::start_injection(int node, int dst, int size, TimePs gen_time,
                                  std::int64_t msg_id, TimePs now) {
   NicState& nic = nics_[node];
   const int src_router = nic.router;
@@ -455,8 +353,8 @@ bool NetworkSim::start_injection(Lane& ln, int node, int dst, int size, TimePs g
 
   // Route directly into the pooled packet's Route so its inline storage is
   // reused across packets (no per-packet allocation in steady state).
-  const int pkt_id = ln.pool.alloc();
-  Packet& pkt = ln.pool[pkt_id];
+  const int pkt_id = pool_.alloc();
+  Packet& pkt = pool_[pkt_id];
   Route& route = pkt.route;
   if (dst_router == src_router) {
     route.routers.assign(1, src_router);
@@ -468,7 +366,7 @@ bool NetworkSim::start_injection(Lane& ln, int node, int dst, int size, TimePs g
       // Destination currently unreachable: the NIC head-of-line blocks and
       // keeps retrying (next tick / credit return) until the network heals
       // or the watchdog declares the run wedged.
-      ln.pool.release(pkt_id);
+      pool_.release(pkt_id);
       return false;
     }
   }
@@ -478,8 +376,8 @@ bool NetworkSim::start_injection(Lane& ln, int node, int dst, int size, TimePs g
   // resulting deadlock risk).
   if (faults_enabled_ && vc0 >= num_vcs_) vc0 = num_vcs_ - 1;
   if (nic.credits[vc0] < size) {
-    ln.pool.release(pkt_id);
-    if (metrics_enabled_) ++ln.m_injection_stalls;
+    pool_.release(pkt_id);
+    if (metrics_enabled_) ctr_injection_stalls_->add();
     return false;  // stall; retried on credit return
   }
 
@@ -501,22 +399,22 @@ bool NetworkSim::start_injection(Lane& ln, int node, int dst, int size, TimePs g
   nic.credits[vc0] -= size;
   const TimePs ser = static_cast<TimePs>(size) * cfg_.ps_per_byte;
   nic.free_at = now + ser;
-  ln.queue.push(nic.free_at, EventType::kNicFree, node);
+  queue_.push(nic.free_at, EventType::kNicFree, node);
   // Cut-through: the router sees the packet when its head lands; the
   // eligibility delay (router latency > serialization at these parameters)
   // guarantees the tail is in the buffer before any forwarding decision.
   const TimePs arrival_ser = cfg_.cut_through ? 0 : ser;
-  ln.queue.push_keyed(now + arrival_ser + cfg_.link_latency,
-                      pack_packet_okey(EventType::kArriveRouter, pkt.uid),
-                      EventType::kArriveRouter, pkt_id, src_router, nic.in_port, vc0);
-  ++ln.progress;
-  ++ln.packets_injected;
-  if (pkt.route.minimal()) ++ln.packets_minimal;
-  ++(gen_time < window_start_ ? ln.phases.injected_warmup : ln.phases.injected_measured);
+  queue_.push_keyed(now + arrival_ser + cfg_.link_latency,
+                    pack_packet_okey(EventType::kArriveRouter, pkt.uid),
+                    EventType::kArriveRouter, pkt_id, src_router, nic.in_port, vc0);
+  ++progress_;
+  ++packets_injected_;
+  if (pkt.route.minimal()) ++packets_minimal_;
+  ++(gen_time < window_start_ ? phases_.injected_warmup : phases_.injected_measured);
   return true;
 }
 
-void NetworkSim::try_inject(Lane& ln, int node, TimePs now) {
+void NetworkSim::try_inject(int node, TimePs now) {
   NicState& nic = nics_[node];
   if (nic.free_at > now) return;  // kNicFree will retry
 
@@ -524,7 +422,7 @@ void NetworkSim::try_inject(Lane& ln, int node, TimePs now) {
     // Open loop: destination drawn per packet at injection time.
     const TimePs gen_time = nic.pending.front();
     const int dst = pattern_->dest(node, node_rng_[node]);
-    if (start_injection(ln, node, dst, cfg_.packet_bytes, gen_time, -1, now)) {
+    if (start_injection(node, dst, cfg_.packet_bytes, gen_time, -1, now)) {
       nic.pending.pop_front();
     }
     return;
@@ -535,7 +433,7 @@ void NetworkSim::try_inject(Lane& ln, int node, TimePs now) {
     ExchangeMessage& m = nic.messages[nic.cursor];
     const int chunk =
         static_cast<int>(std::min<std::int64_t>(m.bytes, cfg_.packet_bytes));
-    if (!start_injection(ln, node, m.dst_node, chunk, now,
+    if (!start_injection(node, m.dst_node, chunk, now,
                          static_cast<std::int64_t>(nic.cursor), now)) {
       return;
     }
@@ -550,7 +448,7 @@ void NetworkSim::try_inject(Lane& ln, int node, TimePs now) {
   }
 }
 
-void NetworkSim::handle_arrive_router(Lane& ln, int pkt_id, int router, int in_port,
+void NetworkSim::handle_arrive_router(int pkt_id, int router, int in_port,
                                       int vc, TimePs now) {
   RouterState& rs = routers_[router];
   if (faults_enabled_) {
@@ -562,40 +460,39 @@ void NetworkSim::handle_arrive_router(Lane& ln, int pkt_id, int router, int in_p
       // where the cut (phys_up / epoch) is authoritative.
       const OutPort& sender = routers_[ipc.peer_router].out_ports[ipc.peer_out_port];
       destroyed = !sender.phys_up || router_dead_[ipc.peer_router] != 0 ||
-                  ln.pool[pkt_id].link_epoch != sender.epoch;
+                  pool_[pkt_id].link_epoch != sender.epoch;
     }
     if (destroyed) {
       // The wire was cut (or a router died) while the packet was in
       // flight: it never lands in the input buffer and no credit moves;
       // the sender's lost credits are recreated by the link-up resync.
-      drop_packet(ln, pkt_id, now);
+      drop_packet(pkt_id, now);
       return;
     }
   }
-  int out_idx = out_port_for_packet(router, ln.pool[pkt_id]);
+  int out_idx = out_port_for_packet(router, pool_[pkt_id]);
   if (faults_enabled_ && out_port_dead(router, out_idx)) {
     // Arrived intact but the planned next link is gone: salvage onto the
     // rebuilt table, or free the buffer (credit upstream) and drop/retry.
-    Packet& pkt = ln.pool[pkt_id];
-    if (salvage_route(ln, pkt, router)) {
-      ++ln.reroutes;
+    Packet& pkt = pool_[pkt_id];
+    if (salvage_route(pkt, router)) {
+      ++fstats_.reroutes;
       out_idx = out_port_for_packet(router, pkt);
     } else {
-      return_input_credit(ln, router, in_port, vc, pkt.size, now);
-      drop_packet(ln, pkt_id, now);
+      return_input_credit(router, in_port, vc, pkt.size, now);
+      drop_packet(pkt_id, now);
       return;
     }
   }
-  const int size = ln.pool[pkt_id].size;
+  const int size = pool_[pkt_id].size;
   rs.out_ports[out_idx].queued_bytes += size;
   VoqCell& cell = voq_[voq_index(rs, in_port, vc, out_idx)];
-  if (voq_push(ln.pool, cell, pkt_id, now + cfg_.router_latency)) {
-    ln.queue.push(now + cfg_.router_latency, EventType::kHeadEligible, router, in_port, vc,
-                  out_idx);
+  if (voq_push(pool_, cell, pkt_id, now + cfg_.router_latency)) {
+    queue_.push(now + cfg_.router_latency, EventType::kHeadEligible, router, in_port, vc, out_idx);
   }
 }
 
-void NetworkSim::handle_head_eligible(Lane& ln, int router, int in_port, int vc,
+void NetworkSim::handle_head_eligible(int router, int in_port, int vc,
                                       int out_idx, TimePs now) {
   RouterState& rs = routers_[router];
   const std::int32_t ci = voq_index(rs, in_port, vc, out_idx);
@@ -603,18 +500,18 @@ void NetworkSim::handle_head_eligible(Lane& ln, int router, int in_port, int vc,
   if (cell.head < 0 || cell.in_ready) {
     return;  // stale event (head already granted and successor rescheduled)
   }
-  const TimePs eligible_at = ln.pool[cell.head].eligible_at;
+  const TimePs eligible_at = pool_[cell.head].eligible_at;
   if (eligible_at > now) {
     // Defensive: never strand a head — re-arm at its eligibility time.
-    ln.queue.push(eligible_at, EventType::kHeadEligible, router, in_port, vc, out_idx);
+    queue_.push(eligible_at, EventType::kHeadEligible, router, in_port, vc, out_idx);
     return;
   }
   cell.in_ready = 1;
   ready_append(rs.out_ports[out_idx].ready, voq_, ci);
-  try_grant(ln, router, out_idx, now);
+  try_grant(router, out_idx, now);
 }
 
-void NetworkSim::try_grant(Lane& ln, int router, int out_idx, TimePs now) {
+void NetworkSim::try_grant(int router, int out_idx, TimePs now) {
   RouterState& rs = routers_[router];
   OutPort& out = rs.out_ports[out_idx];
   if (out.free_at > now) return;  // kChannelFree retries
@@ -631,14 +528,14 @@ void NetworkSim::try_grant(Lane& ln, int router, int out_idx, TimePs now) {
     VoqCell& cell = voq_[ci];
     D2NET_HOT_ASSERT(cell.head >= 0 && cell.in_ready, "ready list out of sync");
     const int pkt_id = cell.head;
-    Packet& pkt = ln.pool[pkt_id];
+    Packet& pkt = pool_[pkt_id];
     int vc_next = 0;
     if (!out.to_node) {
       vc_next = pkt.vc_at_hop();
       if (faults_enabled_ && vc_next >= num_vcs_) vc_next = num_vcs_ - 1;
       if (out.credits[vc_next] < pkt.size) {  // blocked on credit
         credit_blocked = true;
-        if (metrics_enabled_) ++ln.m_credit_skips;
+        if (metrics_enabled_) ctr_credit_skips_->add();
         ready_append(out.ready, voq_, ci);
         continue;
       }
@@ -649,13 +546,13 @@ void NetworkSim::try_grant(Lane& ln, int router, int out_idx, TimePs now) {
     const int in_port = cell.in_port;
     const int in_vc = cell.vc;
     cell.in_ready = 0;
-    voq_pop(ln.pool, cell);
+    voq_pop(pool_, cell);
     out.queued_bytes -= pkt.size;
 
     const TimePs ser = static_cast<TimePs>(pkt.size) * cfg_.ps_per_byte;
     out.free_at = now + ser;
     if (now >= window_start_ && now <= window_end_) out.bytes_sent_window += pkt.size;
-    ln.queue.push(out.free_at, EventType::kChannelFree, router, out_idx);
+    queue_.push(out.free_at, EventType::kChannelFree, router, out_idx);
 
     if (metrics_enabled_) {
       PortInstr& pi = port_instr_[router][out_idx];
@@ -663,7 +560,7 @@ void NetworkSim::try_grant(Lane& ln, int router, int out_idx, TimePs now) {
         pi.m.credit_stall_ps += now - pi.stall_since;
         pi.stall_since = -1;
       }
-      ++ln.m_grants;
+      ctr_grants_->add();
       if (now >= window_start_ && now <= window_end_) {
         ++pi.m.packets_forwarded;
         pi.m.bytes_forwarded += pkt.size;
@@ -675,31 +572,30 @@ void NetworkSim::try_grant(Lane& ln, int router, int out_idx, TimePs now) {
     }
 
     // Return the freed input-buffer credit upstream.
-    return_input_credit(ln, router, in_port, in_vc, pkt.size, now);
+    return_input_credit(router, in_port, in_vc, pkt.size, now);
 
     if (out.to_node) {
       // Delivery completes when the tail reaches the NIC, regardless of
-      // forwarding mode. The ejected-to node hangs off this router, so the
-      // event is always lane-local.
-      ln.queue.push_keyed(now + ser + cfg_.link_latency,
-                          pack_packet_okey(EventType::kArriveNode, pkt.uid),
-                          EventType::kArriveNode, pkt_id, out.peer_node);
+      // forwarding mode.
+      queue_.push_keyed(now + ser + cfg_.link_latency,
+                        pack_packet_okey(EventType::kArriveNode, pkt.uid),
+                        EventType::kArriveNode, pkt_id, out.peer_node);
     } else {
       out.credits[vc_next] -= pkt.size;
       if (faults_enabled_) pkt.link_epoch = out.epoch;
       pkt.hop += 1;
       const TimePs arrival_ser = cfg_.cut_through ? 0 : ser;
-      // May cross a shard boundary; pkt must not be touched afterwards (a
-      // cross-lane send migrates it out of this lane's pool).
-      send_arrive_router(ln, now + arrival_ser + cfg_.link_latency, pkt_id,
-                         out.peer_router, out.peer_in_port, vc_next);
+      queue_.push_keyed(now + arrival_ser + cfg_.link_latency,
+                        pack_packet_okey(EventType::kArriveRouter, pkt.uid),
+                        EventType::kArriveRouter, pkt_id, out.peer_router, out.peer_in_port,
+                        vc_next);
     }
-    ++ln.progress;
+    ++progress_;
 
     // Wake the new head of the drained FIFO, if any.
     if (cell.head >= 0) {
-      ln.queue.push(std::max(now, ln.pool[cell.head].eligible_at),
-                    EventType::kHeadEligible, router, in_port, in_vc, out_idx);
+      queue_.push(std::max(now, pool_[cell.head].eligible_at),
+                  EventType::kHeadEligible, router, in_port, in_vc, out_idx);
     }
     return;
   }
@@ -711,104 +607,101 @@ void NetworkSim::try_grant(Lane& ln, int router, int out_idx, TimePs now) {
   }
 }
 
-void NetworkSim::handle_arrive_node(Lane& ln, int pkt_id, TimePs now) {
-  const Packet& pkt = ln.pool[pkt_id];
+void NetworkSim::handle_arrive_node(int pkt_id, TimePs now) {
+  const Packet& pkt = pool_[pkt_id];
   if (now < window_start_) {
-    ++ln.phases.delivered_warmup;
+    ++phases_.delivered_warmup;
   } else if (now <= window_end_) {
     // Throughput counts every in-window ejection (steady-state byte flow);
     // the latency/hop distributions count only packets *generated* inside
     // the window — a packet born during warmup carries exactly the
     // queueing transient the warmup exists to discard.
-    ln.ejected_bytes_window += pkt.size;
-    ejected_per_node_[pkt.dst_node] += pkt.size;  // dst node lives on this lane
+    ejected_bytes_window_ += pkt.size;
+    ejected_per_node_[pkt.dst_node] += pkt.size;
     if (pkt.gen_time >= window_start_) {
-      ++ln.phases.delivered_measured;
-      ln.latency_ns.add(static_cast<std::int64_t>(to_ns(now - pkt.gen_time)));
-      ln.hop_sum += pkt.route.hops();
-      ++ln.hop_count;
+      ++phases_.delivered_measured;
+      latency_ns_.add(static_cast<std::int64_t>(to_ns(now - pkt.gen_time)));
+      hop_sum_ += pkt.route.hops();
+      ++hop_count_;
     } else {
-      ++ln.phases.delivered_carryover;
+      ++phases_.delivered_carryover;
       if (metrics_enabled_) {
-        ln.carryover_ns.add(static_cast<std::int64_t>(to_ns(now - pkt.gen_time)));
+        hist_carryover_ns_->add(static_cast<std::int64_t>(to_ns(now - pkt.gen_time)));
       }
     }
-    if (trace_ != nullptr) {  // tracing demotes to serial; always lane 0
+    if (trace_ != nullptr) {
       trace_->record({pkt.src_node, pkt.dst_node, pkt.size, pkt.gen_time, pkt.inject_time,
                       now, pkt.route.hops(), pkt.route.minimal()});
     }
   }
-  if (exchange_mode_) {  // exchange runs are always serial
+  if (exchange_mode_) {
     exchange_remaining_ -= pkt.size;
     if (exchange_remaining_ == 0) exchange_completion_ = now;
   }
   if (cfg_.fault.recovery_sample > 0) {
     const auto bucket = static_cast<std::size_t>(now / cfg_.fault.recovery_sample);
-    if (bucket >= ln.delivered_buckets.size()) {
-      ln.delivered_buckets.resize(bucket + 1, 0);
+    if (bucket >= fstats_.delivered_bytes_buckets.size()) {
+      fstats_.delivered_bytes_buckets.resize(bucket + 1, 0);
     }
-    ln.delivered_buckets[bucket] += pkt.size;
+    fstats_.delivered_bytes_buckets[bucket] += pkt.size;
   }
-  ++ln.progress;
-  ln.pool.release(pkt_id);
+  ++progress_;
+  pool_.release(pkt_id);
 }
 
-void NetworkSim::dispatch(Lane& ln, const Event& e) {
+void NetworkSim::dispatch(const Event& e) {
   switch (e.type) {
     case EventType::kGenerate: {
       if (e.time >= gen_end_) break;
       nics_[e.a].pending.push_back(e.time);
-      try_inject(ln, e.a, e.time);
+      try_inject(e.a, e.time);
       // Poisson arrivals: exponential inter-arrival with mean pkt_time/load.
       const double mean =
           static_cast<double>(cfg_.packet_serialization()) / std::max(load_, 1e-9);
       const double u = 1.0 - node_rng_[e.a].uniform();  // (0, 1]
       const auto dt = static_cast<TimePs>(-std::log(u) * mean) + 1;
-      ln.queue.push(e.time + dt, EventType::kGenerate, e.a);
+      queue_.push(e.time + dt, EventType::kGenerate, e.a);
       break;
     }
     case EventType::kNicFree:
-      try_inject(ln, e.a, e.time);
+      try_inject(e.a, e.time);
       break;
     case EventType::kArriveRouter:
-      handle_arrive_router(ln, e.a, e.b, e.c, e.d, e.time);
+      handle_arrive_router(e.a, e.b, e.c, e.d, e.time);
       break;
     case EventType::kHeadEligible:
-      handle_head_eligible(ln, e.a, e.b, e.c, e.d, e.time);
+      handle_head_eligible(e.a, e.b, e.c, e.d, e.time);
       break;
     case EventType::kChannelFree:
-      try_grant(ln, e.a, e.b, e.time);
+      try_grant(e.a, e.b, e.time);
       break;
     case EventType::kCreditToRouter:
       routers_[e.a].out_ports[e.b].credits[e.c] += e.d;
       if (faults_enabled_) {
         routers_[e.a].out_ports[e.b].credits_pending[e.c] -= e.d;
-        ++ln.progress;
+        ++progress_;
       }
-      try_grant(ln, e.a, e.b, e.time);
+      try_grant(e.a, e.b, e.time);
       break;
     case EventType::kCreditToNic:
       nics_[e.a].credits[e.c] += e.d;
       if (faults_enabled_) {
         nics_[e.a].credits_pending[e.c] -= e.d;
-        ++ln.progress;
+        ++progress_;
       }
-      try_inject(ln, e.a, e.time);
+      try_inject(e.a, e.time);
       break;
     case EventType::kArriveNode:
-      handle_arrive_node(ln, e.a, e.time);
+      handle_arrive_node(e.a, e.time);
       break;
     case EventType::kFault:
-      // Serial path only; sharded runs execute kFault on the coordinator
-      // (serialized_step), never through a lane dispatch.
       apply_fault(e.a, e.time);
       // Fault application rewires credits and drains VOQs wholesale — the
       // exact transitions the paranoid audit exists to police.
       if (paranoid_) self_audit("apply_fault");
       break;
     case EventType::kFaultDetect:
-      // Control plane (serial path; sharded runs execute these on the
-      // coordinator like kFault): the router's missed-credit timeout.
+      // Control plane: the router's missed-credit timeout.
       handle_fault_detect(e.a, e.d, e.time);
       if (paranoid_) self_audit("fault_detect");
       break;
@@ -817,22 +710,18 @@ void NetworkSim::dispatch(Lane& ln, const Event& e) {
       if (paranoid_) self_audit("flood_arrive");
       break;
     case EventType::kRetryInject:
-      handle_retry(ln, e.a, e.time);
+      handle_retry(e.a, e.time);
       break;
     case EventType::kMetricsSample:
     case EventType::kWatchdog:
-      // Handled in run_until / serialized_step (excluded from
-      // events_processed).
+      // Handled in run_until (excluded from events_processed).
       break;
   }
 }
 
 void NetworkSim::handle_metrics_sample(TimePs now) {
   // Read-only over simulation state: records queue depths and schedules
-  // the next tick. Must not touch the RNG or any router/NIC state. Sharded
-  // runs execute it on the coordinator at a window barrier, where every
-  // lane has retired all events before `now` — the same prefix the serial
-  // engine has retired when it samples.
+  // the next tick. Must not touch the RNG or any router/NIC state.
   std::int64_t total = 0;
   for (int r = 0; r < topo_.num_routers(); ++r) {
     const RouterState& rs = routers_[r];
@@ -845,106 +734,7 @@ void NetworkSim::handle_metrics_sample(TimePs now) {
   occupancy_series_.push_back({now, total});
   ctr_samples_->add();
   const TimePs next = now + cfg_.metrics.sample_period;
-  if (next <= window_end_) control_queue().push(next, EventType::kMetricsSample);
-}
-
-// --- cross-shard-capable push helpers ---
-
-void NetworkSim::send_arrive_router(Lane& ln, TimePs t, int pkt_id, int router,
-                                    int in_port, int vc) {
-  const std::uint64_t okey =
-      pack_packet_okey(EventType::kArriveRouter, ln.pool[pkt_id].uid);
-  const int target = lane_index_of_router(router);
-  if (!sharded_run_ || target == ln.id) {
-    ln.queue.push_keyed(t, okey, EventType::kArriveRouter, pkt_id, router, in_port, vc);
-    return;
-  }
-  ++ln.messages_sent;
-  Lane& dst = lanes_[static_cast<std::size_t>(target)];
-  if (barrier_phase_) {
-    // Serialized phase: single-threaded, so migrate and push directly.
-    const int id = dst.pool.alloc();
-    dst.pool[id] = ln.pool[pkt_id];
-    ln.pool.release(pkt_id);
-    dst.queue.push_keyed(t, okey, EventType::kArriveRouter, id, router, in_port, vc);
-    return;
-  }
-  CrossMsg m;
-  m.time = t;
-  m.okey = okey;
-  m.b = router;
-  m.c = in_port;
-  m.d = vc;
-  m.type = EventType::kArriveRouter;
-  m.has_pkt = true;
-  m.pkt = ln.pool[pkt_id];
-  ln.outbox[static_cast<std::size_t>(target)].push_back(m);
-  ln.pool.release(pkt_id);
-}
-
-void NetworkSim::send_retry(Lane& ln, TimePs t, int pkt_id) {
-  const Packet& pkt = ln.pool[pkt_id];
-  const std::uint64_t okey = pack_packet_okey(EventType::kRetryInject, pkt.uid);
-  // Retries re-inject at the source NIC, which may live on another shard
-  // than the router that dropped the packet. The backoff is >= one link
-  // latency (enforced by setup_run), so the lookahead bound holds.
-  const int target = lane_index_of_node(pkt.src_node);
-  if (!sharded_run_ || target == ln.id) {
-    ln.queue.push_keyed(t, okey, EventType::kRetryInject, pkt_id);
-    return;
-  }
-  ++ln.messages_sent;
-  Lane& dst = lanes_[static_cast<std::size_t>(target)];
-  if (barrier_phase_) {
-    const int id = dst.pool.alloc();
-    dst.pool[id] = ln.pool[pkt_id];
-    ln.pool.release(pkt_id);
-    dst.queue.push_keyed(t, okey, EventType::kRetryInject, id);
-    return;
-  }
-  CrossMsg m;
-  m.time = t;
-  m.okey = okey;
-  m.type = EventType::kRetryInject;
-  m.has_pkt = true;
-  m.pkt = ln.pool[pkt_id];
-  ln.outbox[static_cast<std::size_t>(target)].push_back(m);
-  ln.pool.release(pkt_id);
-}
-
-void NetworkSim::send_credit_to_router(Lane& ln, TimePs t, int router, int out_port,
-                                       int vc, int bytes) {
-  const int target = lane_index_of_router(router);
-  if (!sharded_run_ || target == ln.id) {
-    if (faults_enabled_) {
-      routers_[router].out_ports[out_port].credits_pending[vc] += bytes;
-    }
-    ln.queue.push(t, EventType::kCreditToRouter, router, out_port, vc, bytes);
-    return;
-  }
-  ++ln.messages_sent;
-  if (barrier_phase_) {
-    if (faults_enabled_) {
-      routers_[router].out_ports[out_port].credits_pending[vc] += bytes;
-    }
-    lanes_[static_cast<std::size_t>(target)].queue.push(t, EventType::kCreditToRouter,
-                                                        router, out_port, vc, bytes);
-    return;
-  }
-  // Parallel round: the credits_pending += targets another lane's port, so
-  // defer it to the barrier (ledger); the event itself rides the mailbox.
-  if (faults_enabled_) {
-    ln.ledger.push_back({router, out_port, vc, bytes});
-  }
-  CrossMsg m;
-  m.time = t;
-  m.okey = pack_event_okey(EventType::kCreditToRouter, router, out_port, vc, bytes);
-  m.a = router;
-  m.b = out_port;
-  m.c = vc;
-  m.d = bytes;
-  m.type = EventType::kCreditToRouter;
-  ln.outbox[static_cast<std::size_t>(target)].push_back(m);
+  if (next <= window_end_) queue_.push(next, EventType::kMetricsSample);
 }
 
 // --- fault machinery (inert with an empty schedule) ---
@@ -988,7 +778,7 @@ void NetworkSim::refresh_fault_table(int u, int v) {
       std::max(fstats_.unreachable_pairs, fault_table_->unreachable_pairs());
 }
 
-bool NetworkSim::salvage_route(Lane& ln, Packet& pkt, int router) {
+bool NetworkSim::salvage_route(Packet& pkt, int router) {
   if (cfg_.fault.recovery != FaultRecovery::kSalvage || fault_table_ == nullptr) {
     return false;
   }
@@ -1034,10 +824,10 @@ bool NetworkSim::salvage_route(Lane& ln, Packet& pkt, int router) {
   }
   if (misroute_detour(pkt, router)) {
     finish_tail();
-    ++ln.misroutes;
+    ++fstats_.convergence.misroutes;
     return true;
   }
-  if (pkt.misroutes >= cfg_.fault.misroute_limit) ++ln.budget_drops;
+  if (pkt.misroutes >= cfg_.fault.misroute_limit) ++fstats_.convergence.budget_drops;
   return false;
 }
 
@@ -1056,7 +846,7 @@ bool NetworkSim::misroute_detour(Packet& pkt, int router) {
   if (deg == 0) return false;
   const int dst_router = topo_.router_of_node(pkt.dst_node);
   // Round-robin from a random offset over believed-live neighbors; the RNG
-  // stream is router-local, so shard count cannot shift the pick.
+  // stream is router-local, so unrelated events cannot shift the pick.
   const int start = std::min(
       deg - 1, static_cast<int>(router_rng_[router].uniform() * static_cast<double>(deg)));
   for (int k = 0; k < deg; ++k) {
@@ -1080,17 +870,15 @@ bool NetworkSim::misroute_detour(Packet& pkt, int router) {
   return false;
 }
 
-void NetworkSim::return_input_credit(Lane& ln, int router, int in_port, int vc, int bytes,
+void NetworkSim::return_input_credit(int router, int in_port, int vc, int bytes,
                                      TimePs now) {
   const InPort& ip = routers_[router].in_ports[in_port];
   if (ip.from_node) {
-    // The NIC is colocated with its router's shard, so this never crosses.
     if (faults_enabled_) {
       if (router_dead_[router]) return;  // the injection wire died with the router
       nics_[ip.peer_node].credits_pending[vc] += bytes;
     }
-    ln.queue.push(now + cfg_.link_latency, EventType::kCreditToNic, ip.peer_node, 0, vc,
-                  bytes);
+    queue_.push(now + cfg_.link_latency, EventType::kCreditToNic, ip.peer_node, 0, vc, bytes);
   } else {
     if (faults_enabled_) {
       const OutPort& peer = routers_[ip.peer_router].out_ports[ip.peer_out_port];
@@ -1098,29 +886,31 @@ void NetworkSim::return_input_credit(Lane& ln, int router, int in_port, int vc, 
       // believes); the link-up resync recreates it.
       if (!peer.phys_up || router_dead_[ip.peer_router] || router_dead_[router]) return;
     }
-    // The pending += bookkeeping lives inside the helper (it must be
-    // deferred when the peer port belongs to another lane).
-    send_credit_to_router(ln, now + cfg_.link_latency, ip.peer_router, ip.peer_out_port,
-                          vc, bytes);
+    if (faults_enabled_) {
+      routers_[ip.peer_router].out_ports[ip.peer_out_port].credits_pending[vc] += bytes;
+    }
+    queue_.push(now + cfg_.link_latency, EventType::kCreditToRouter, ip.peer_router,
+                ip.peer_out_port, vc, bytes);
   }
 }
 
-void NetworkSim::drop_packet(Lane& ln, int pkt_id, TimePs now) {
-  ++ln.dropped;
-  Packet& pkt = ln.pool[pkt_id];
+void NetworkSim::drop_packet(int pkt_id, TimePs now) {
+  ++fstats_.packets_dropped;
+  Packet& pkt = pool_[pkt_id];
   if (cfg_.fault.recovery != FaultRecovery::kNone && pkt.retries < cfg_.fault.max_retries) {
     const TimePs backoff = cfg_.fault.retry_backoff * (TimePs{1} << pkt.retries);
     ++pkt.retries;
-    send_retry(ln, now + backoff, pkt_id);  // pkt may migrate; no access after
+    queue_.push_keyed(now + backoff, pack_packet_okey(EventType::kRetryInject, pkt.uid),
+                      EventType::kRetryInject, pkt_id);
   } else {
-    ++ln.lost;
-    ln.pool.release(pkt_id);
+    ++fstats_.packets_lost;
+    pool_.release(pkt_id);
   }
 }
 
-void NetworkSim::handle_retry(Lane& ln, int pkt_id, TimePs now) {
-  ++ln.progress;
-  Packet& pkt = ln.pool[pkt_id];
+void NetworkSim::handle_retry(int pkt_id, TimePs now) {
+  ++progress_;
+  Packet& pkt = pool_[pkt_id];
   NicState& nic = nics_[pkt.src_node];
   const int src_router = nic.router;
   const int dst_router = topo_.router_of_node(pkt.dst_node);
@@ -1143,16 +933,15 @@ void NetworkSim::handle_retry(Lane& ln, int pkt_id, TimePs now) {
   }
   if (!ok) {
     // NIC busy, destination unreachable, or no credit: burn one attempt and
-    // back off again, or give the packet up for good. The packet already
-    // sits on its source node's lane, so the re-push is lane-local.
+    // back off again, or give the packet up for good.
     if (pkt.retries < cfg_.fault.max_retries) {
       const TimePs backoff = cfg_.fault.retry_backoff * (TimePs{1} << pkt.retries);
       ++pkt.retries;
-      ln.queue.push_keyed(now + backoff, pack_packet_okey(EventType::kRetryInject, pkt.uid),
-                          EventType::kRetryInject, pkt_id);
+      queue_.push_keyed(now + backoff, pack_packet_okey(EventType::kRetryInject, pkt.uid),
+                        EventType::kRetryInject, pkt_id);
     } else {
-      ++ln.lost;
-      ln.pool.release(pkt_id);
+      ++fstats_.packets_lost;
+      pool_.release(pkt_id);
     }
     return;
   }
@@ -1163,42 +952,41 @@ void NetworkSim::handle_retry(Lane& ln, int pkt_id, TimePs now) {
   nic.credits[vc0] -= pkt.size;
   const TimePs ser = static_cast<TimePs>(pkt.size) * cfg_.ps_per_byte;
   nic.free_at = now + ser;
-  ln.queue.push(nic.free_at, EventType::kNicFree, pkt.src_node);
+  queue_.push(nic.free_at, EventType::kNicFree, pkt.src_node);
   const TimePs arrival_ser = cfg_.cut_through ? 0 : ser;
-  ln.queue.push_keyed(now + arrival_ser + cfg_.link_latency,
-                      pack_packet_okey(EventType::kArriveRouter, pkt.uid),
-                      EventType::kArriveRouter, pkt_id, src_router, nic.in_port, vc0);
-  ++ln.retried;
+  queue_.push_keyed(now + arrival_ser + cfg_.link_latency,
+                    pack_packet_okey(EventType::kArriveRouter, pkt.uid),
+                    EventType::kArriveRouter, pkt_id, src_router, nic.in_port, vc0);
+  ++fstats_.packets_retried;
 }
 
 void NetworkSim::drain_out_port(int router, int out_idx, TimePs now, bool credit_returns,
                                 bool allow_salvage) {
-  Lane& ln = lane_of_router(router);  // faults execute at barriers: safe anywhere
   RouterState& rs = routers_[router];
   OutPort& op = rs.out_ports[out_idx];
   for (std::size_t ipx = 0; ipx < rs.in_ports.size(); ++ipx) {
     for (int vc = 0; vc < num_vcs_; ++vc) {
       VoqCell& cell = voq_[voq_index(rs, static_cast<int>(ipx), vc, out_idx)];
       while (cell.head >= 0) {
-        const int pkt_id = voq_pop(ln.pool, cell);
-        Packet& pkt = ln.pool[pkt_id];
-        if (allow_salvage && salvage_route(ln, pkt, router)) {
+        const int pkt_id = voq_pop(pool_, cell);
+        Packet& pkt = pool_[pkt_id];
+        if (allow_salvage && salvage_route(pkt, router)) {
           // The packet stays in its input buffer, re-queued for the out
           // port of its fresh route after a re-decision latency.
           const int new_out = out_port_for_packet(router, pkt);
           D2NET_ASSERT(new_out != out_idx, "salvage re-chose the dead port");
-          ++ln.reroutes;
+          ++fstats_.reroutes;
           VoqCell& fresh = voq_[voq_index(rs, static_cast<int>(ipx), vc, new_out)];
           rs.out_ports[new_out].queued_bytes += pkt.size;
-          if (voq_push(ln.pool, fresh, pkt_id, now + cfg_.router_latency)) {
-            ln.queue.push(now + cfg_.router_latency, EventType::kHeadEligible, router,
-                          static_cast<int>(ipx), vc, new_out);
+          if (voq_push(pool_, fresh, pkt_id, now + cfg_.router_latency)) {
+            queue_.push(now + cfg_.router_latency, EventType::kHeadEligible, router,
+                        static_cast<int>(ipx), vc, new_out);
           }
         } else {
           if (credit_returns) {
-            return_input_credit(ln, router, static_cast<int>(ipx), vc, pkt.size, now);
+            return_input_credit(router, static_cast<int>(ipx), vc, pkt.size, now);
           }
-          drop_packet(ln, pkt_id, now);
+          drop_packet(pkt_id, now);
         }
       }
       cell.in_ready = 0;
@@ -1208,12 +996,11 @@ void NetworkSim::drain_out_port(int router, int out_idx, TimePs now, bool credit
   op.queued_bytes = 0;
 }
 
-std::int64_t NetworkSim::input_vc_bytes(const PacketPool& pool, const RouterState& rs,
-                                        int in_port, int vc) const {
+std::int64_t NetworkSim::input_vc_bytes(const RouterState& rs, int in_port, int vc) const {
   std::int64_t occupied = 0;
   for (int o = 0; o < rs.num_out; ++o) {
     const VoqCell& cell = voq_[voq_index(rs, in_port, vc, o)];
-    for (int id = cell.head; id >= 0; id = pool[id].vnext) occupied += pool[id].size;
+    for (int id = cell.head; id >= 0; id = pool_[id].vnext) occupied += pool_[id].size;
   }
   return occupied;
 }
@@ -1221,9 +1008,8 @@ std::int64_t NetworkSim::input_vc_bytes(const PacketPool& pool, const RouterStat
 void NetworkSim::resync_link_credits(int u, int v) {
   OutPort& op = routers_[u].out_ports[out_port_toward(u, v)];
   const RouterState& peer = routers_[v];
-  const PacketPool& pool = lanes_[static_cast<std::size_t>(lane_index_of_router(v))].pool;
   for (int vc = 0; vc < num_vcs_; ++vc) {
-    op.credits[vc] = vc_buffer_bytes_ - input_vc_bytes(pool, peer, op.peer_in_port, vc) -
+    op.credits[vc] = vc_buffer_bytes_ - input_vc_bytes(peer, op.peer_in_port, vc) -
                      op.credits_pending[vc];
   }
 }
@@ -1231,24 +1017,20 @@ void NetworkSim::resync_link_credits(int u, int v) {
 void NetworkSim::resync_nic_credits(int node) {
   NicState& nic = nics_[node];
   const RouterState& rs = routers_[nic.router];
-  const PacketPool& pool =
-      lanes_[static_cast<std::size_t>(lane_index_of_router(nic.router))].pool;
   for (int vc = 0; vc < num_vcs_; ++vc) {
     nic.credits[vc] =
-        vc_buffer_bytes_ - input_vc_bytes(pool, rs, nic.in_port, vc) - nic.credits_pending[vc];
+        vc_buffer_bytes_ - input_vc_bytes(rs, nic.in_port, vc) - nic.credits_pending[vc];
   }
 }
 
 void NetworkSim::schedule_detections(int idx, TimePs now) {
   // Each physically-attached live router arms a missed-credit timeout: it
   // notices the change `detection_delay` after the wire actually flips.
-  // Control-plane events ride the serialized queue, so there is no lookahead
-  // constraint on the delay.
   const FaultEvent& f = cfg_.fault.schedule[static_cast<std::size_t>(idx)];
   const TimePs t = now + cfg_.fault.detection_delay;
   auto detect = [&](int r) {
     if (router_dead_[r]) return;
-    control_queue().push(t, EventType::kFaultDetect, r, 0, 0, idx);
+    queue_.push(t, EventType::kFaultDetect, r, 0, 0, idx);
   };
   switch (f.kind) {
     case FaultKind::kLinkDown:
@@ -1298,7 +1080,7 @@ void NetworkSim::learn_update(int router, int idx, bool detection, TimePs now) {
     for (int j = 0; j < topo_.endpoints_of(router); ++j) {
       const int node = topo_.node_base(router) + j;
       resync_nic_credits(node);
-      try_inject(lane_of_node(node), node, now);
+      try_inject(node, now);
     }
   }
   // Standard link-state flooding: only the first learning re-floods, so each
@@ -1308,8 +1090,8 @@ void NetworkSim::learn_update(int router, int idx, bool detection, TimePs now) {
     const OutPort& op = rs.out_ports[i];
     if (!op.phys_up || router_dead_[op.peer_router]) continue;
     ++cv.flood_messages;
-    control_queue().push(now + cfg_.link_latency + cfg_.fault.flood_process,
-                         EventType::kFloodArrive, op.peer_router, 0, 0, idx);
+    queue_.push(now + cfg_.link_latency + cfg_.fault.flood_process,
+                EventType::kFloodArrive, op.peer_router, 0, 0, idx);
   }
   if (view_.converged(idx)) {
     ++cv.converged;
@@ -1349,7 +1131,7 @@ void NetworkSim::apply_believed_ports(int router, TimePs now) {
       drain_out_port(router, i, now, /*credit_returns=*/true, /*allow_salvage=*/true);
     } else if (op.phys_up && !router_dead_[router] && !router_dead_[peer]) {
       resync_link_credits(router, peer);
-      try_grant(lane_of_router(router), router, i, now);
+      try_grant(router, i, now);
     }
   }
 }
@@ -1424,8 +1206,8 @@ void NetworkSim::apply_fault(int idx, TimePs now) {
           resync_link_credits(f.b, f.a);
         }
         refresh_fault_table(f.a, f.b);
-        try_grant(lane_of_router(f.a), f.a, pu, now);
-        try_grant(lane_of_router(f.b), f.b, pv, now);
+        try_grant(f.a, pu, now);
+        try_grant(f.b, pv, now);
       }
       break;
     }
@@ -1490,13 +1272,13 @@ void NetworkSim::apply_fault(int idx, TimePs now) {
           if (!routers_[r].out_ports[i].up || router_dead_[n]) continue;
           resync_link_credits(r, n);
           resync_link_credits(n, r);
-          try_grant(lane_of_router(r), r, i, now);
-          try_grant(lane_of_router(n), n, out_port_toward(n, r), now);
+          try_grant(r, i, now);
+          try_grant(n, out_port_toward(n, r), now);
         }
         for (int j = 0; j < topo_.endpoints_of(r); ++j) {
           const int node = topo_.node_base(r) + j;
           resync_nic_credits(node);
-          try_inject(lane_of_node(node), node, now);
+          try_inject(node, now);
         }
       }
       break;
@@ -1506,36 +1288,22 @@ void NetworkSim::apply_fault(int idx, TimePs now) {
 
 bool NetworkSim::outstanding_work() const {
   if (exchange_mode_) return exchange_remaining_ > 0;
-  for (int l = 0; l < active_lanes_; ++l) {
-    if (lanes_[static_cast<std::size_t>(l)].pool.in_use() > 0) return true;
-  }
+  if (pool_.in_use() > 0) return true;
   for (const NicState& nic : nics_) {
     if (!nic.pending.empty()) return true;
   }
   return false;
 }
 
-std::uint64_t NetworkSim::total_progress() const {
-  std::uint64_t total = progress_;
-  for (int l = 0; l < active_lanes_; ++l) {
-    total += lanes_[static_cast<std::size_t>(l)].progress;
-  }
-  return total;
-}
-
 void NetworkSim::handle_watchdog(TimePs now) {
-  const std::uint64_t progress = total_progress();
-  if (progress == watch_last_ && outstanding_work()) {
+  if (progress_ == watch_last_ && outstanding_work()) {
     // Nothing moved for a whole interval with work outstanding: declare the
     // run wedged, snapshot the stuck state and let the driver exit.
     wedged_ = true;
     fstats_.wedged = true;
     WatchdogSnapshot& s = fstats_.watchdog;
     s.time = now;
-    s.in_flight = 0;
-    for (int l = 0; l < active_lanes_; ++l) {
-      s.in_flight += static_cast<std::int64_t>(lanes_[static_cast<std::size_t>(l)].pool.in_use());
-    }
+    s.in_flight = static_cast<std::int64_t>(pool_.in_use());
     s.nic_backlog = 0;
     for (const NicState& nic : nics_) {
       s.nic_backlog += static_cast<std::int64_t>(nic.pending.size() + nic.messages.size());
@@ -1552,8 +1320,8 @@ void NetworkSim::handle_watchdog(TimePs now) {
     }
     return;
   }
-  watch_last_ = progress;
-  control_queue().push(now + cfg_.fault.watchdog_interval, EventType::kWatchdog);
+  watch_last_ = progress_;
+  queue_.push(now + cfg_.fault.watchdog_interval, EventType::kWatchdog);
 }
 
 void NetworkSim::setup_faults() {
@@ -1579,8 +1347,7 @@ void NetworkSim::setup_faults() {
     // error instead.
     validate_fault_schedule(topo_, cfg_.fault.schedule, window_end_, window_start_);
     for (std::size_t i = 0; i < cfg_.fault.schedule.size(); ++i) {
-      control_queue().push(cfg_.fault.schedule[i].time, EventType::kFault,
-                           static_cast<std::int32_t>(i));
+      queue_.push(cfg_.fault.schedule[i].time, EventType::kFault, static_cast<std::int32_t>(i));
     }
   }
   if (prop_enabled_) {
@@ -1595,7 +1362,7 @@ void NetworkSim::setup_faults() {
     view_.clear();
   }
   if (cfg_.fault.watchdog_interval > 0) {
-    control_queue().push(cfg_.fault.watchdog_interval, EventType::kWatchdog);
+    queue_.push(cfg_.fault.watchdog_interval, EventType::kWatchdog);
   }
 }
 
@@ -1609,12 +1376,11 @@ void NetworkSim::arm_deadline() {
 }
 
 void NetworkSim::run_until(TimePs end) {
-  Lane& ln = lanes_[0];
-  while (!ln.queue.empty()) {
-    if (ln.queue.next_time() > end) break;
+  while (!queue_.empty()) {
+    if (queue_.next_time() > end) break;
     if (exchange_mode_ && exchange_remaining_ == 0) break;
     if (wedged_ || timed_out_) break;
-    const Event e = ln.queue.pop();
+    const Event e = queue_.pop();
     now_ = e.time;
     if (e.type == EventType::kMetricsSample) {
       // Sampling ticks observe without perturbing: they bypass dispatch()
@@ -1633,13 +1399,13 @@ void NetworkSim::run_until(TimePs end) {
       // Order-sensitive digest of exactly the dispatched stream (the same
       // events events_processed counts): any divergence in event content or
       // ordering between two runs flips it. The fold hashes (time, okey,
-      // operands-sans-pool-slot), so a sharded run folding the identical
-      // realized stream produces the identical value.
+      // operands-sans-pool-slot), so the pool's slot assignment cannot
+      // reach it.
       event_digest_ =
           fold_digest(event_digest_, e.time, e.okey, digest_w1(e), digest_w2(e));
     }
-    dispatch(ln, e);
-    ++ln.events_processed;
+    dispatch(e);
+    ++events_processed_;
     // Cooperative wall-clock deadline: one countdown decrement per event,
     // one steady_clock read per stride. The event sequence is untouched, so
     // a run that finishes under budget is bit-identical to one with no
@@ -1652,299 +1418,6 @@ void NetworkSim::run_until(TimePs end) {
   }
 }
 
-// --- sharded driver (see docs/sharded_sim.md) ---
-
-void NetworkSim::setup_run(bool exchange) {
-  // The warn-once latches are std::atomic: setup_run executes on sweep
-  // worker threads (one per in-flight point under --jobs), so a plain
-  // static bool would be a write-write data race. exchange() makes the
-  // note print at most once process-wide while every racing thread still
-  // demotes its own run.
-  active_lanes_ = num_lanes_;
-  if (active_lanes_ > 1 && exchange) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "d2net: note: exchange workloads run serially "
-                   "(completion detection needs a global event view); shards=%d ignored\n",
-                   num_lanes_);
-    }
-    active_lanes_ = 1;
-  }
-  if (active_lanes_ > 1 && !routing_->shard_safe()) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "d2net: note: routing '%s' reads remote router state; "
-                   "demoting shards=%d to serial execution\n",
-                   routing_->name().c_str(), num_lanes_);
-    }
-    active_lanes_ = 1;
-  }
-  if (active_lanes_ > 1 && trace_ != nullptr) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "d2net: note: packet tracing needs one globally ordered "
-                   "stream; demoting shards=%d to serial execution\n",
-                   num_lanes_);
-    }
-    active_lanes_ = 1;
-  }
-  sharded_run_ = active_lanes_ > 1;
-  if (sharded_run_ && cfg_.fault.enabled() &&
-      cfg_.fault.recovery != FaultRecovery::kNone) {
-    // send_retry targets the source node's lane with delay >= the backoff;
-    // the conservative window is only safe if that delay covers the
-    // lookahead.
-    if (cfg_.fault.retry_backoff < cfg_.link_latency) {
-      char msg[512];
-      std::snprintf(msg, sizeof(msg),
-                    "fault.retry_backoff=%.3fus is below link_latency=%.3fus: sharded "
-                    "runs re-inject retries across shard boundaries, and the "
-                    "conservative time window is only safe when that delay covers one "
-                    "link latency of lookahead. Raise fault.retry_backoff to at least "
-                    "the link latency, or run with --shards=1.",
-                    to_us(cfg_.fault.retry_backoff), to_us(cfg_.link_latency));
-      throw ArgumentError(msg);
-    }
-  }
-}
-
-void NetworkSim::run_lane_window(Lane& ln, TimePs limit) {
-  // One conservative window on one thread: every event strictly before
-  // `limit` is safe to execute — any cross-shard consequence lands at least
-  // one link latency past the window floor, i.e. at or after `limit`.
-  // Touches only lane-owned state (never now_); cross-lane effects queue in
-  // the outbox/ledger for the barrier.
-  EventQueue& q = ln.queue;
-  while (!q.empty() && q.next_time() < limit) {
-    const Event e = q.pop();
-    if (digest_enabled_) {
-      ln.dlog.push_back({e.time, e.okey, digest_w1(e), digest_w2(e)});
-    }
-    dispatch(ln, e);
-    ++ln.events_processed;
-  }
-}
-
-void NetworkSim::serialized_step(TimePs tc) {
-  // Single-threaded execution of one control timestamp. Control events
-  // (kFault / kFaultDetect / kFloodArrive / kWatchdog / kMetricsSample)
-  // interleave with any lane events at exactly tc in (time, okey) order — a rescan per event, because fault
-  // application can spawn further same-time events. Cross-lane sends made
-  // here push directly (barrier_phase_), keeping pending-credit state in
-  // step for same-timestamp resyncs.
-  barrier_phase_ = true;
-  for (;;) {
-    int src = -2;  // -2 = none, -1 = control queue, >= 0 = lane index
-    TimePs bt = 0;
-    std::uint64_t bk = 0;
-    if (!control_.empty()) {
-      const Event& e = control_.peek();
-      src = -1;
-      bt = e.time;
-      bk = e.okey;
-    }
-    for (int l = 0; l < active_lanes_; ++l) {
-      EventQueue& q = lanes_[static_cast<std::size_t>(l)].queue;
-      if (q.empty()) continue;
-      const Event& e = q.peek();
-      // Strict comparison is exact: okeys never tie across distinct event
-      // types (the high byte is the type), so control vs lane order at one
-      // timestamp is fully determined.
-      if (src == -2 || e.time < bt || (e.time == bt && e.okey < bk)) {
-        src = l;
-        bt = e.time;
-        bk = e.okey;
-      }
-    }
-    if (src == -2 || bt != tc) break;
-    if (src == -1) {
-      const Event e = control_.pop();
-      now_ = e.time;
-      if (e.type == EventType::kMetricsSample) {
-        handle_metrics_sample(e.time);
-        continue;
-      }
-      if (e.type == EventType::kWatchdog) {
-        handle_watchdog(e.time);
-        if (wedged_) break;
-        continue;
-      }
-      // Fault and control-plane events: digest-visible and counted,
-      // exactly like the serial path.
-      if (digest_enabled_) {
-        event_digest_ =
-            fold_digest(event_digest_, e.time, e.okey, digest_w1(e), digest_w2(e));
-      }
-      switch (e.type) {
-        case EventType::kFault:
-          apply_fault(e.a, e.time);
-          if (paranoid_) self_audit("apply_fault");
-          break;
-        case EventType::kFaultDetect:
-          handle_fault_detect(e.a, e.d, e.time);
-          if (paranoid_) self_audit("fault_detect");
-          break;
-        case EventType::kFloodArrive:
-          handle_flood_arrive(e.a, e.d, e.time);
-          if (paranoid_) self_audit("flood_arrive");
-          break;
-        default:
-          D2NET_ASSERT(false, "unexpected control event type");
-      }
-      ++coord_events_;
-    } else {
-      Lane& ln = lanes_[static_cast<std::size_t>(src)];
-      const Event e = ln.queue.pop();
-      now_ = e.time;
-      if (digest_enabled_) {
-        event_digest_ =
-            fold_digest(event_digest_, e.time, e.okey, digest_w1(e), digest_w2(e));
-      }
-      dispatch(ln, e);
-      ++ln.events_processed;
-    }
-  }
-  barrier_phase_ = false;
-}
-
-void NetworkSim::deliver_cross() {
-  if (!sharded_run_) return;
-  // Fixed (target, source) drain order: deterministic seq assignment. seq
-  // only breaks byte-identical ties, so any fixed order realizes the same
-  // event stream; determinism makes that checkable.
-  for (int t = 0; t < active_lanes_; ++t) {
-    Lane& dst = lanes_[static_cast<std::size_t>(t)];
-    for (int s = 0; s < active_lanes_; ++s) {
-      auto& box = lanes_[static_cast<std::size_t>(s)].outbox[static_cast<std::size_t>(t)];
-      for (const CrossMsg& m : box) {
-        if (m.has_pkt) {
-          const int id = dst.pool.alloc();
-          dst.pool[id] = m.pkt;
-          dst.queue.push_keyed(m.time, m.okey, m.type, id, m.b, m.c, m.d);
-        } else {
-          dst.queue.push_keyed(m.time, m.okey, m.type, m.a, m.b, m.c, m.d);
-        }
-      }
-      box.clear();
-    }
-  }
-  for (int l = 0; l < active_lanes_; ++l) {
-    Lane& ln = lanes_[static_cast<std::size_t>(l)];
-    for (const PendingCredit& pc : ln.ledger) {
-      routers_[pc.router].out_ports[pc.port].credits_pending[pc.vc] += pc.bytes;
-    }
-    ln.ledger.clear();
-  }
-}
-
-void NetworkSim::merge_digest_logs() {
-  if (!digest_enabled_ || !sharded_run_) return;
-  // K-way merge over the per-lane window logs, comparing current heads by
-  // (time, okey). Each lane's log is its realized dispatch order; the
-  // global serial order interleaves the lanes head-by-head because at every
-  // step the serial engine pops the minimum of the pending set, which is
-  // the minimum over the per-lane stream heads.
-  std::vector<std::size_t> idx(static_cast<std::size_t>(active_lanes_), 0);
-  for (;;) {
-    int best = -1;
-    for (int l = 0; l < active_lanes_; ++l) {
-      const auto& dl = lanes_[static_cast<std::size_t>(l)].dlog;
-      if (idx[static_cast<std::size_t>(l)] >= dl.size()) continue;
-      if (best < 0) {
-        best = l;
-        continue;
-      }
-      const DigestRec& r = dl[idx[static_cast<std::size_t>(l)]];
-      const DigestRec& rb = lanes_[static_cast<std::size_t>(best)]
-                                .dlog[idx[static_cast<std::size_t>(best)]];
-      if (r.time < rb.time || (r.time == rb.time && r.okey < rb.okey)) best = l;
-    }
-    if (best < 0) break;
-    const DigestRec& r =
-        lanes_[static_cast<std::size_t>(best)].dlog[idx[static_cast<std::size_t>(best)]++];
-    event_digest_ = fold_digest(event_digest_, r.time, r.okey, r.w1, r.w2);
-  }
-  for (int l = 0; l < active_lanes_; ++l) lanes_[static_cast<std::size_t>(l)].dlog.clear();
-}
-
-void NetworkSim::run_windows(TimePs end) {
-  const TimePs lookahead = cfg_.link_latency;
-  ThreadPool pool(active_lanes_ - 1);
-  for (;;) {
-    // Barrier: exchange cross-shard arrivals, then fold the window's digest
-    // logs. Every exit path passes through here, so trailing logs always
-    // merge before the run finishes.
-    deliver_cross();
-    merge_digest_logs();
-    if (wedged_ || timed_out_) break;
-    TimePs tq = kNoEvent;
-    for (int l = 0; l < active_lanes_; ++l) {
-      EventQueue& q = lanes_[static_cast<std::size_t>(l)].queue;
-      if (!q.empty()) tq = std::min(tq, q.next_time());
-    }
-    const TimePs tc = control_.empty() ? kNoEvent : control_.next_time();
-    const TimePs tmin = std::min(tq, tc);
-    if (tmin == kNoEvent || tmin > end) break;
-    now_ = tmin;
-    if (tc <= tq) {
-      // A control event is (joint-)earliest: run its whole timestamp
-      // single-threaded, then barrier again.
-      serialized_step(tc);
-      continue;
-    }
-    // Conservative window [tq, limit): every cross-shard consequence of an
-    // event at t < limit arrives at t + lookahead >= tq + lookahead >=
-    // limit, so the lanes are independent within the window.
-    const TimePs limit = std::min({tq + lookahead, tc, end + 1});
-    ++windows_;
-    window_width_ps_ += limit - tq;
-    pool.parallel_for(static_cast<std::size_t>(active_lanes_), [&](std::size_t l) {
-      run_lane_window(lanes_[l], limit);
-    });
-    // One wall-clock check per barrier (vs per-stride serially); an armed
-    // but unhit deadline leaves the event sequence bit-identical either way.
-    if (deadline_enabled_ && std::chrono::steady_clock::now() >= deadline_) {
-      timed_out_ = true;
-    }
-  }
-}
-
-void NetworkSim::collect_lanes() {
-  for (int l = 0; l < active_lanes_; ++l) {
-    const Lane& ln = lanes_[static_cast<std::size_t>(l)];
-    events_processed_ += ln.events_processed;
-    ejected_bytes_window_ += ln.ejected_bytes_window;
-    packets_injected_ += ln.packets_injected;
-    packets_minimal_ += ln.packets_minimal;
-    hop_sum_ += ln.hop_sum;
-    hop_count_ += ln.hop_count;
-    latency_ns_.merge(ln.latency_ns);
-    phases_.injected_warmup += ln.phases.injected_warmup;
-    phases_.injected_measured += ln.phases.injected_measured;
-    phases_.delivered_warmup += ln.phases.delivered_warmup;
-    phases_.delivered_measured += ln.phases.delivered_measured;
-    phases_.delivered_carryover += ln.phases.delivered_carryover;
-    fstats_.packets_dropped += ln.dropped;
-    fstats_.packets_retried += ln.retried;
-    fstats_.packets_lost += ln.lost;
-    fstats_.reroutes += ln.reroutes;
-    fstats_.convergence.misroutes += ln.misroutes;
-    fstats_.convergence.budget_drops += ln.budget_drops;
-    if (!ln.delivered_buckets.empty()) {
-      if (fstats_.delivered_bytes_buckets.size() < ln.delivered_buckets.size()) {
-        fstats_.delivered_bytes_buckets.resize(ln.delivered_buckets.size(), 0);
-      }
-      for (std::size_t i = 0; i < ln.delivered_buckets.size(); ++i) {
-        fstats_.delivered_bytes_buckets[i] += ln.delivered_buckets[i];
-      }
-    }
-  }
-  events_processed_ += coord_events_;
-}
-
 void NetworkSim::self_audit(const char* where) const {
   if (!paranoid_) return;
   auto fail = [&](const std::string& msg) {
@@ -1954,21 +1427,19 @@ void NetworkSim::self_audit(const char* where) const {
     return "router " + std::to_string(router) + " port " + std::to_string(port);
   };
   // Per-VC bytes sitting in the input buffer feeding each in port, and the
-  // recomputed per-out-port VOQ totals. Packets live in the pool of the
-  // lane owning their router.
+  // recomputed per-out-port VOQ totals.
   std::vector<std::int64_t> voq_bytes;
   for (int r = 0; r < topo_.num_routers(); ++r) {
     const RouterState& rs = routers_[r];
-    const PacketPool& pool = lanes_[static_cast<std::size_t>(lane_index_of_router(r))].pool;
     voq_bytes.assign(rs.out_ports.size(), 0);
     for (int ipx = 0; ipx < static_cast<int>(rs.in_ports.size()); ++ipx) {
       for (int vc = 0; vc < num_vcs_; ++vc) {
         std::int64_t occupied = 0;
         for (int o = 0; o < rs.num_out; ++o) {
           const VoqCell& cell = voq_[voq_index(rs, ipx, vc, o)];
-          for (int id = cell.head; id >= 0; id = pool[id].vnext) {
-            occupied += pool[id].size;
-            voq_bytes[static_cast<std::size_t>(o)] += pool[id].size;
+          for (int id = cell.head; id >= 0; id = pool_[id].vnext) {
+            occupied += pool_[id].size;
+            voq_bytes[static_cast<std::size_t>(o)] += pool_[id].size;
           }
         }
         if (occupied > vc_buffer_bytes_) {
@@ -1990,10 +1461,8 @@ void NetworkSim::self_audit(const char* where) const {
       // packet. In-flight packets hold the balance, so the sum never
       // exceeds the buffer and each term stays non-negative.
       const RouterState& peer = routers_[op.peer_router];
-      const PacketPool& peer_pool =
-          lanes_[static_cast<std::size_t>(lane_index_of_router(op.peer_router))].pool;
       for (int v = 0; v < num_vcs_; ++v) {
-        const std::int64_t occupied = input_vc_bytes(peer_pool, peer, op.peer_in_port, v);
+        const std::int64_t occupied = input_vc_bytes(peer, op.peer_in_port, v);
         const std::int64_t credits = op.credits[v];
         const std::int64_t pending = op.credits_pending[v];
         if (credits < 0) fail(id(r, o) + " vc " + std::to_string(v) + " negative credits");
@@ -2012,10 +1481,8 @@ void NetworkSim::self_audit(const char* where) const {
   // Same conservation law on every injection wire (NIC -> router).
   for (std::size_t n = 0; n < nics_.size(); ++n) {
     const NicState& nic = nics_[n];
-    const PacketPool& pool =
-        lanes_[static_cast<std::size_t>(lane_index_of_router(nic.router))].pool;
     for (int v = 0; v < num_vcs_; ++v) {
-      const std::int64_t occupied = input_vc_bytes(pool, routers_[nic.router], nic.in_port, v);
+      const std::int64_t occupied = input_vc_bytes(routers_[nic.router], nic.in_port, v);
       const std::int64_t credits = nic.credits[v];
       const std::int64_t pending = nic.credits_pending[v];
       if (credits < 0) fail("nic " + std::to_string(n) + " negative credits");
@@ -2035,46 +1502,9 @@ std::shared_ptr<const SimMetrics> NetworkSim::build_metrics() {
   auto out = std::make_shared<SimMetrics>();
   out->sample_period = cfg_.metrics.sample_period;
   out->capacities.voq_cells = voq_.size();
-  out->sharding.shards = active_lanes_;
-  out->sharding.windows = windows_;
-  out->sharding.mean_window_width_ns =
-      windows_ > 0 ? to_ns(window_width_ps_) / static_cast<double>(windows_) : 0.0;
-  // Serial runs get an empty per-shard vector: there was no partition to
-  // describe, and consumers key the whole block on shards > 1.
-  if (active_lanes_ > 1) {
-    out->sharding.shard.resize(static_cast<std::size_t>(active_lanes_));
-  }
-  for (int l = 0; l < active_lanes_; ++l) {
-    const Lane& ln = lanes_[static_cast<std::size_t>(l)];
-    if (active_lanes_ > 1) {
-      ShardMetrics& sm = out->sharding.shard[static_cast<std::size_t>(l)];
-      std::size_t cells = 0;
-      for (int r = 0; r < topo_.num_routers(); ++r) {
-        if (lane_of_router_[r] != l) continue;
-        ++sm.routers;
-        const RouterState& rs = routers_[r];
-        cells += rs.in_ports.size() * static_cast<std::size_t>(num_vcs_) *
-                 static_cast<std::size_t>(rs.num_out);
-      }
-      for (int n = 0; n < topo_.num_nodes(); ++n) sm.nodes += lane_of_node_[n] == l ? 1 : 0;
-      sm.capacities.voq_cells = cells;
-      sm.events = ln.events_processed;
-      sm.messages_sent = ln.messages_sent;
-      sm.capacities.event_queue_reserved = ln.queue.reserved();
-      sm.capacities.packet_pool_reserved = ln.pool.reserved();
-      sm.capacities.packet_pool_slots = ln.pool.capacity();
-    }
-    out->sharding.cross_shard_messages += ln.messages_sent;
-    // Run-level capacities: summed across the lanes the run actually used.
-    out->capacities.event_queue_reserved += ln.queue.reserved();
-    out->capacities.packet_pool_reserved += ln.pool.reserved();
-    out->capacities.packet_pool_slots += ln.pool.capacity();
-    // Scalar sinks collected lock-free per lane, merged here.
-    ctr_grants_->add(ln.m_grants);
-    ctr_credit_skips_->add(ln.m_credit_skips);
-    ctr_injection_stalls_->add(ln.m_injection_stalls);
-    hist_carryover_ns_->merge(ln.carryover_ns);
-  }
+  out->capacities.event_queue_reserved = queue_.reserved();
+  out->capacities.packet_pool_reserved = pool_.reserved();
+  out->capacities.packet_pool_slots = pool_.capacity();
   out->phases = phases_;
   out->occupancy = std::move(occupancy_series_);
   occupancy_series_.clear();
@@ -2123,40 +1553,36 @@ OpenLoopResult NetworkSim::run_open_loop(const TrafficPattern& pattern, double l
   gen_end_ = duration;
   window_start_ = warmup;
   window_end_ = duration;
-  setup_run(/*exchange=*/false);
 
   // Stagger first generations uniformly over one mean inter-arrival. The
-  // stagger is the first draw of each node's private stream, so shard count
-  // cannot shift it.
+  // stagger is the first draw of each node's private stream.
   const double mean = static_cast<double>(cfg_.packet_serialization()) / load;
   for (int node = 0; node < topo_.num_nodes(); ++node) {
-    lane_of_node(node).queue.push(static_cast<TimePs>(node_rng_[node].uniform() * mean),
-                                  EventType::kGenerate, node);
+    queue_.push(static_cast<TimePs>(node_rng_[node].uniform() * mean), EventType::kGenerate,
+                node);
   }
   if (metrics_enabled_) {
-    control_queue().push(cfg_.metrics.sample_period, EventType::kMetricsSample);
+    queue_.push(cfg_.metrics.sample_period, EventType::kMetricsSample);
   }
   setup_faults();
   arm_deadline();
-  if (sharded_run_) {
-    run_windows(duration);
-  } else {
-    run_until(duration);
-  }
-  collect_lanes();
-  for (int l = 0; l < active_lanes_; ++l) {
-    phases_.in_flight_at_end +=
-        static_cast<std::int64_t>(lanes_[static_cast<std::size_t>(l)].pool.in_use());
-  }
+  run_until(duration);
+  phases_.in_flight_at_end = static_cast<std::int64_t>(pool_.in_use());
   if (paranoid_) self_audit("run_open_loop end");
 
   OpenLoopResult res;
   res.offered_load = load;
   res.timed_out = timed_out_;
-  const double window_ps = static_cast<double>(window_end_ - window_start_);
+  // A timed-out run measured only up to the simulated time it reached, so
+  // its throughput is normalized by that shorter window (0 if it stopped
+  // inside the warmup). A wedged run keeps the full window: the network
+  // really delivers nothing after the wedge.
+  res.t_stop = timed_out_ ? now_ : duration;
+  const double window_ps = static_cast<double>(std::max(res.t_stop, warmup) - warmup);
   const double capacity_bytes =
       window_ps / static_cast<double>(cfg_.ps_per_byte) * topo_.num_nodes();
-  res.accepted_throughput = static_cast<double>(ejected_bytes_window_) / capacity_bytes;
+  res.accepted_throughput =
+      window_ps > 0 ? static_cast<double>(ejected_bytes_window_) / capacity_bytes : 0.0;
   res.avg_latency_ns = latency_ns_.mean();
   res.p50_latency_ns = latency_ns_.percentile(50);
   res.p99_latency_ns = latency_ns_.percentile(99);
@@ -2196,25 +1622,20 @@ ExchangeResult NetworkSim::run_exchange(const ExchangePlan& plan, TimePs time_li
   window_start_ = 0;
   window_end_ = time_limit;
   gen_end_ = 0;
-  setup_run(/*exchange=*/true);  // always demotes to serial
 
   exchange_remaining_ = plan.total_bytes();
   D2NET_REQUIRE(exchange_remaining_ > 0, "empty exchange plan");
   for (int node = 0; node < topo_.num_nodes(); ++node) {
     nics_[node].messages = plan.per_node[node];
-    lane_of_node(node).queue.push(0, EventType::kNicFree, node);
+    queue_.push(0, EventType::kNicFree, node);
   }
   if (metrics_enabled_) {
-    control_queue().push(cfg_.metrics.sample_period, EventType::kMetricsSample);
+    queue_.push(cfg_.metrics.sample_period, EventType::kMetricsSample);
   }
   setup_faults();
   arm_deadline();
   run_until(time_limit);
-  collect_lanes();
-  for (int l = 0; l < active_lanes_; ++l) {
-    phases_.in_flight_at_end +=
-        static_cast<std::int64_t>(lanes_[static_cast<std::size_t>(l)].pool.in_use());
-  }
+  phases_.in_flight_at_end = static_cast<std::int64_t>(pool_.in_use());
   if (paranoid_) self_audit("run_exchange end");
 
   ExchangeResult res;

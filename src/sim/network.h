@@ -18,16 +18,11 @@
 // serialization per hop (20.48 ns at 100 Gb/s / 256 B) — small against the
 // 100 ns router traversal — and does not affect saturation behavior.
 //
-// Sharded execution (SimConfig::shards > 1, see docs/sharded_sim.md): the
-// router set is partitioned across worker event cores ("lanes") under
-// conservative time-window synchronization. The wire latency on cut links
-// is guaranteed lookahead, so each lane may safely execute every event
-// within one link latency of the global window floor; cross-shard packet
-// and credit arrivals are exchanged through per-lane mailboxes at window
-// barriers. The (time, okey, seq) event order realized by EventQueue is
-// push-site independent, so a sharded run reproduces the serial run's
-// event stream — and its FNV-1a digest — bit for bit (enforced by
-// tests/test_determinism_digest.cpp).
+// Execution: one serial event loop over one EventQueue and one PacketPool.
+// The (time, okey, seq) event order, the per-entity RNG streams and the
+// pool-independent Packet::uid make every run a pure function of its
+// config and seed; tests/test_determinism_digest.cpp pins the FNV-1a
+// digests of the dispatched event streams.
 #pragma once
 
 #include <chrono>
@@ -82,8 +77,8 @@ struct OpenLoopResult {
   /// for the benches' events/sec reporting).
   std::int64_t events_processed = 0;
   /// FNV-1a digest of the dispatched event stream; 0 unless
-  /// SimConfig::collect_event_digest. Identical across scheduler kinds,
-  /// sweep parallelism, and shard counts (tests/test_determinism_digest.cpp).
+  /// SimConfig::collect_event_digest. Identical across sweep parallelism
+  /// (pinned by tests/test_determinism_digest.cpp).
   std::uint64_t event_digest = 0;
   double avg_hops = 0.0;
   /// Share of packets the routing algorithm sent minimally (1.0 for MIN).
@@ -95,8 +90,12 @@ struct OpenLoopResult {
   RunPhaseBreakdown phases;
   /// True when SimConfig::wall_limit_seconds expired before the run
   /// finished; the statistics above cover only the simulated time actually
-  /// reached. Distinct from faults.wedged (no simulated progress).
+  /// reached, and accepted_throughput is normalized by [warmup, t_stop].
+  /// Distinct from faults.wedged (no simulated progress).
   bool timed_out = false;
+  /// Simulated time the run reached: the run's duration unless it timed
+  /// out, else the time of the last dispatched event.
+  TimePs t_stop = 0;
   /// Fault-injection accounting (faults.enabled false for healthy runs).
   FaultStats faults;
   /// Flow-engine recompute counters (flow.enabled false on the packet engine).
@@ -163,8 +162,7 @@ class NetworkSim final : public PortLoadProvider {
   void set_routing(const RoutingAlgorithm& algo) { routing_ = &algo; }
 
   /// Attaches an optional per-packet trace sink (nullptr detaches); the
-  /// sink must outlive the runs it observes. Tracing demotes sharded runs
-  /// to serial (the sink sees one globally ordered stream).
+  /// sink must outlive the runs it observes.
   void set_trace(PacketTraceSink* sink) { trace_ = sink; }
 
   /// Attaches a private, mutable minimal table for fault-aware rerouting
@@ -186,9 +184,6 @@ class NetworkSim final : public PortLoadProvider {
                                TimePs warmup);
 
   /// Closed-loop exchange run; aborts (completed = false) at `time_limit`.
-  /// Always executes serially (completion detection and post-completion
-  /// statistics need a global event view); SimConfig::shards > 1 demotes
-  /// with a stderr note.
   ExchangeResult run_exchange(const ExchangePlan& plan, TimePs time_limit);
 
   // PortLoadProvider (read by UGAL at injection time):
@@ -212,10 +207,8 @@ class NetworkSim final : public PortLoadProvider {
   const Topology& topology() const { return topo_; }
   const SimConfig& config() const { return cfg_; }
   int num_vcs() const { return num_vcs_; }
-  /// Events dispatched by the last completed run (summed across shards).
+  /// Events dispatched by the last completed run.
   std::int64_t events_processed() const { return events_processed_; }
-  /// Event lanes the last run actually used (1 for serial or demoted runs).
-  int shards_used() const { return active_lanes_; }
 
  private:
   // --- state types ---
@@ -224,7 +217,7 @@ class NetworkSim final : public PortLoadProvider {
   // input-output-buffered switch is not head-of-line limited; a plain FIFO
   // input queue would cap uniform throughput near 75%). Each
   // (in_port, vc, out_port) FIFO is one VoqCell in the flat `voq_` array
-  // (see sim/voq.h), threaded through the owning lane's packet pool slots.
+  // (see sim/voq.h), threaded through the packet pool slots.
   struct InPort {
     bool from_node = false;
     int peer_node = -1;
@@ -280,77 +273,6 @@ class NetworkSim final : public PortLoadProvider {
     std::vector<std::int64_t> credits_pending;  ///< see OutPort::credits_pending
   };
 
-  // --- sharding types ---
-  /// One cross-shard arrival, exchanged through mailboxes at window
-  /// barriers. Packet-carrying messages move the packet itself between the
-  /// per-lane pools (Packet is one trivially copyable slab).
-  struct CrossMsg {
-    TimePs time = 0;
-    std::uint64_t okey = 0;
-    std::int32_t a = 0;
-    std::int32_t b = 0;
-    std::int32_t c = 0;
-    std::int32_t d = 0;
-    EventType type{};
-    bool has_pkt = false;
-    Packet pkt;
-  };
-  /// Deferred remote credits_pending update (the += targets another lane's
-  /// out port, so parallel rounds append here and the barrier applies it).
-  struct PendingCredit {
-    std::int32_t router = 0;
-    std::int32_t port = 0;
-    std::int32_t vc = 0;
-    std::int32_t bytes = 0;
-  };
-  /// One dispatched event of a lane's window, logged for the barrier's
-  /// k-way digest merge (w1/w2 are the packed digest words).
-  struct DigestRec {
-    TimePs time = 0;
-    std::uint64_t okey = 0;
-    std::uint64_t w1 = 0;
-    std::uint64_t w2 = 0;
-  };
-
-  /// One worker event core: a private event queue, packet pool and
-  /// statistics block over the routers the partition assigned to it. Serial
-  /// runs use lane 0 for everything. Never shared between threads inside a
-  /// window; all cross-lane traffic goes through outboxes/ledgers drained
-  /// single-threaded at barriers.
-  struct Lane {
-    int id = 0;
-    EventQueue queue;
-    PacketPool pool;
-    std::int64_t events_processed = 0;
-    std::uint64_t progress = 0;
-    // statistics (merged by collect_lanes() at run end)
-    std::int64_t ejected_bytes_window = 0;
-    std::int64_t packets_injected = 0;
-    std::int64_t packets_minimal = 0;
-    std::int64_t hop_sum = 0;    ///< integer hop total: order-independent mean
-    std::int64_t hop_count = 0;
-    LogHistogram latency_ns;
-    RunPhaseBreakdown phases;
-    // fault accounting
-    std::int64_t dropped = 0;
-    std::int64_t retried = 0;
-    std::int64_t lost = 0;
-    std::int64_t reroutes = 0;
-    std::int64_t misroutes = 0;      ///< local-view detours (propagation)
-    std::int64_t budget_drops = 0;   ///< misroute budget exhaustions
-    std::vector<std::int64_t> delivered_buckets;
-    // metrics scalars (merged into the registry by build_metrics)
-    std::int64_t m_grants = 0;
-    std::int64_t m_credit_skips = 0;
-    std::int64_t m_injection_stalls = 0;
-    LogHistogram carryover_ns;
-    // cross-shard machinery
-    std::int64_t messages_sent = 0;
-    std::vector<std::vector<CrossMsg>> outbox;  ///< indexed by target lane
-    std::vector<PendingCredit> ledger;
-    std::vector<DigestRec> dlog;
-  };
-
   // --- helpers ---
   void reset();
   /// Index of the (in_port, vc, out_idx) VOQ cell of `rs` in voq_.
@@ -361,58 +283,17 @@ class NetworkSim final : public PortLoadProvider {
   int out_port_toward(int router, int neighbor) const;
   int out_port_for_packet(int router, const Packet& pkt) const;
 
-  int lane_index_of_router(int r) const { return sharded_run_ ? lane_of_router_[r] : 0; }
-  int lane_index_of_node(int n) const { return sharded_run_ ? lane_of_node_[n] : 0; }
-  Lane& lane_of_router(int r) { return lanes_[static_cast<std::size_t>(lane_index_of_router(r))]; }
-  Lane& lane_of_node(int n) { return lanes_[static_cast<std::size_t>(lane_index_of_node(n))]; }
-  /// Queue that carries the serialized control events (kFault, kWatchdog,
-  /// kMetricsSample, and the kFaultDetect/kFloodArrive control plane):
-  /// lane 0's queue for serial runs, the coordinator-side control queue for
-  /// sharded ones.
-  EventQueue& control_queue() { return sharded_run_ ? control_ : lanes_[0].queue; }
-
-  void try_inject(Lane& ln, int node, TimePs now);
-  void handle_arrive_router(Lane& ln, int pkt_id, int router, int in_port, int vc,
-                            TimePs now);
-  void handle_head_eligible(Lane& ln, int router, int in_port, int vc, int out_idx,
-                            TimePs now);
-  void try_grant(Lane& ln, int router, int out_idx, TimePs now);
-  void handle_arrive_node(Lane& ln, int pkt_id, TimePs now);
+  void try_inject(int node, TimePs now);
+  void handle_arrive_router(int pkt_id, int router, int in_port, int vc, TimePs now);
+  void handle_head_eligible(int router, int in_port, int vc, int out_idx, TimePs now);
+  void try_grant(int router, int out_idx, TimePs now);
+  void handle_arrive_node(int pkt_id, TimePs now);
   void handle_metrics_sample(TimePs now);
-  void dispatch(Lane& ln, const Event& e);
-  /// Serial event loop over lane 0 (the pre-sharding engine, unchanged).
+  void dispatch(const Event& e);
+  /// The event loop: dispatches every event up to `end` in (time, okey,
+  /// seq) order, stopping early on exchange completion, a wedge or the
+  /// wall-clock deadline.
   void run_until(TimePs end);
-
-  // --- sharded driver (see docs/sharded_sim.md) ---
-  /// Per-run mode selection: applies shard demotion (shard-unsafe routing,
-  /// tracing, exchange workloads) with a one-time stderr note and validates
-  /// the sharded-run preconditions.
-  void setup_run(bool exchange);
-  /// Conservative time-window loop: barriers exchange mailboxes, merge the
-  /// per-lane digest logs, run serialized control timestamps, and launch
-  /// parallel windows of width = lookahead (one link latency).
-  void run_windows(TimePs end);
-  /// Executes every lane event with time < limit (one window, one thread).
-  void run_lane_window(Lane& ln, TimePs limit);
-  /// Single-threaded execution of one control timestamp: interleaves the
-  /// control queue and all lane queues in exact (time, okey) order until no
-  /// event at `tc` remains (fault application can spawn same-time events).
-  void serialized_step(TimePs tc);
-  /// Drains every outbox into the target lanes' queues and applies the
-  /// deferred credits_pending ledgers. Single-threaded, deterministic order.
-  void deliver_cross();
-  /// Folds the per-lane window logs into the global digest by k-way merge
-  /// on (time, okey) — provably the serial realized order (docs).
-  void merge_digest_logs();
-  std::uint64_t total_progress() const;
-
-  // Cross-shard-capable push helpers. Same-lane targets push directly;
-  // cross-lane targets go to the mailbox (parallel rounds) or push into the
-  // target lane immediately (serialized barrier phase).
-  void send_arrive_router(Lane& ln, TimePs t, int pkt_id, int router, int in_port, int vc);
-  void send_retry(Lane& ln, TimePs t, int pkt_id);
-  void send_credit_to_router(Lane& ln, TimePs t, int router, int out_port, int vc,
-                             int bytes);
 
   // --- fault machinery (see sim/fault.h; inert with an empty schedule) ---
   /// Per-run fault/watchdog setup: resets counters, seeds kFault/kWatchdog
@@ -438,29 +319,24 @@ class NetworkSim final : public PortLoadProvider {
   void resync_link_credits(int u, int v);
   void resync_nic_credits(int node);
   /// Bytes buffered in the input VC (in_port, vc) of `rs`, summed over its
-  /// per-output FIFOs (credit resync and the paranoid audit). `pool` is the
-  /// owning lane's pool.
-  std::int64_t input_vc_bytes(const PacketPool& pool, const RouterState& rs, int in_port,
-                              int vc) const;
+  /// per-output FIFOs (credit resync and the paranoid audit).
+  std::int64_t input_vc_bytes(const RouterState& rs, int in_port, int vc) const;
   /// Rewrites pkt's route tail with a fresh path from `router`; false when
   /// salvage is unavailable (no table / unreachable / hop limit, or — with
-  /// propagation — every believed-live option is exhausted). `ln` carries
-  /// the misroute accounting (lane-local, merged at run end).
-  bool salvage_route(Lane& ln, Packet& pkt, int router);
+  /// propagation — every believed-live option is exhausted).
+  bool salvage_route(Packet& pkt, int router);
   /// Returns the freed input-buffer credit upstream (skipped when the
   /// upstream side is dead; its credits resync on revival).
-  void return_input_credit(Lane& ln, int router, int in_port, int vc, int bytes,
-                           TimePs now);
+  void return_input_credit(int router, int in_port, int vc, int bytes, TimePs now);
   /// Drop accounting + retry-with-backoff or permanent loss.
-  void drop_packet(Lane& ln, int pkt_id, TimePs now);
-  void handle_retry(Lane& ln, int pkt_id, TimePs now);
+  void drop_packet(int pkt_id, TimePs now);
+  void handle_retry(int pkt_id, TimePs now);
   void handle_watchdog(TimePs now);
   bool outstanding_work() const;
 
   // --- modeled control plane (FaultConfig::propagation; see
-  // docs/resilience.md). All of it runs on the control queue — serialized
-  // steps when sharded, the ordinary serial loop otherwise — so learning is
-  // single-threaded and bit-identical across shard counts.
+  // docs/resilience.md). Its events share the one event queue with the
+  // data plane.
   /// kFaultDetect: `router`'s missed-credit timeout for schedule entry
   /// `idx` fires; it learns locally and originates the flood.
   void handle_fault_detect(int router, int idx, TimePs now);
@@ -496,17 +372,13 @@ class NetworkSim final : public PortLoadProvider {
   /// paranoid mode is on.
   void self_audit(const char* where) const;
 
-  /// Merges the per-lane statistics into the run-level aggregates (exact:
-  /// integer sums and element-wise histogram merges only).
-  void collect_lanes();
-
   /// Finalizes the per-run SimMetrics block (nullptr when disabled).
   std::shared_ptr<const SimMetrics> build_metrics();
 
   /// Builds the packet's route at injection; returns false when the NIC
   /// must stall (insufficient injection credit).
-  bool start_injection(Lane& ln, int node, int dst, int size, TimePs gen_time,
-                       std::int64_t msg_id, TimePs now);
+  bool start_injection(int node, int dst, int size, TimePs gen_time, std::int64_t msg_id,
+                       TimePs now);
 
   // --- immutable wiring ---
   const Topology& topo_;
@@ -516,41 +388,24 @@ class NetworkSim final : public PortLoadProvider {
   const RoutingAlgorithm* routing_ = nullptr;
   PacketTraceSink* trace_ = nullptr;
 
-  // --- sharding wiring (fixed at construction) ---
-  int num_lanes_ = 1;  ///< clamp(cfg.shards, 1, num_routers)
-  std::vector<int> lane_of_router_;
-  std::vector<int> lane_of_node_;
-
   // --- mutable run state ---
   std::vector<RouterState> routers_;
-  /// All VOQ cells of all routers, contiguous (see voq_index()). Each cell
-  /// is touched only by the lane owning its router between barriers.
+  /// All VOQ cells of all routers, contiguous (see voq_index()).
   std::vector<VoqCell> voq_;
   std::vector<NicState> nics_;
-  std::vector<Lane> lanes_;
-  EventQueue control_;  ///< coordinator-side control events (sharded runs)
+  EventQueue queue_;
+  PacketPool pool_;
   /// Per-entity RNG streams (seeded per run from SimConfig::seed): one per
   /// node (generation, destination draw, injection routing) and one per
-  /// router (salvage rerouting). Entity-local streams make the draw
-  /// sequences independent of global event interleaving, which is what lets
-  /// shards consume randomness concurrently yet bit-identically.
+  /// router (salvage rerouting). Entity-local streams keep each entity's
+  /// draw sequence fixed by its own events, not by global interleaving.
   std::vector<Rng> node_rng_;
   std::vector<Rng> router_rng_;
   /// Per-node injection counter behind Packet::uid; reset per run.
   std::vector<std::uint64_t> node_uid_ctr_;
 
-  int active_lanes_ = 1;      ///< lanes the current/last run uses (after demotion)
-  bool sharded_run_ = false;  ///< active_lanes_ > 1
-  /// True while the coordinator executes a serialized control timestamp:
-  /// cross-lane sends push directly (single-threaded) instead of through
-  /// the mailboxes.
-  bool barrier_phase_ = false;
-  std::int64_t windows_ = 0;          ///< parallel windows executed
-  TimePs window_width_ps_ = 0;        ///< summed window widths
-  std::int64_t coord_events_ = 0;  ///< control events executed by the coordinator
-
   TimePs now_ = 0;
-  std::int64_t events_processed_ = 0;  ///< merged at run end (collect_lanes)
+  std::int64_t events_processed_ = 0;
   /// FNV-1a over the dispatched event stream; see
   /// SimConfig::collect_event_digest.
   bool digest_enabled_ = false;
@@ -587,19 +442,17 @@ class NetworkSim final : public PortLoadProvider {
   FaultStats fstats_;
   int hop_limit_ = 0;  ///< effective per-run value (config 0 = auto)
   bool wedged_ = false;
-  /// Coordinator-side slice of the monotone activity counter (fault
-  /// applications); lane-side activity lives on Lane::progress and
-  /// total_progress() sums both. The watchdog fires when the total stops
-  /// moving while work is outstanding.
+  /// Monotone activity counter (injections, grants, deliveries, credit
+  /// returns, retries, fault applications). The watchdog fires when it
+  /// stops moving while work is outstanding.
   std::uint64_t progress_ = 0;
   std::uint64_t watch_last_ = 0;
 
   // wall-clock deadline (cooperative cancellation; see
-  // SimConfig::wall_limit_seconds). Serial runs read the clock once per
-  // kDeadlineStride dispatched events, sharded runs once per window
-  // barrier; either way the event sequence — and thus every result — is
-  // bit-identical whether the deadline is off, armed but unhit, or absent
-  // entirely.
+  // SimConfig::wall_limit_seconds). The loop reads the clock once per
+  // kDeadlineStride dispatched events, so the event sequence — and thus
+  // every result — is bit-identical whether the deadline is off, armed but
+  // unhit, or absent entirely.
   static constexpr int kDeadlineStride = 2048;
   bool deadline_enabled_ = false;
   bool timed_out_ = false;
@@ -608,12 +461,12 @@ class NetworkSim final : public PortLoadProvider {
 
   bool paranoid_ = false;  ///< SimConfig::paranoid or D2NET_PARANOID env
 
-  // statistics (run-level aggregates, filled by collect_lanes at run end)
+  // statistics (fault counters live on fstats_)
   std::int64_t ejected_bytes_window_ = 0;
   std::vector<std::int64_t> ejected_per_node_;
   std::int64_t packets_injected_ = 0;
   std::int64_t packets_minimal_ = 0;
-  std::int64_t hop_sum_ = 0;
+  std::int64_t hop_sum_ = 0;  ///< integer hop total: exact mean
   std::int64_t hop_count_ = 0;
   LogHistogram latency_ns_;
   RunPhaseBreakdown phases_;  ///< always collected (integer increments only)

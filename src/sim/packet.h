@@ -17,9 +17,8 @@ struct Packet {
   int size = 0;  ///< bytes
   /// Pool-independent identity: (src_node << 34) | per-node injection
   /// counter, assigned once at successful injection. Event ordering keys
-  /// and the event digest use it instead of the pool slot, so sharded runs
-  /// (per-shard pools, packets migrating between them) realize the exact
-  /// ordering and digest of the serial engine.
+  /// and the event digest use it instead of the pool slot, so neither
+  /// depends on the pool's slot assignment.
   std::uint64_t uid = 0;
   TimePs gen_time = 0;     ///< when the workload created it
   TimePs inject_time = 0;  ///< when the NIC started serializing it

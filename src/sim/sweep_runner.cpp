@@ -23,15 +23,7 @@ std::uint64_t derive_point_seed(std::uint64_t base_seed, std::uint64_t point_ind
 
 SweepRunner::SweepRunner(SweepRunOptions opts) : opts_(std::move(opts)) {
   D2NET_REQUIRE(opts_.jobs >= 0, "jobs must be >= 0 (0 = hardware concurrency)");
-  if (opts_.jobs == 0) {
-    // Auto-sizing composes with per-point sharding: each in-flight point
-    // runs config.shards lanes, so divide the machine between them instead
-    // of oversubscribing shards x points threads onto the same cores.
-    const int shards = opts_.config.shards > 1 ? opts_.config.shards : 1;
-    jobs_ = std::max(1, ThreadPool::hardware_concurrency() / shards);
-  } else {
-    jobs_ = opts_.jobs;
-  }
+  jobs_ = opts_.jobs == 0 ? ThreadPool::hardware_concurrency() : opts_.jobs;
 }
 
 std::vector<std::vector<SweepPoint>> SweepRunner::run(

@@ -63,9 +63,7 @@ struct SweepSeriesSpec {
 
 struct SweepRunOptions {
   /// Worker threads; 1 runs inline on the caller (no pool). 0 auto-sizes
-  /// to hardware concurrency divided by config.shards (floor 1), so
-  /// per-point sharding and sweep parallelism compose without
-  /// oversubscription.
+  /// to hardware concurrency.
   int jobs = 1;
   /// cfg.seed acts as the sweep's base seed; each point overrides it with
   /// derive_point_seed(cfg.seed, point_index).

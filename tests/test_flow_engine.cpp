@@ -713,11 +713,6 @@ TEST(FlowValidation, RejectsPacketOnlyFeaturesUpFront) {
   metrics_cfg.metrics.enabled = true;
   EXPECT_THROW(SimStack(topo, RoutingStrategy::kMinimal, metrics_cfg), ArgumentError);
 
-  SimConfig shards_cfg;
-  shards_cfg.engine = SimEngine::kFlow;
-  shards_cfg.shards = 2;
-  EXPECT_THROW(SimStack(topo, RoutingStrategy::kMinimal, shards_cfg), ArgumentError);
-
   SimConfig bad_knobs;
   bad_knobs.engine = SimEngine::kFlow;
   bad_knobs.flow.flow_bytes = 0;

@@ -455,6 +455,53 @@ TEST(Deadline, UnhitBudgetLeavesResultsBitIdentical) {
   EXPECT_EQ(a.avg_latency_ns, b.avg_latency_ns);
 }
 
+TEST(Deadline, TruncatedRunIsNormalizedByTheWindowItReached) {
+  // A run the wall-clock deadline stops early measured only [warmup,
+  // t_stop]. Normalized by that window, its throughput matches an
+  // untruncated run of the same seed whose duration is t_stop.
+  const Topology sf = build_slim_fly(5);
+  const UniformTraffic uni(sf.num_nodes());
+  const TimePs warmup = us(1);
+  const TimePs endless = us(100'000);  // never reached within the budgets below
+  for (const SimEngine engine : {SimEngine::kPacket, SimEngine::kFlow}) {
+    SCOPED_TRACE(engine == SimEngine::kPacket ? "packet" : "flow");
+    SimConfig cfg;
+    cfg.seed = 5;
+    cfg.engine = engine;
+
+    // Grow the budget until the stop lands well past the warmup: hosts and
+    // sanitizer builds differ by orders of magnitude in events per second.
+    OpenLoopResult cut;
+    for (double budget = 0.02; budget < 30.0; budget *= 2) {
+      SimConfig budgeted = cfg;
+      budgeted.wall_limit_seconds = budget;
+      SimStack stack(sf, RoutingStrategy::kMinimal, budgeted);
+      cut = stack.run_open_loop(uni, 0.6, endless, warmup);
+      ASSERT_TRUE(cut.timed_out);
+      if (cut.t_stop >= 4 * warmup) break;
+    }
+    ASSERT_GE(cut.t_stop, 4 * warmup);
+    ASSERT_LT(cut.t_stop, endless);
+
+    SimStack stack(sf, RoutingStrategy::kMinimal, cfg);
+    const OpenLoopResult full = stack.run_open_loop(uni, 0.6, cut.t_stop, warmup);
+    EXPECT_FALSE(full.timed_out);
+    EXPECT_EQ(full.t_stop, cut.t_stop);
+    EXPECT_GT(full.accepted_throughput, 0.3);
+    EXPECT_NEAR(cut.accepted_throughput, full.accepted_throughput,
+                0.02 * full.accepted_throughput);
+
+    // A stop inside the warmup measured nothing.
+    SimConfig instant = cfg;
+    instant.wall_limit_seconds = 1e-9;
+    SimStack early(sf, RoutingStrategy::kMinimal, instant);
+    const OpenLoopResult none = early.run_open_loop(uni, 0.6, endless, us(50));
+    EXPECT_TRUE(none.timed_out);
+    EXPECT_LT(none.t_stop, us(50));
+    EXPECT_EQ(none.accepted_throughput, 0.0);
+  }
+}
+
 TEST(Deadline, FailedPointsAreJournaledAndRerunOnResume) {
   const Topology sf = build_slim_fly(5);
   const UniformTraffic good(sf.num_nodes());

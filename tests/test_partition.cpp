@@ -110,84 +110,6 @@ TEST(Partitioner, LargerRandomRegularStaysBalanced) {
   EXPECT_EQ(cut_weight(g, r.side), r.cut_weight);
 }
 
-// ------------------------------------- shard-assignment quality (paper scale)
-
-// The sharded simulator partitions the router graph with partition_kway
-// (vertex weight = per-router event work: 2 x endpoints + network degree).
-// These tests pin the quality the sharding relies on, at the paper's
-// system scales: near-balanced parts (load balance across worker cores)
-// and a cut far below the total edge weight (cross-shard traffic bounded).
-CsrGraph router_graph(const Topology& topo) {
-  std::vector<std::array<int, 3>> edges;
-  std::vector<int> vwgt(static_cast<std::size_t>(topo.num_routers()));
-  for (int r = 0; r < topo.num_routers(); ++r) {
-    vwgt[static_cast<std::size_t>(r)] =
-        2 * topo.endpoints_of(r) + topo.network_degree(r);
-    for (int n : topo.neighbors(r)) {
-      if (n > r) edges.push_back({r, n, 1});
-    }
-  }
-  return make_csr(topo.num_routers(), edges, std::move(vwgt));
-}
-
-void expect_quality_kway(const Topology& topo, int k, double max_cut_fraction) {
-  const CsrGraph g = router_graph(topo);
-  const KwayResult r = partition_kway(g, k);
-  ASSERT_EQ(static_cast<int>(r.weights.size()), k);
-  ASSERT_EQ(static_cast<int>(r.part.size()), g.num_vertices);
-
-  // Validity: every vertex assigned, per-part weights consistent.
-  std::int64_t total = 0;
-  std::vector<std::int64_t> recount(k, 0);
-  for (int v = 0; v < g.num_vertices; ++v) {
-    ASSERT_GE(r.part[v], 0);
-    ASSERT_LT(r.part[v], k);
-    recount[r.part[v]] += g.vwgt[v];
-    total += g.vwgt[v];
-  }
-  const double ideal = static_cast<double>(total) / k;
-  for (int p = 0; p < k; ++p) {
-    EXPECT_EQ(recount[p], r.weights[p]);
-    // Balance: every part within 5% of the ideal share.
-    EXPECT_NEAR(static_cast<double>(r.weights[p]), ideal, 0.05 * ideal)
-        << "part " << p << " of " << k << " unbalanced";
-  }
-
-  // Cut sanity: recompute independently and bound it as a fraction of the
-  // total edge weight. Diameter-2 graphs are expanders, so cuts are large
-  // in absolute terms — but a partition that cut most edges would make
-  // sharding pointless.
-  std::int64_t cut = 0;
-  std::int64_t edge_total = 0;
-  for (int v = 0; v < g.num_vertices; ++v) {
-    for (int e = g.xadj[v]; e < g.xadj[v + 1]; ++e) {
-      const int u = g.adjncy[e];
-      if (u < v) continue;  // count each undirected edge once
-      edge_total += g.adjwgt[e];
-      if (r.part[v] != r.part[u]) cut += g.adjwgt[e];
-    }
-  }
-  EXPECT_EQ(cut, r.cut_weight);
-  EXPECT_GT(cut, 0);
-  EXPECT_LT(static_cast<double>(cut), max_cut_fraction * static_cast<double>(edge_total));
-}
-
-TEST(Partitioner, PaperScaleSlimFlyQ19FourWay) {
-  // SF(q=19): 722 routers, the largest MMS instance near the paper's scale.
-  expect_quality_kway(build_slim_fly(19), 4, 0.80);
-}
-
-TEST(Partitioner, PaperScaleMlfmFourWay) {
-  // MLFM h=15 (the paper's full-scale configuration): the two-layer
-  // structure gives the partitioner natural seams, so demand a lower cut.
-  expect_quality_kway(build_mlfm(15), 4, 0.70);
-}
-
-TEST(Partitioner, PaperScaleOftFourWay) {
-  // OFT k=12 (paper scale, 3 levels).
-  expect_quality_kway(build_oft(12), 4, 0.80);
-}
-
 // ------------------------------------------------ bisection bandwidth (Fig. 4)
 
 TEST(BisectionBandwidth, FatTree2IsFullBisection) {

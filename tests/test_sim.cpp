@@ -278,6 +278,20 @@ TEST(Experiment, SaturationPointSkipsTimedOutAndFailedPoints) {
   EXPECT_DOUBLE_EQ(saturation_point({}), 0.0);
 }
 
+TEST(Experiment, RejectsShardsOtherThanOne) {
+  // Every simulation is one serial event loop; SimConfig::shards survives
+  // only as a field that must stay 1, checked once for both engines.
+  const Topology topo = build_slim_fly(5);
+  for (const SimEngine engine : {SimEngine::kPacket, SimEngine::kFlow}) {
+    SimConfig cfg = fast_config();
+    cfg.engine = engine;
+    cfg.shards = 2;
+    EXPECT_THROW(SimStack(topo, RoutingStrategy::kMinimal, cfg), ArgumentError);
+    cfg.shards = 1;
+    EXPECT_NO_THROW(SimStack(topo, RoutingStrategy::kMinimal, cfg));
+  }
+}
+
 TEST(Experiment, NumVcsProvisioning) {
   const Topology sf = build_slim_fly(5);
   const Topology mlfm = build_mlfm(3);

@@ -1,5 +1,6 @@
 // Parallel sweep infrastructure tests: the thread pool, the event queue
-// (both schedulers, against a reference order), per-point seed derivation,
+// (against a reference order, on every tier of the wheel and its overflow
+// heap), per-point seed derivation,
 // and — the core guarantee — that a serial (jobs=1) and a parallel (jobs=4)
 // sweep over the small paper configurations produce identical results.
 #include <gtest/gtest.h>
@@ -120,8 +121,6 @@ TEST(ThreadPool, ParallelForPropagatesBodyException) {
 // across clear().
 class QueueOracle {
  public:
-  explicit QueueOracle(SchedulerKind kind) { q_.set_scheduler(kind); }
-
   EventQueue& queue() { return q_; }
   std::size_t size() const { return ref_.size(); }
   std::size_t high_water() const { return high_water_; }
@@ -191,12 +190,9 @@ class QueueOracle {
   int failures_ = 0;
 };
 
-constexpr SchedulerKind kBothSchedulers[] = {SchedulerKind::kHeap, SchedulerKind::kWheel};
-
 /// The wheel's chunk pool never holds more than the pending high-water mark
 /// plus one partial chunk per bucket and one chunk in transit.
 void expect_wheel_pool_bounded(QueueOracle& o) {
-  if (o.queue().scheduler() != SchedulerKind::kWheel) return;
   const std::size_t bound =
       o.high_water() + EventQueue::kChunkEvents *
                            (EventQueue::kL1Buckets + EventQueue::kL2Buckets + 1);
@@ -204,55 +200,51 @@ void expect_wheel_pool_bounded(QueueOracle& o) {
 }
 
 TEST(EventQueue4ary, MatchesReferenceHeapOnRandomStress) {
-  for (const SchedulerKind kind : kBothSchedulers) {
-    QueueOracle o(kind);
-    o.queue().reserve(1 << 12);
-    Rng rng(99);
-    // Interleave pushes and pops the way the simulator does (queue stays
-    // partially full), with a few okeys over a narrow time range so ties on
-    // time and on (time, okey) are common.
-    for (int round = 0; round < 2000; ++round) {
-      const int pushes = 1 + static_cast<int>(rng.next_below(8));
-      for (int i = 0; i < pushes; ++i) {
-        o.push(static_cast<TimePs>(rng.next_below(1 << 16)), rng.next_below(4));
-      }
-      const int pops = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(pushes) + 1));
-      for (int i = 0; i < pops && o.size() > 0; ++i) o.pop();
+  QueueOracle o;
+  o.queue().reserve(1 << 12);
+  Rng rng(99);
+  // Interleave pushes and pops the way the simulator does (queue stays
+  // partially full), with a few okeys over a narrow time range so ties on
+  // time and on (time, okey) are common.
+  for (int round = 0; round < 2000; ++round) {
+    const int pushes = 1 + static_cast<int>(rng.next_below(8));
+    for (int i = 0; i < pushes; ++i) {
+      o.push(static_cast<TimePs>(rng.next_below(1 << 16)), rng.next_below(4));
     }
-    o.drain();
-    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
-    expect_wheel_pool_bounded(o);
+    const int pops = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(pushes) + 1));
+    for (int i = 0; i < pops && o.size() > 0; ++i) o.pop();
   }
+  o.drain();
+  EXPECT_EQ(o.failures(), 0);
+  expect_wheel_pool_bounded(o);
 }
 
 TEST(EventQueueOracle, OkeyTiesAndPushesIntoTheActiveBucket) {
-  for (const SchedulerKind kind : kBothSchedulers) {
-    QueueOracle o(kind);
-    Rng rng(5);
-    for (int i = 0; i < 2048; ++i) {
-      o.push(static_cast<TimePs>(rng.next_below(1 << 12)), rng.next_below(4));
-    }
-    for (int step = 0; step < 50'000; ++step) {
-      const TimePs now = o.pop();
-      // Same-time pushes whose okey sorts before or after the event just
-      // dispatched, pushes a few ps ahead (same 64 ps bucket), and pushes on
-      // the simulator's own scale.
-      switch (rng.next_below(4)) {
-        case 0:
-          o.push(now, rng.next_below(4));
-          break;
-        case 1:
-          o.push(now + static_cast<TimePs>(rng.next_below(64)), rng.next_below(4));
-          break;
-        default:
-          o.push(now + 1 + static_cast<TimePs>(rng.next_below(1 << 17)), rng.next_below(4));
-          break;
-      }
-    }
-    o.drain();
-    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
-    expect_wheel_pool_bounded(o);
+  QueueOracle o;
+  Rng rng(5);
+  for (int i = 0; i < 2048; ++i) {
+    o.push(static_cast<TimePs>(rng.next_below(1 << 12)), rng.next_below(4));
   }
+  for (int step = 0; step < 50'000; ++step) {
+    const TimePs now = o.pop();
+    // Same-time pushes whose okey sorts before or after the event just
+    // dispatched, pushes a few ps ahead (same 64 ps bucket), and pushes on
+    // the simulator's own scale.
+    switch (rng.next_below(4)) {
+      case 0:
+        o.push(now, rng.next_below(4));
+        break;
+      case 1:
+        o.push(now + static_cast<TimePs>(rng.next_below(64)), rng.next_below(4));
+        break;
+      default:
+        o.push(now + 1 + static_cast<TimePs>(rng.next_below(1 << 17)), rng.next_below(4));
+        break;
+    }
+  }
+  o.drain();
+  EXPECT_EQ(o.failures(), 0);
+  expect_wheel_pool_bounded(o);
 }
 
 TEST(EventQueueOracle, PaperDensityWithHeapOverflow) {
@@ -260,25 +252,23 @@ TEST(EventQueueOracle, PaperDensityWithHeapOverflow) {
   // (~100k), rescheduled on the simulator's time scale; one push in 32
   // lands past the ~16.8 us L2 horizon and must come back through the heap.
   constexpr int kResident = 1 << 16;
-  for (const SchedulerKind kind : kBothSchedulers) {
-    QueueOracle o(kind);
-    o.queue().reserve(kResident);
-    Rng rng(17);
-    for (int i = 0; i < kResident; ++i) {
-      o.push(static_cast<TimePs>(rng.next_below(1 << 17)), rng.next_below(1 << 20));
-    }
-    for (int step = 0; step < 200'000; ++step) {
-      const TimePs now = o.pop();
-      const TimePs ahead = rng.next_below(32) == 0
-                               ? (TimePs{1} << 24) + static_cast<TimePs>(rng.next_below(1 << 24))
-                               : 1 + static_cast<TimePs>(rng.next_below(1 << 17));
-      o.push(now + ahead, rng.next_below(1 << 20));
-    }
-    EXPECT_GE(o.high_water(), static_cast<std::size_t>(kResident));
-    expect_wheel_pool_bounded(o);
-    o.drain();
-    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
+  QueueOracle o;
+  o.queue().reserve(kResident);
+  Rng rng(17);
+  for (int i = 0; i < kResident; ++i) {
+    o.push(static_cast<TimePs>(rng.next_below(1 << 17)), rng.next_below(1 << 20));
   }
+  for (int step = 0; step < 200'000; ++step) {
+    const TimePs now = o.pop();
+    const TimePs ahead = rng.next_below(32) == 0
+                             ? (TimePs{1} << 24) + static_cast<TimePs>(rng.next_below(1 << 24))
+                             : 1 + static_cast<TimePs>(rng.next_below(1 << 17));
+    o.push(now + ahead, rng.next_below(1 << 20));
+  }
+  EXPECT_GE(o.high_water(), static_cast<std::size_t>(kResident));
+  expect_wheel_pool_bounded(o);
+  o.drain();
+  EXPECT_EQ(o.failures(), 0);
 }
 
 TEST(EventQueueOracle, SlidingHorizonPullsHeapEvents) {
@@ -286,25 +276,23 @@ TEST(EventQueueOracle, SlidingHorizonPullsHeapEvents) {
   // ~16.8 us L2 spans, while one push in 16 lands up to three spans ahead.
   // Those heap events must re-enter through the sliding L2 window ahead of
   // the later near-future events that keep arriving around them.
-  for (const SchedulerKind kind : kBothSchedulers) {
-    QueueOracle o(kind);
-    Rng rng(31);
-    for (int i = 0; i < 512; ++i) {
-      o.push(static_cast<TimePs>(rng.next_below(1 << 20)), rng.next_below(4));
-    }
-    TimePs now = 0;
-    for (int step = 0; step < 100'000; ++step) {
-      now = o.pop();
-      const TimePs ahead = rng.next_below(16) == 0
-                               ? static_cast<TimePs>(rng.next_below(TimePs{3} << 24))
-                               : 1 + static_cast<TimePs>(rng.next_below(1 << 20));
-      o.push(now + ahead, rng.next_below(4));
-    }
-    EXPECT_GT(now, TimePs{4} << 24);  // crossed several L2 spans
-    o.drain();
-    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
-    expect_wheel_pool_bounded(o);
+  QueueOracle o;
+  Rng rng(31);
+  for (int i = 0; i < 512; ++i) {
+    o.push(static_cast<TimePs>(rng.next_below(1 << 20)), rng.next_below(4));
   }
+  TimePs now = 0;
+  for (int step = 0; step < 100'000; ++step) {
+    now = o.pop();
+    const TimePs ahead = rng.next_below(16) == 0
+                             ? static_cast<TimePs>(rng.next_below(TimePs{3} << 24))
+                             : 1 + static_cast<TimePs>(rng.next_below(1 << 20));
+    o.push(now + ahead, rng.next_below(4));
+  }
+  EXPECT_GT(now, TimePs{4} << 24);  // crossed several L2 spans
+  o.drain();
+  EXPECT_EQ(o.failures(), 0);
+  expect_wheel_pool_bounded(o);
 }
 
 TEST(EventQueueOracle, PushesOnEveryTierAndBoundary) {
@@ -315,81 +303,77 @@ TEST(EventQueueOracle, PushesOnEveryTierAndBoundary) {
   constexpr TimePs kW1 = EventQueue::kW1;
   constexpr TimePs kW2 = EventQueue::kW2;
   constexpr TimePs kL2Span = EventQueue::kL2Span;
-  for (const SchedulerKind kind : kBothSchedulers) {
-    QueueOracle o(kind);
-    Rng rng(41);
-    for (int i = 0; i < 1024; ++i) {
-      o.push(static_cast<TimePs>(rng.next_below(4 * kW2)), rng.next_below(4));
-    }
-    for (int step = 0; step < 60'000; ++step) {
-      const TimePs now = o.pop();
-      const TimePs l1_limit = (now / kW2 + 1) * kW2;
-      const TimePs horizon = l1_limit + kL2Span;
-      TimePs t = now;  // case 0: the active bucket, at the dispatch time
-      switch (rng.next_below(9)) {
-        case 1:  // the active bucket or the L1 bucket just after it
-          t = now + static_cast<TimePs>(rng.next_below(2 * kW1));
-          break;
-        case 2:  // anywhere in L1
-          t = now + static_cast<TimePs>(
-                        rng.next_below(static_cast<std::uint64_t>(l1_limit - now)));
-          break;
-        case 3:  // the last L1 time
-          t = l1_limit - 1;
-          break;
-        case 4:  // exactly on the L1/L2 boundary: the first L2 time
-          t = l1_limit;
-          break;
-        case 5:  // anywhere in L2
-          t = l1_limit + static_cast<TimePs>(rng.next_below(kL2Span));
-          break;
-        case 6:  // the last L2 time
-          t = horizon - 1;
-          break;
-        case 7:  // exactly on the L2 horizon: the first heap time
-          t = horizon;
-          break;
-        case 8:  // deeper in the heap
-          t = horizon + static_cast<TimePs>(rng.next_below(2 * kL2Span));
-          break;
-        default:
-          break;
-      }
-      o.push(t, rng.next_below(4));
-    }
-    o.drain();
-    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
-    expect_wheel_pool_bounded(o);
+  QueueOracle o;
+  Rng rng(41);
+  for (int i = 0; i < 1024; ++i) {
+    o.push(static_cast<TimePs>(rng.next_below(4 * kW2)), rng.next_below(4));
   }
+  for (int step = 0; step < 60'000; ++step) {
+    const TimePs now = o.pop();
+    const TimePs l1_limit = (now / kW2 + 1) * kW2;
+    const TimePs horizon = l1_limit + kL2Span;
+    TimePs t = now;  // case 0: the active bucket, at the dispatch time
+    switch (rng.next_below(9)) {
+      case 1:  // the active bucket or the L1 bucket just after it
+        t = now + static_cast<TimePs>(rng.next_below(2 * kW1));
+        break;
+      case 2:  // anywhere in L1
+        t = now + static_cast<TimePs>(
+                      rng.next_below(static_cast<std::uint64_t>(l1_limit - now)));
+        break;
+      case 3:  // the last L1 time
+        t = l1_limit - 1;
+        break;
+      case 4:  // exactly on the L1/L2 boundary: the first L2 time
+        t = l1_limit;
+        break;
+      case 5:  // anywhere in L2
+        t = l1_limit + static_cast<TimePs>(rng.next_below(kL2Span));
+        break;
+      case 6:  // the last L2 time
+        t = horizon - 1;
+        break;
+      case 7:  // exactly on the L2 horizon: the first heap time
+        t = horizon;
+        break;
+      case 8:  // deeper in the heap
+        t = horizon + static_cast<TimePs>(rng.next_below(2 * kL2Span));
+        break;
+      default:
+        break;
+    }
+    o.push(t, rng.next_below(4));
+  }
+  o.drain();
+  EXPECT_EQ(o.failures(), 0);
+  expect_wheel_pool_bounded(o);
 }
 
 TEST(EventQueueOracle, ClearThenReuse) {
-  for (const SchedulerKind kind : kBothSchedulers) {
-    QueueOracle o(kind);
-    std::size_t first_pool = 0;
-    for (int cycle = 0; cycle < 3; ++cycle) {
-      // Every cycle replays the same schedule from time 0, far behind where
-      // the previous cycle stopped, and abandons it part-way through.
-      Rng rng(23);
-      for (int i = 0; i < 10'000; ++i) {
-        o.push(static_cast<TimePs>(rng.next_below(1 << 20)), rng.next_below(8));
-      }
-      for (int step = 0; step < 30'000; ++step) {
-        const TimePs now = o.pop();
-        o.push(now + 1 + static_cast<TimePs>(rng.next_below(1 << 19)), rng.next_below(8));
-      }
-      EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
-      o.clear();
-      EXPECT_TRUE(o.queue().empty());
-      // clear() keeps the chunk pool: replaying the schedule carves no more.
-      if (cycle == 0) first_pool = o.queue().pool_slots();
-      EXPECT_EQ(o.queue().pool_slots(), first_pool);
+  QueueOracle o;
+  std::size_t first_pool = 0;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    // Every cycle replays the same schedule from time 0, far behind where
+    // the previous cycle stopped, and abandons it part-way through.
+    Rng rng(23);
+    for (int i = 0; i < 10'000; ++i) {
+      o.push(static_cast<TimePs>(rng.next_below(1 << 20)), rng.next_below(8));
     }
-    o.push(7, 0);
-    o.drain();
-    EXPECT_EQ(o.failures(), 0) << "scheduler " << static_cast<int>(kind);
-    expect_wheel_pool_bounded(o);
+    for (int step = 0; step < 30'000; ++step) {
+      const TimePs now = o.pop();
+      o.push(now + 1 + static_cast<TimePs>(rng.next_below(1 << 19)), rng.next_below(8));
+    }
+    EXPECT_EQ(o.failures(), 0);
+    o.clear();
+    EXPECT_TRUE(o.queue().empty());
+    // clear() keeps the chunk pool: replaying the schedule carves no more.
+    if (cycle == 0) first_pool = o.queue().pool_slots();
+    EXPECT_EQ(o.queue().pool_slots(), first_pool);
   }
+  o.push(7, 0);
+  o.drain();
+  EXPECT_EQ(o.failures(), 0);
+  expect_wheel_pool_bounded(o);
 }
 
 TEST(EventQueue4ary, NextTimeAndPopThrowOnEmpty) {
