@@ -7,7 +7,8 @@
 //   bench_micro_core [gbench args]   the usual google-benchmark CLI
 //   bench_micro_core --json=PATH     self-timed perf snapshot: end-to-end
 //                                    events/sec at saturation plus ns/op
-//                                    for the core primitives, written as
+//                                    for the core primitives and the peak
+//                                    live VOQ cells, written as
 //                                    flat JSON (the BENCH_core.json
 //                                    artifact scripts/ci.sh diffs against;
 //                                    see docs/perf.md for refreshing it).
@@ -263,6 +264,20 @@ int write_json_snapshot(const std::string& path) {
   const std::int64_t eps_ugal =
       scenario_events_per_sec(topo, RoutingStrategy::kUgal, 3);
 
+  // Peak live VOQ cells of one UGAL run of the same scenario with metrics
+  // on. Deterministic for the seed, so any increase is a storage change,
+  // not noise.
+  std::size_t voq_cells_peak = 0;
+  {
+    SimConfig cfg;
+    cfg.seed = 1;
+    cfg.metrics.enabled = true;
+    SimStack stack(topo, RoutingStrategy::kUgal, cfg);
+    const UniformTraffic uni(topo.num_nodes());
+    const OpenLoopResult res = stack.run_open_loop(uni, 0.9, us(20), us(5));
+    voq_cells_peak = res.metrics->capacities.voq_cells;
+  }
+
   // VOQ push+pop pair through one intrusive cell.
   PacketPool pool;
   int ids[8];
@@ -342,6 +357,7 @@ int write_json_snapshot(const std::string& path) {
   std::fprintf(f, "  \"cores\": %d,\n", cores);
   std::fprintf(f, "  \"cpu_model\": \"%s\",\n", bench::cpu_model().c_str());
   std::fprintf(f, "  \"ns_voq_push_pop\": %.2f,\n", ns_voq);
+  std::fprintf(f, "  \"voq_cells_peak\": %zu,\n", voq_cells_peak);
   std::fprintf(f, "  \"ns_pool_alloc_release\": %.2f,\n", ns_pool);
   std::fprintf(f, "  \"ns_csr_next_hops\": %.2f,\n", ns_csr);
   std::fprintf(f, "  \"ns_event_queue_wheel\": %.2f,\n", ns_wheel);

@@ -3,9 +3,12 @@
 # ctest suite, then a ThreadSanitizer build that runs the parallel-sweep
 # tests and the propagation digest suite to prove sweep parallelism — the
 # one parallel mode; each simulation is a serial event loop — is race-free
-# (not just accidentally ordered), then an ASan+UBSan build that runs the fault-injection and simulator-edge
-# suites — the code paths that tear down in-flight state mid-run and are
-# therefore the likeliest source of lifetime/indexing bugs — and then an
+# (not just accidentally ordered), then an ASan+UBSan build that runs the
+# fault-injection and simulator-edge suites — the code paths that tear down
+# in-flight state mid-run and are therefore the likeliest source of
+# lifetime/indexing bugs — plus the determinism-digest and simulator suites,
+# whose healthy runs take and return VOQ cells from the growing cell pool
+# on every packet (a stale cell reference is a use-after-free), and then an
 # end-to-end kill/resume drill on d2net_campaign with campaigns/fig6.json
 # under parallel sweeps: journal a sweep, truncate the journal mid-file with
 # a torn final line (what a SIGKILL leaves behind), resume, and require the
@@ -23,6 +26,8 @@
 # committed baseline is refreshed deliberately, see docs/perf.md). The band
 # applies only when the host fingerprint (usable cores and CPU model)
 # matches the baseline's; on any other host the table is informational.
+# voq_cells_peak (peak live VOQ cells of a fixed run) is deterministic, so
+# any increase over the baseline is reported on every host.
 # The same stage runs the benchmark's own tests (perfbench/test_*.py),
 # which build perfbench_rep into .bench_build/ and fail the build.
 #
@@ -83,13 +88,20 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
-  echo "=== stage 3: ASan+UBSan fault-injection / sim-edge check ==="
+  echo "=== stage 3: ASan+UBSan fault-injection / sim-edge / VOQ-pool check ==="
   cmake -B build-ci-asan -S . -DD2NET_SANITIZE=address,undefined >/dev/null
-  cmake --build build-ci-asan -j "$JOBS" --target test_faults --target test_sim_edge
+  cmake --build build-ci-asan -j "$JOBS" --target test_faults --target test_sim_edge \
+    --target test_determinism_digest --target test_sim
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-ci-asan/tests/test_faults
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-ci-asan/tests/test_sim_edge
+  # Healthy runs grow and recycle the VOQ cell pool on every packet: the
+  # pinned-digest and simulator suites cover that path end to end.
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-ci-asan/tests/test_determinism_digest
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-ci-asan/tests/test_sim
   # Propagation tears down in-flight state on stale local views (salvage
   # resamples, misroute detours, drains at detection time) — exactly the
   # lifetime-bug surface this stage exists for.
@@ -157,7 +169,7 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     echo "current host:  $cur_host"
     printf '%-26s %14s %14s %8s  %s\n' metric baseline current delta verdict
     for key in events_per_sec_minimal events_per_sec_ugal ns_voq_push_pop \
-               ns_pool_alloc_release ns_csr_next_hops \
+               voq_cells_peak ns_pool_alloc_release ns_csr_next_hops \
                ns_event_queue_wheel ns_event_queue_wheel_dense; do
       base=$(field BENCH_core.json "$key")
       cur=$(field build-ci/BENCH_core.json "$key")
@@ -166,12 +178,14 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
           "MISSING (baseline schema drift?)"
         continue
       fi
-      # events/sec regress downward, ns/op regress upward.
+      # events/sec regress downward, ns/op regress upward; the
+      # deterministic voq_cells_peak flags any increase on every host.
       awk -v key="$key" -v base="$base" -v cur="$cur" -v same="$same_host" 'BEGIN {
         delta = base > 0 ? (cur - base) / base * 100 : 0
         worse = (key ~ /^events_per_sec/) ? -delta : delta
         verdict = worse > 15 ? "REGRESSION (warn-only)" : "ok"
         if (same != 1) verdict = "informational (host differs)"
+        if (key == "voq_cells_peak") verdict = cur + 0 > base + 0 ? "INCREASE (warn-only)" : "ok"
         printf "%-26s %14s %14s %+7.1f%%  %s\n", key, base, cur, delta, verdict
       }'
     done

@@ -41,9 +41,9 @@ SimStack::SimStack(const Topology& topo, std::shared_ptr<const MinimalTable> tab
                            : default_ugal_params(topo.kind(),
                                                  strategy == RoutingStrategy::kUgalThreshold);
   if (cfg_engine_ == SimEngine::kFlow) {
-    // Only the selected engine is constructed: the packet engine's VOQ and
-    // credit arrays are prohibitive exactly at the scales the flow engine
-    // exists for. FlowSim's constructor rejects packet-only config
+    // Only the selected engine is constructed: a flow run must not pay for
+    // the packet engine's per-port and per-input-VC state at the scales the
+    // flow engine exists for. FlowSim's constructor rejects packet-only config
     // (faults, metrics) with a descriptive ArgumentError.
     flow_ = std::make_unique<flowsim::FlowSim>(topo, cfg);
     algo_ = make_routing(topo_, *routing_table, strategy, *flow_, p, std::move(intermediates));

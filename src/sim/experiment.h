@@ -30,7 +30,7 @@ int num_vcs_needed(const Topology& topo, const MinimalTable& table, RoutingStrat
 /// (kPacket, the default) or the flow-level max-min-fair rate engine
 /// (kFlow; see docs/flow_engine.md). Only the selected engine is
 /// constructed — a flow run at 10^5+ endpoints must never pay for the
-/// packet engine's per-port VOQ arrays (gigabytes at that scale) — and
+/// packet engine's per-port and per-input-VC state — and
 /// both engines see the identical topology/table/routing/traffic inputs.
 class SimStack {
  public:

@@ -79,17 +79,21 @@ struct OccupancySample {
   std::int64_t buffered_bytes = 0;  ///< sum of all output-queue depths
 };
 
-/// Engine storage pre-sizing, reported per run so capacity planning is
-/// observable: NetworkSim reserves these at construction from the topology
-/// shape (radix x VC count x expected in-flight), and the *_reserved
-/// fields confirm what the backing stores actually grew to by run end.
+/// Engine storage sizing, reported per run so capacity planning is
+/// observable: NetworkSim reserves the event queue and packet pool at
+/// construction from the topology shape (radix x VC count x expected
+/// in-flight), and the *_reserved fields confirm what the backing stores
+/// actually grew to by run end. VOQ cells are not pre-sized at all.
 struct EngineCapacities {
   /// Event slots the queue holds: overflow-heap capacity, the active
   /// bucket's capacity and every chunk carved into the wheel's pool.
   std::size_t event_queue_reserved = 0;
   std::size_t packet_pool_reserved = 0;  ///< packet slots without reallocation
   std::size_t packet_pool_slots = 0;     ///< pool slots ever allocated (peak in-flight)
-  std::size_t voq_cells = 0;             ///< intrusive VOQ cells (in x vc x out, all routers)
+  /// High-water mark of live VOQ cells during the run: the most non-empty
+  /// (in_port, vc, out_port) FIFOs at once, all routers. Never exceeds
+  /// packet_pool_slots, since every live cell holds a packet.
+  std::size_t voq_cells = 0;
 };
 
 /// Everything the instrumentation collected for one run. Attached to the

@@ -149,38 +149,26 @@ NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
       ip.peer_node = topo.node_base(r) + j;
     }
   }
-  // Allocate the VC/VOQ structure once; reset() only clears it in place, so
-  // back-to-back runs on one instance do no structural allocation. Every
-  // (in_port, vc, out_port) FIFO is one 16-byte cell in the flat voq_
-  // array; each cell records its (in_port, vc) identity so a ready-list
-  // entry alone locates the credit-return path.
-  std::size_t total_cells = 0;
+  // VOQ cells are not allocated up front: a cell is taken from the voq_
+  // pool when a packet lands in an empty (in_port, vc, out_port) FIFO and
+  // returned when that FIFO empties, so the pool's size follows buffered
+  // packets. Only the per-input-VC list heads are sized by the topology.
+  std::size_t total_ivcs = 0;
   std::size_t total_ports = 0;
   for (RouterState& rs : routers_) {
-    rs.num_out = static_cast<std::int32_t>(rs.out_ports.size());
-    rs.voq_base = static_cast<std::int32_t>(total_cells);
-    total_cells += rs.in_ports.size() * static_cast<std::size_t>(num_vcs_) *
-                   static_cast<std::size_t>(rs.num_out);
+    D2NET_REQUIRE(rs.out_ports.size() <= static_cast<std::size_t>(INT16_MAX),
+                  "router radix overflows 16-bit port indexing");
+    rs.ivc_base = static_cast<std::int32_t>(total_ivcs);
+    total_ivcs += rs.in_ports.size() * static_cast<std::size_t>(num_vcs_);
     total_ports += rs.out_ports.size();
-    D2NET_REQUIRE(total_cells <= static_cast<std::size_t>(INT32_MAX),
-                  "VOQ cell count overflows 32-bit indexing");
+    D2NET_REQUIRE(total_ivcs <= static_cast<std::size_t>(INT32_MAX),
+                  "input VC count overflows 32-bit indexing");
     for (OutPort& op : rs.out_ports) {
       op.credits.resize(op.to_node ? 0 : num_vcs_);
       op.credits_pending.resize(op.to_node ? 0 : num_vcs_);
     }
   }
-  voq_.resize(total_cells);
-  for (const RouterState& rs : routers_) {
-    for (int ipx = 0; ipx < static_cast<int>(rs.in_ports.size()); ++ipx) {
-      for (int vc = 0; vc < num_vcs_; ++vc) {
-        for (int o = 0; o < rs.num_out; ++o) {
-          VoqCell& cell = voq_[voq_index(rs, ipx, vc, o)];
-          cell.in_port = static_cast<std::int16_t>(ipx);
-          cell.vc = static_cast<std::uint8_t>(vc);
-        }
-      }
-    }
-  }
+  ivc_head_.assign(total_ivcs, -1);
   for (NicState& nic : nics_) {
     nic.credits.resize(num_vcs_);
     nic.credits_pending.resize(num_vcs_);
@@ -219,10 +207,8 @@ NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
 }
 
 void NetworkSim::reset() {
-  for (VoqCell& cell : voq_) {
-    cell.head = cell.tail = cell.next_ready = -1;
-    cell.in_ready = 0;
-  }
+  voq_.clear();
+  std::fill(ivc_head_.begin(), ivc_head_.end(), std::int32_t{-1});
   for (RouterState& rs : routers_) {
     for (OutPort& op : rs.out_ports) {
       op.free_at = 0;
@@ -302,6 +288,35 @@ void NetworkSim::reset() {
   }
 }
 
+std::int32_t NetworkSim::find_cell(const RouterState& rs, int in_port, int vc,
+                                   int out_idx) const {
+  std::int32_t ci = ivc_head_[ivc_index(rs, in_port, vc)];
+  while (ci >= 0 && voq_[ci].out != out_idx) ci = voq_[ci].next_sib;
+  return ci;
+}
+
+std::int32_t NetworkSim::cell_for_push(const RouterState& rs, int in_port, int vc,
+                                       int out_idx) {
+  const std::int32_t found = find_cell(rs, in_port, vc, out_idx);
+  if (found >= 0) return found;
+  const std::int32_t ci = voq_.alloc(in_port, vc, out_idx);
+  std::int32_t& head = ivc_head_[ivc_index(rs, in_port, vc)];
+  voq_[ci].next_sib = head;
+  head = ci;
+  return ci;
+}
+
+void NetworkSim::release_cell(const RouterState& rs, std::int32_t ci) {
+  const VoqCell& cell = voq_[ci];
+  std::int32_t* link = &ivc_head_[ivc_index(rs, cell.in_port, cell.vc)];
+  while (*link != ci) {
+    D2NET_HOT_ASSERT(*link >= 0, "VOQ cell missing from its input VC list");
+    link = &voq_[*link].next_sib;
+  }
+  *link = cell.next_sib;
+  voq_.release(ci);
+}
+
 int NetworkSim::out_port_toward(int router, int neighbor) const {
   const auto& map = routers_[router].port_of_neighbor;
   auto it = std::lower_bound(map.begin(), map.end(), std::make_pair(neighbor, -1));
@@ -327,8 +342,12 @@ std::int64_t NetworkSim::output_queue_capacity() const { return cfg_.buffer_byte
 
 std::vector<NetworkSim::ChannelStats> NetworkSim::channel_stats() const {
   std::vector<ChannelStats> out;
+  // Normalized like accepted_throughput: a timed-out run only measured up
+  // to the simulated time it reached (nothing if it stopped inside the
+  // warmup); a wedged or completed run keeps the full window.
+  const TimePs stop = timed_out_ ? std::max(now_, window_start_) : window_end_;
   const double window_bytes =
-      static_cast<double>(window_end_ - window_start_) / static_cast<double>(cfg_.ps_per_byte);
+      static_cast<double>(stop - window_start_) / static_cast<double>(cfg_.ps_per_byte);
   for (int r = 0; r < topo_.num_routers(); ++r) {
     const auto& nbrs = topo_.neighbors(r);
     for (int i = 0; i < static_cast<int>(nbrs.size()); ++i) {
@@ -423,7 +442,7 @@ void NetworkSim::try_inject(int node, TimePs now) {
     const TimePs gen_time = nic.pending.front();
     const int dst = pattern_->dest(node, node_rng_[node]);
     if (start_injection(node, dst, cfg_.packet_bytes, gen_time, -1, now)) {
-      nic.pending.pop_front();
+      nic.pending.pop();
     }
     return;
   }
@@ -451,6 +470,11 @@ void NetworkSim::try_inject(int node, TimePs now) {
 void NetworkSim::handle_arrive_router(int pkt_id, int router, int in_port,
                                       int vc, TimePs now) {
   RouterState& rs = routers_[router];
+  // The VOQ lookup below starts a chain of dependent loads at this input
+  // VC's list head; fetching it now overlaps the miss with the checks and
+  // the next-hop search. At SF q=29 the live cells (13.6 MB at peak) far
+  // outgrow L2, and that chain dominates the handler.
+  __builtin_prefetch(&ivc_head_[ivc_index(rs, in_port, vc)]);
   if (faults_enabled_) {
     const InPort& ipc = rs.in_ports[in_port];
     bool destroyed = router_dead_[router] != 0;
@@ -486,8 +510,8 @@ void NetworkSim::handle_arrive_router(int pkt_id, int router, int in_port,
   }
   const int size = pool_[pkt_id].size;
   rs.out_ports[out_idx].queued_bytes += size;
-  VoqCell& cell = voq_[voq_index(rs, in_port, vc, out_idx)];
-  if (voq_push(pool_, cell, pkt_id, now + cfg_.router_latency)) {
+  const std::int32_t ci = cell_for_push(rs, in_port, vc, out_idx);
+  if (voq_push(pool_, voq_[ci], pkt_id, now + cfg_.router_latency)) {
     queue_.push(now + cfg_.router_latency, EventType::kHeadEligible, router, in_port, vc, out_idx);
   }
 }
@@ -495,11 +519,11 @@ void NetworkSim::handle_arrive_router(int pkt_id, int router, int in_port,
 void NetworkSim::handle_head_eligible(int router, int in_port, int vc,
                                       int out_idx, TimePs now) {
   RouterState& rs = routers_[router];
-  const std::int32_t ci = voq_index(rs, in_port, vc, out_idx);
+  const std::int32_t ci = find_cell(rs, in_port, vc, out_idx);
+  // Stale event: the FIFO emptied since, or its head already sits in the
+  // ready list (head granted and successor rescheduled).
+  if (ci < 0 || voq_[ci].in_ready) return;
   VoqCell& cell = voq_[ci];
-  if (cell.head < 0 || cell.in_ready) {
-    return;  // stale event (head already granted and successor rescheduled)
-  }
   const TimePs eligible_at = pool_[cell.head].eligible_at;
   if (eligible_at > now) {
     // Defensive: never strand a head — re-arm at its eligibility time.
@@ -547,6 +571,10 @@ void NetworkSim::try_grant(int router, int out_idx, TimePs now) {
     const int in_vc = cell.vc;
     cell.in_ready = 0;
     voq_pop(pool_, cell);
+    // An emptied cell is unlinked at the end of the grant by walking its
+    // input VC's list; start that walk's first load now (see
+    // handle_arrive_router).
+    if (cell.head < 0) __builtin_prefetch(&ivc_head_[ivc_index(rs, in_port, in_vc)]);
     out.queued_bytes -= pkt.size;
 
     const TimePs ser = static_cast<TimePs>(pkt.size) * cfg_.ps_per_byte;
@@ -592,10 +620,12 @@ void NetworkSim::try_grant(int router, int out_idx, TimePs now) {
     }
     ++progress_;
 
-    // Wake the new head of the drained FIFO, if any.
+    // Wake the new head of the FIFO, or return its emptied cell.
     if (cell.head >= 0) {
       queue_.push(std::max(now, pool_[cell.head].eligible_at),
                   EventType::kHeadEligible, router, in_port, in_vc, out_idx);
+    } else {
+      release_cell(rs, ci);
     }
     return;
   }
@@ -653,7 +683,7 @@ void NetworkSim::dispatch(const Event& e) {
   switch (e.type) {
     case EventType::kGenerate: {
       if (e.time >= gen_end_) break;
-      nics_[e.a].pending.push_back(e.time);
+      nics_[e.a].pending.push(e.time);
       try_inject(e.a, e.time);
       // Poisson arrivals: exponential inter-arrival with mean pkt_time/load.
       const double mean =
@@ -964,11 +994,14 @@ void NetworkSim::drain_out_port(int router, int out_idx, TimePs now, bool credit
                                 bool allow_salvage) {
   RouterState& rs = routers_[router];
   OutPort& op = rs.out_ports[out_idx];
-  for (std::size_t ipx = 0; ipx < rs.in_ports.size(); ++ipx) {
+  for (int ipx = 0; ipx < static_cast<int>(rs.in_ports.size()); ++ipx) {
     for (int vc = 0; vc < num_vcs_; ++vc) {
-      VoqCell& cell = voq_[voq_index(rs, static_cast<int>(ipx), vc, out_idx)];
-      while (cell.head >= 0) {
-        const int pkt_id = voq_pop(pool_, cell);
+      const std::int32_t ci = find_cell(rs, ipx, vc, out_idx);
+      if (ci < 0) continue;
+      // Salvage re-pushes into sibling cells of this input VC and may grow
+      // the pool, so the drained cell is re-indexed on every pop.
+      while (voq_[ci].head >= 0) {
+        const int pkt_id = voq_pop(pool_, voq_[ci]);
         Packet& pkt = pool_[pkt_id];
         if (allow_salvage && salvage_route(pkt, router)) {
           // The packet stays in its input buffer, re-queued for the out
@@ -976,20 +1009,20 @@ void NetworkSim::drain_out_port(int router, int out_idx, TimePs now, bool credit
           const int new_out = out_port_for_packet(router, pkt);
           D2NET_ASSERT(new_out != out_idx, "salvage re-chose the dead port");
           ++fstats_.reroutes;
-          VoqCell& fresh = voq_[voq_index(rs, static_cast<int>(ipx), vc, new_out)];
+          const std::int32_t fresh = cell_for_push(rs, ipx, vc, new_out);
           rs.out_ports[new_out].queued_bytes += pkt.size;
-          if (voq_push(pool_, fresh, pkt_id, now + cfg_.router_latency)) {
-            queue_.push(now + cfg_.router_latency, EventType::kHeadEligible, router,
-                        static_cast<int>(ipx), vc, new_out);
+          if (voq_push(pool_, voq_[fresh], pkt_id, now + cfg_.router_latency)) {
+            queue_.push(now + cfg_.router_latency, EventType::kHeadEligible, router, ipx,
+                        vc, new_out);
           }
         } else {
-          if (credit_returns) {
-            return_input_credit(router, static_cast<int>(ipx), vc, pkt.size, now);
-          }
+          if (credit_returns) return_input_credit(router, ipx, vc, pkt.size, now);
           drop_packet(pkt_id, now);
         }
       }
-      cell.in_ready = 0;
+      // The port's ready list is cleared wholesale below, so the cell can
+      // go back to the pool whether or not it was registered there.
+      release_cell(rs, ci);
     }
   }
   op.ready.clear();
@@ -998,9 +1031,9 @@ void NetworkSim::drain_out_port(int router, int out_idx, TimePs now, bool credit
 
 std::int64_t NetworkSim::input_vc_bytes(const RouterState& rs, int in_port, int vc) const {
   std::int64_t occupied = 0;
-  for (int o = 0; o < rs.num_out; ++o) {
-    const VoqCell& cell = voq_[voq_index(rs, in_port, vc, o)];
-    for (int id = cell.head; id >= 0; id = pool_[id].vnext) occupied += pool_[id].size;
+  for (std::int32_t ci = ivc_head_[ivc_index(rs, in_port, vc)]; ci >= 0;
+       ci = voq_[ci].next_sib) {
+    for (int id = voq_[ci].head; id >= 0; id = pool_[id].vnext) occupied += pool_[id].size;
   }
   return occupied;
 }
@@ -1426,20 +1459,62 @@ void NetworkSim::self_audit(const char* where) const {
   auto id = [](int router, std::size_t port) {
     return "router " + std::to_string(router) + " port " + std::to_string(port);
   };
-  // Per-VC bytes sitting in the input buffer feeding each in port, and the
-  // recomputed per-out-port VOQ totals.
+  // Walk every input VC's live-cell list once: each live cell must sit on
+  // the list of its own (in_port, vc) exactly once, own a distinct out port
+  // within that input VC, and hold at least one packet. The walk also
+  // recomputes per-VC buffer occupancy, per-out-port VOQ totals and the
+  // number of ready-registered cells per out port.
+  const auto pool_size = static_cast<std::int32_t>(voq_.size());
+  std::vector<std::uint8_t> seen(voq_.size(), 0);
+  std::size_t live = 0;
   std::vector<std::int64_t> voq_bytes;
+  std::vector<std::int32_t> ready_cells;
+  std::vector<std::int32_t> out_owner;  // last input VC seen feeding each out port
   for (int r = 0; r < topo_.num_routers(); ++r) {
     const RouterState& rs = routers_[r];
-    voq_bytes.assign(rs.out_ports.size(), 0);
+    const std::size_t num_out = rs.out_ports.size();
+    voq_bytes.assign(num_out, 0);
+    ready_cells.assign(num_out, 0);
+    out_owner.assign(num_out, -1);
     for (int ipx = 0; ipx < static_cast<int>(rs.in_ports.size()); ++ipx) {
       for (int vc = 0; vc < num_vcs_; ++vc) {
+        const auto ivc = [&] {
+          return id(r, static_cast<std::size_t>(ipx)) + " in vc " + std::to_string(vc);
+        };
+        const auto owner = static_cast<std::int32_t>(ipx * num_vcs_ + vc);
         std::int64_t occupied = 0;
-        for (int o = 0; o < rs.num_out; ++o) {
-          const VoqCell& cell = voq_[voq_index(rs, ipx, vc, o)];
-          for (int id = cell.head; id >= 0; id = pool_[id].vnext) {
-            occupied += pool_[id].size;
-            voq_bytes[static_cast<std::size_t>(o)] += pool_[id].size;
+        for (std::int32_t ci = ivc_head_[ivc_index(rs, ipx, vc)]; ci >= 0;
+             ci = voq_[ci].next_sib) {
+          if (ci >= pool_size) {
+            fail(ivc() + " lists cell " + std::to_string(ci) + " past the pool");
+          }
+          if (seen[static_cast<std::size_t>(ci)]) {
+            fail(ivc() + " reaches cell " + std::to_string(ci) + " a second time");
+          }
+          seen[static_cast<std::size_t>(ci)] = 1;
+          ++live;
+          const VoqCell& cell = voq_[ci];
+          if (cell.in_port != ipx || cell.vc != vc) {
+            fail(ivc() + " lists cell " + std::to_string(ci) + " of in port " +
+                 std::to_string(cell.in_port) + " vc " + std::to_string(cell.vc));
+          }
+          if (cell.out < 0 || static_cast<std::size_t>(cell.out) >= num_out) {
+            fail(ivc() + " cell " + std::to_string(ci) + " has out port " +
+                 std::to_string(cell.out));
+          }
+          const auto o = static_cast<std::size_t>(cell.out);
+          if (out_owner[o] == owner) {
+            fail(ivc() + " has two live cells for out port " + std::to_string(o));
+          }
+          out_owner[o] = owner;
+          if (cell.head < 0) {
+            fail(ivc() + " cell " + std::to_string(ci) +
+                 (cell.in_ready ? " is ready with an empty FIFO" : " is live but empty"));
+          }
+          if (cell.in_ready) ++ready_cells[o];
+          for (int pid = cell.head; pid >= 0; pid = pool_[pid].vnext) {
+            occupied += pool_[pid].size;
+            voq_bytes[o] += pool_[pid].size;
           }
         }
         if (occupied > vc_buffer_bytes_) {
@@ -1453,6 +1528,10 @@ void NetworkSim::self_audit(const char* where) const {
       if (op.queued_bytes != voq_bytes[o]) {
         fail(id(r, o) + " queued_bytes " + std::to_string(op.queued_bytes) +
              " != VOQ contents " + std::to_string(voq_bytes[o]));
+      }
+      if (op.ready.count != ready_cells[o]) {
+        fail(id(r, o) + " ready list holds " + std::to_string(op.ready.count) + " cells, " +
+             std::to_string(ready_cells[o]) + " live cells are marked ready");
       }
       if (op.to_node) continue;
       // Credit conservation on the wire r -> peer: every byte of the
@@ -1478,6 +1557,21 @@ void NetworkSim::self_audit(const char* where) const {
       }
     }
   }
+  // Every pool cell is either live (reached above) or on the free list.
+  std::size_t free_cells = 0;
+  for (std::int32_t ci = voq_.free_head(); ci >= 0; ci = voq_[ci].next_sib) {
+    if (ci >= pool_size || seen[static_cast<std::size_t>(ci)]) {
+      fail("free list reaches cell " + std::to_string(ci) + ", which is live, listed twice "
+           "or past the pool");
+    }
+    seen[static_cast<std::size_t>(ci)] = 1;
+    ++free_cells;
+  }
+  if (live != voq_.live() || live + free_cells != voq_.size()) {
+    fail(std::to_string(live) + " listed live + " + std::to_string(free_cells) +
+         " free VOQ cells, pool has " + std::to_string(voq_.size()) + " (" +
+         std::to_string(voq_.live()) + " counted live)");
+  }
   // Same conservation law on every injection wire (NIC -> router).
   for (std::size_t n = 0; n < nics_.size(); ++n) {
     const NicState& nic = nics_[n];
@@ -1501,7 +1595,7 @@ std::shared_ptr<const SimMetrics> NetworkSim::build_metrics() {
   if (!metrics_enabled_) return nullptr;
   auto out = std::make_shared<SimMetrics>();
   out->sample_period = cfg_.metrics.sample_period;
-  out->capacities.voq_cells = voq_.size();
+  out->capacities.voq_cells = voq_.size();  // the run's peak live cells
   out->capacities.event_queue_reserved = queue_.reserved();
   out->capacities.packet_pool_reserved = pool_.reserved();
   out->capacities.packet_pool_slots = pool_.capacity();

@@ -27,7 +27,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -209,15 +208,19 @@ class NetworkSim final : public PortLoadProvider {
   int num_vcs() const { return num_vcs_; }
   /// Events dispatched by the last completed run.
   std::int64_t events_processed() const { return events_processed_; }
+  /// VOQ cells live right now: non-empty (in_port, vc, out_port) FIFOs over
+  /// all routers. Zero once every buffered packet has left its router.
+  std::size_t live_voq_cells() const { return voq_.live(); }
 
  private:
   // --- state types ---
   // Input VC buffers are organized as virtual output queues so a blocked
   // head for one output cannot stall traffic for another (the paper's
   // input-output-buffered switch is not head-of-line limited; a plain FIFO
-  // input queue would cap uniform throughput near 75%). Each
-  // (in_port, vc, out_port) FIFO is one VoqCell in the flat `voq_` array
-  // (see sim/voq.h), threaded through the packet pool slots.
+  // input queue would cap uniform throughput near 75%). Each non-empty
+  // (in_port, vc, out_port) FIFO is one live VoqCell of `voq_`, threaded
+  // through the packet pool slots and listed under its input VC in
+  // `ivc_head_` (see sim/voq.h).
   struct InPort {
     bool from_node = false;
     int peer_node = -1;
@@ -259,13 +262,38 @@ class NetworkSim final : public PortLoadProvider {
     std::vector<InPort> in_ports;    ///< [0, deg): network; then injection
     std::vector<OutPort> out_ports;  ///< [0, deg): network; then ejection
     std::vector<std::pair<int, int>> port_of_neighbor;  ///< sorted (neighbor, out port)
-    std::int32_t voq_base = 0;  ///< first VoqCell of this router in voq_
-    std::int32_t num_out = 0;   ///< cached out_ports.size() for cell indexing
+    std::int32_t ivc_base = 0;  ///< first input VC of this router in ivc_head_
+  };
+  /// FIFO of open-loop generation timestamps: a vector plus a head index,
+  /// so a NIC that never backlogs owns no storage and a drained backlog
+  /// keeps its capacity for the next burst.
+  struct Backlog {
+    std::vector<TimePs> times;
+    std::size_t head = 0;
+
+    bool empty() const { return head == times.size(); }
+    std::size_t size() const { return times.size() - head; }
+    TimePs front() const { return times[head]; }
+    void push(TimePs t) { times.push_back(t); }
+    void pop() {
+      if (++head == times.size()) {
+        clear();
+      } else if (head >= 64 && 2 * head >= times.size()) {
+        // A backlog that never drains would otherwise keep every timestamp
+        // it ever held; dropping the consumed half keeps pop amortized O(1).
+        times.erase(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+    }
+    void clear() {
+      times.clear();
+      head = 0;
+    }
   };
   struct NicState {
     TimePs free_at = 0;
     std::vector<std::int64_t> credits;  ///< mirror of injection in-port buffer
-    std::deque<TimePs> pending;         ///< open-loop generation timestamps
+    Backlog pending;                    ///< open-loop generation timestamps
     std::vector<ExchangeMessage> messages;
     std::size_t cursor = 0;
     int router = -1;
@@ -275,11 +303,20 @@ class NetworkSim final : public PortLoadProvider {
 
   // --- helpers ---
   void reset();
-  /// Index of the (in_port, vc, out_idx) VOQ cell of `rs` in voq_.
-  std::int32_t voq_index(const RouterState& rs, int in_port, int vc, int out_idx) const {
-    return rs.voq_base +
-           static_cast<std::int32_t>((in_port * num_vcs_ + vc) * rs.num_out + out_idx);
+  /// Index of the input VC (in_port, vc) of `rs` in ivc_head_.
+  std::size_t ivc_index(const RouterState& rs, int in_port, int vc) const {
+    return static_cast<std::size_t>(rs.ivc_base) +
+           static_cast<std::size_t>(in_port * num_vcs_ + vc);
   }
+  /// Live cell of the (in_port, vc, out_idx) FIFO of `rs`; -1 when that
+  /// FIFO is empty.
+  std::int32_t find_cell(const RouterState& rs, int in_port, int vc, int out_idx) const;
+  /// find_cell(), taking a fresh cell from the pool when the FIFO is empty.
+  /// May grow voq_: re-index any VoqCell reference held across the call.
+  std::int32_t cell_for_push(const RouterState& rs, int in_port, int vc, int out_idx);
+  /// Unlinks the emptied cell `ci`, which no ready list will visit again,
+  /// from its input VC's list and returns it to the pool.
+  void release_cell(const RouterState& rs, std::int32_t ci);
   int out_port_toward(int router, int neighbor) const;
   int out_port_for_packet(int router, const Packet& pkt) const;
 
@@ -367,7 +404,8 @@ class NetworkSim final : public PortLoadProvider {
   /// Arms (or disarms) the cooperative wall-clock deadline for one run.
   void arm_deadline();
   /// Paranoid invariant sweep (see SimConfig::paranoid): per-wire credit
-  /// conservation and buffer-occupancy bounds, VOQ byte-count consistency.
+  /// conservation and buffer-occupancy bounds, VOQ byte-count consistency,
+  /// and the live-cell pool's list structure.
   /// Throws InternalError with the violated invariant. No-op unless
   /// paranoid mode is on.
   void self_audit(const char* where) const;
@@ -390,8 +428,11 @@ class NetworkSim final : public PortLoadProvider {
 
   // --- mutable run state ---
   std::vector<RouterState> routers_;
-  /// All VOQ cells of all routers, contiguous (see voq_index()).
-  std::vector<VoqCell> voq_;
+  /// Live VOQ cells of all routers (cleared, capacity kept, per run).
+  VoqCellPool voq_;
+  /// Per (router, in_port, vc): head of that input VC's live-cell list
+  /// (through VoqCell::next_sib), -1 = the input VC holds nothing.
+  std::vector<std::int32_t> ivc_head_;
   std::vector<NicState> nics_;
   EventQueue queue_;
   PacketPool pool_;

@@ -1,17 +1,24 @@
 // Intrusive virtual-output-queue storage for the simulator hot path.
 //
-// Every (input port, VC, output port) FIFO of a router is one 16-byte
-// VoqCell in a single contiguous per-simulator vector; queue membership is
-// threaded through the packet-pool slots themselves (Packet::vnext /
-// Packet::eligible_at), so pushing or popping a packet never allocates and
-// walking a queue is a chain of sequential pool-slot loads. The cells that
-// currently have an eligible head requesting an output port form that
-// port's ready list — an intrusive singly-linked FIFO through
+// A router's (input port, VC, output port) FIFO exists as a 24-byte
+// VoqCell only while it holds a packet: the first push into an empty FIFO
+// takes a cell from the simulator's VoqCellPool, and the cell goes back to
+// the pool's LIFO free list as soon as its FIFO empties outside a ready
+// list. VOQ memory therefore scales with buffered packets, not with
+// routers x ports^2 x VCs. The live cells of one input VC form a singly
+// linked list through VoqCell::next_sib, so a lookup by output port walks
+// the few FIFOs that input VC currently feeds.
+//
+// Queue membership is threaded through the packet-pool slots themselves
+// (Packet::vnext / Packet::eligible_at), so pushing or popping a packet
+// never allocates and walking a queue is a chain of pool-slot loads. The
+// cells that currently have an eligible head requesting an output port
+// form that port's ready list — an intrusive singly-linked FIFO through
 // VoqCell::next_ready whose pop-head / append-tail discipline reproduces
 // the round-robin arbitration order of the previous deque-based
 // implementation exactly (grant at position i == erase + rotate by i).
 //
-// The operations live here as free functions over (PacketPool, cell array)
+// The operations live here as free functions over (PacketPool, cell pool)
 // so bench_micro_core can exercise them in isolation.
 #pragma once
 
@@ -23,21 +30,81 @@
 
 namespace d2net {
 
-/// One virtual output queue: FIFO of pooled packets plus its ready-list
-/// linkage. `in_port` / `vc` identify the input buffer the cell belongs to
-/// (written once at construction) so a ready-list entry alone tells the
-/// arbiter where to return credits.
+/// One virtual output queue: FIFO of pooled packets plus its ready-list and
+/// input-VC linkage. `in_port` / `vc` / `out` identify the FIFO (written
+/// when the cell is taken from the pool), so a ready-list entry alone tells
+/// the arbiter where to return credits.
 struct VoqCell {
   std::int32_t head = -1;        ///< pool id of the queue head, -1 = empty
   std::int32_t tail = -1;        ///< pool id of the queue tail
   std::int32_t next_ready = -1;  ///< next cell index in the out-port ready list
+  /// Next live cell of the same input VC, -1 = last; while the cell is
+  /// free, the next cell of the pool's free list.
+  std::int32_t next_sib = -1;
   std::int16_t in_port = 0;
+  std::int16_t out = 0;
   std::uint8_t vc = 0;
   /// Head registered in the out port's ready list (mirror of the old
   /// per-output in_ready bitmap).
   std::uint8_t in_ready = 0;
 };
-static_assert(sizeof(VoqCell) == 16);
+static_assert(sizeof(VoqCell) == 24);
+
+/// Index-based pool of VoqCells with a LIFO free list threaded through
+/// VoqCell::next_sib. Cell indices stay valid across growth, but references
+/// do not: re-index after any alloc().
+class VoqCellPool {
+ public:
+  /// Takes a cell for the empty (in_port, vc, out) FIFO; linkage fields
+  /// are reset, next_sib is left to the caller.
+  std::int32_t alloc(int in_port, int vc, int out) {
+    std::int32_t ci = free_;
+    if (ci >= 0) {
+      free_ = cells_[ci].next_sib;
+    } else {
+      D2NET_REQUIRE(cells_.size() < static_cast<std::size_t>(INT32_MAX),
+                    "VOQ cell count overflows 32-bit indexing");
+      ci = static_cast<std::int32_t>(cells_.size());
+      cells_.emplace_back();
+    }
+    VoqCell& cell = cells_[ci];
+    cell.head = cell.tail = cell.next_ready = -1;
+    cell.in_port = static_cast<std::int16_t>(in_port);
+    cell.out = static_cast<std::int16_t>(out);
+    cell.vc = static_cast<std::uint8_t>(vc);
+    cell.in_ready = 0;
+    ++live_;
+    return ci;
+  }
+
+  /// Returns an empty cell (already unlinked from its input VC's list).
+  void release(std::int32_t ci) {
+    D2NET_HOT_ASSERT(cells_[ci].head < 0, "releasing a non-empty VOQ cell");
+    cells_[ci].next_sib = free_;
+    free_ = ci;
+    --live_;
+  }
+
+  /// Drops every cell, keeping the backing capacity (NetworkSim::reset()).
+  void clear() {
+    cells_.clear();
+    free_ = -1;
+    live_ = 0;
+  }
+
+  VoqCell& operator[](std::int32_t ci) { return cells_[ci]; }
+  const VoqCell& operator[](std::int32_t ci) const { return cells_[ci]; }
+  /// Cells ever taken since clear(): the peak number live at once.
+  std::size_t size() const { return cells_.size(); }
+  std::size_t live() const { return live_; }
+  /// Head of the free list (-1 = empty), for the paranoid audit.
+  std::int32_t free_head() const { return free_; }
+
+ private:
+  std::vector<VoqCell> cells_;
+  std::int32_t free_ = -1;
+  std::size_t live_ = 0;
+};
 
 /// Intrusive FIFO of VoqCells awaiting arbitration at one output port.
 struct ReadyList {
@@ -79,7 +146,7 @@ inline int voq_pop(PacketPool& pool, VoqCell& cell) {
 }
 
 /// Appends cell `ci` to the ready list tail.
-inline void ready_append(ReadyList& rl, std::vector<VoqCell>& cells, std::int32_t ci) {
+inline void ready_append(ReadyList& rl, VoqCellPool& cells, std::int32_t ci) {
   cells[ci].next_ready = -1;
   if (rl.head < 0) {
     rl.head = ci;
@@ -91,7 +158,7 @@ inline void ready_append(ReadyList& rl, std::vector<VoqCell>& cells, std::int32_
 }
 
 /// Pops and returns the ready list head (must be non-empty).
-inline std::int32_t ready_pop(ReadyList& rl, std::vector<VoqCell>& cells) {
+inline std::int32_t ready_pop(ReadyList& rl, VoqCellPool& cells) {
   D2NET_HOT_ASSERT(rl.head >= 0, "ready_pop on empty ready list");
   const std::int32_t ci = rl.head;
   rl.head = cells[ci].next_ready;

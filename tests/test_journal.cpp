@@ -502,6 +502,52 @@ TEST(Deadline, TruncatedRunIsNormalizedByTheWindowItReached) {
   }
 }
 
+TEST(Deadline, TruncatedRunChannelUtilizationIsNormalizedByTheWindowItReached) {
+  // channel_stats() of a run the deadline stopped early covers [warmup,
+  // t_stop] like its throughput: the mean network-channel utilization
+  // matches an untruncated run of the same seed whose duration is t_stop.
+  const Topology sf = build_slim_fly(5);
+  const UniformTraffic uni(sf.num_nodes());
+  const TimePs warmup = us(1);
+  const TimePs endless = us(100'000);
+  SimConfig cfg;
+  cfg.seed = 5;
+  const auto mean_utilization = [](const std::vector<NetworkSim::ChannelStats>& cs) {
+    double sum = 0.0;
+    for (const auto& c : cs) sum += c.utilization;
+    return cs.empty() ? 0.0 : sum / static_cast<double>(cs.size());
+  };
+
+  OpenLoopResult cut;
+  double cut_util = 0.0;
+  for (double budget = 0.02; budget < 30.0; budget *= 2) {
+    SimConfig budgeted = cfg;
+    budgeted.wall_limit_seconds = budget;
+    SimStack stack(sf, RoutingStrategy::kMinimal, budgeted);
+    cut = stack.run_open_loop(uni, 0.6, endless, warmup);
+    ASSERT_TRUE(cut.timed_out);
+    cut_util = mean_utilization(stack.sim().channel_stats());
+    if (cut.t_stop >= 4 * warmup) break;
+  }
+  ASSERT_GE(cut.t_stop, 4 * warmup);
+
+  SimStack stack(sf, RoutingStrategy::kMinimal, cfg);
+  const OpenLoopResult full = stack.run_open_loop(uni, 0.6, cut.t_stop, warmup);
+  ASSERT_FALSE(full.timed_out);
+  const double full_util = mean_utilization(stack.sim().channel_stats());
+  EXPECT_GT(full_util, 0.1);
+  EXPECT_NEAR(cut_util, full_util, 0.02 * full_util);
+
+  // A stop inside the warmup measured nothing.
+  SimConfig instant = cfg;
+  instant.wall_limit_seconds = 1e-9;
+  SimStack early(sf, RoutingStrategy::kMinimal, instant);
+  const OpenLoopResult none = early.run_open_loop(uni, 0.6, endless, us(50));
+  ASSERT_TRUE(none.timed_out);
+  ASSERT_LT(none.t_stop, us(50));
+  EXPECT_EQ(mean_utilization(early.sim().channel_stats()), 0.0);
+}
+
 TEST(Deadline, FailedPointsAreJournaledAndRerunOnResume) {
   const Topology sf = build_slim_fly(5);
   const UniformTraffic good(sf.num_nodes());
@@ -598,6 +644,18 @@ TEST(ParanoidAudit, HealthyAndFaultedRunsPassAndMatchNonParanoid) {
   fcfg.fault.reroute = true;
   SimStack faulted(sf, RoutingStrategy::kUgalThreshold, fcfg);
   EXPECT_NO_THROW(faulted.run_open_loop(uni, 0.6, us(4), us(1)));
+
+  // The same links cut for good, with the run ending at the fault instant:
+  // every same-time arrival dispatches before the fault (lower event type),
+  // so each reroute counted here is a packet the drain of a dead port
+  // salvaged into a sibling VOQ cell of its input VC — taken from the cell
+  // pool while the drain still walks that input VC.
+  SimConfig ccfg = fcfg;
+  ccfg.fault.schedule = make_link_burst(sf, us(1.5), 4, 13);
+  SimStack cut(sf, RoutingStrategy::kUgalThreshold, ccfg);
+  OpenLoopResult at_fault;
+  EXPECT_NO_THROW(at_fault = cut.run_open_loop(uni, 0.6, us(1.5), us(1)));
+  EXPECT_GT(at_fault.faults.reroutes, 0);
 }
 
 // ------------------------------------------------- thread pool fail-fast

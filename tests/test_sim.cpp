@@ -394,5 +394,44 @@ TEST(Exchange, TimeLimitAborts) {
   EXPECT_FALSE(r.completed);
 }
 
+// ---------------------------------------------------------- live VOQ cells
+
+TEST(VoqCells, CompletedExchangeReturnsEveryCellToTheFreeList) {
+  // A cell lives only while its FIFO holds a packet, so once every byte of
+  // an exchange is delivered the whole pool is free again. The paranoid
+  // end-of-run audit additionally checks live + free == pool size.
+  const Topology topo = build_slim_fly(5);
+  SimConfig cfg = fast_config();
+  cfg.metrics.enabled = true;
+  cfg.paranoid = true;
+  SimStack stack(topo, RoutingStrategy::kUgal, cfg);
+  const ExchangePlan plan = make_all_to_all_plan(topo.num_nodes(), 1024);
+  const ExchangeResult r = stack.run_exchange(plan, us(5000));
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(stack.sim().live_voq_cells(), 0u);
+  ASSERT_NE(r.metrics, nullptr);
+  EXPECT_GT(r.metrics->capacities.voq_cells, 0u);
+  EXPECT_LE(r.metrics->capacities.voq_cells, r.metrics->capacities.packet_pool_slots);
+}
+
+TEST(VoqCells, PeakIsPerRunAndBoundedByPacketPoolSlots) {
+  // Every live cell holds at least one packet, so the peak live-cell count
+  // can never exceed the packet slots. reset() empties the pool, so the
+  // peak is a per-run figure: a rerun of the same seed reports it exactly.
+  const Topology topo = build_slim_fly(5);
+  SimConfig cfg = fast_config();
+  cfg.metrics.enabled = true;
+  SimStack stack(topo, RoutingStrategy::kUgal, cfg);
+  const UniformTraffic uni(topo.num_nodes());
+  const OpenLoopResult a = stack.run_open_loop(uni, 1.0, us(4), us(1));
+  const OpenLoopResult b = stack.run_open_loop(uni, 1.0, us(4), us(1));
+  ASSERT_NE(a.metrics, nullptr);
+  ASSERT_NE(b.metrics, nullptr);
+  const EngineCapacities& cap = a.metrics->capacities;
+  EXPECT_GT(cap.voq_cells, 0u);
+  EXPECT_LE(cap.voq_cells, cap.packet_pool_slots);
+  EXPECT_EQ(b.metrics->capacities.voq_cells, cap.voq_cells);
+}
+
 }  // namespace
 }  // namespace d2net
