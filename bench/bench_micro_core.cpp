@@ -264,10 +264,11 @@ int write_json_snapshot(const std::string& path) {
   const std::int64_t eps_ugal =
       scenario_events_per_sec(topo, RoutingStrategy::kUgal, 3);
 
-  // Peak live VOQ cells of one UGAL run of the same scenario with metrics
-  // on. Deterministic for the seed, so any increase is a storage change,
-  // not noise.
+  // Peak live VOQ cells and peak packet-pool bytes (slots x sizeof(Packet))
+  // of one UGAL run of the same scenario with metrics on. Deterministic for
+  // the seed, so any increase is a storage change, not noise.
   std::size_t voq_cells_peak = 0;
+  std::size_t packet_pool_peak_bytes = 0;
   {
     SimConfig cfg;
     cfg.seed = 1;
@@ -276,6 +277,7 @@ int write_json_snapshot(const std::string& path) {
     const UniformTraffic uni(topo.num_nodes());
     const OpenLoopResult res = stack.run_open_loop(uni, 0.9, us(20), us(5));
     voq_cells_peak = res.metrics->capacities.voq_cells;
+    packet_pool_peak_bytes = res.metrics->capacities.packet_pool_slots * sizeof(Packet);
   }
 
   // VOQ push+pop pair through one intrusive cell.
@@ -358,6 +360,7 @@ int write_json_snapshot(const std::string& path) {
   std::fprintf(f, "  \"cpu_model\": \"%s\",\n", bench::cpu_model().c_str());
   std::fprintf(f, "  \"ns_voq_push_pop\": %.2f,\n", ns_voq);
   std::fprintf(f, "  \"voq_cells_peak\": %zu,\n", voq_cells_peak);
+  std::fprintf(f, "  \"packet_pool_peak_bytes\": %zu,\n", packet_pool_peak_bytes);
   std::fprintf(f, "  \"ns_pool_alloc_release\": %.2f,\n", ns_pool);
   std::fprintf(f, "  \"ns_csr_next_hops\": %.2f,\n", ns_csr);
   std::fprintf(f, "  \"ns_event_queue_wheel\": %.2f,\n", ns_wheel);

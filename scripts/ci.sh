@@ -26,8 +26,10 @@
 # committed baseline is refreshed deliberately, see docs/perf.md). The band
 # applies only when the host fingerprint (usable cores and CPU model)
 # matches the baseline's; on any other host the table is informational.
-# voq_cells_peak (peak live VOQ cells of a fixed run) is deterministic, so
-# any increase over the baseline is reported on every host.
+# voq_cells_peak (peak live VOQ cells of a fixed run) and
+# packet_pool_peak_bytes (that run's peak packet-pool slots times
+# sizeof(Packet)) are deterministic, so any increase over the baseline is
+# reported on every host.
 # The same stage runs the benchmark's own tests (perfbench/test_*.py),
 # which build perfbench_rep into .bench_build/ and fail the build.
 #
@@ -169,7 +171,7 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     echo "current host:  $cur_host"
     printf '%-26s %14s %14s %8s  %s\n' metric baseline current delta verdict
     for key in events_per_sec_minimal events_per_sec_ugal ns_voq_push_pop \
-               voq_cells_peak ns_pool_alloc_release ns_csr_next_hops \
+               voq_cells_peak packet_pool_peak_bytes ns_pool_alloc_release ns_csr_next_hops \
                ns_event_queue_wheel ns_event_queue_wheel_dense; do
       base=$(field BENCH_core.json "$key")
       cur=$(field build-ci/BENCH_core.json "$key")
@@ -179,13 +181,15 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
         continue
       fi
       # events/sec regress downward, ns/op regress upward; the
-      # deterministic voq_cells_peak flags any increase on every host.
+      # deterministic voq_cells_peak and packet_pool_peak_bytes flag any
+      # increase on every host.
       awk -v key="$key" -v base="$base" -v cur="$cur" -v same="$same_host" 'BEGIN {
         delta = base > 0 ? (cur - base) / base * 100 : 0
         worse = (key ~ /^events_per_sec/) ? -delta : delta
         verdict = worse > 15 ? "REGRESSION (warn-only)" : "ok"
         if (same != 1) verdict = "informational (host differs)"
-        if (key == "voq_cells_peak") verdict = cur + 0 > base + 0 ? "INCREASE (warn-only)" : "ok"
+        if (key ~ /^(voq_cells_peak|packet_pool_peak_bytes)$/)
+          verdict = cur + 0 > base + 0 ? "INCREASE (warn-only)" : "ok"
         printf "%-26s %14s %14s %+7.1f%%  %s\n", key, base, cur, delta, verdict
       }'
     done

@@ -73,12 +73,14 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo, const Minim
                                                const UgalParams& params,
                                                SharedIntermediates intermediates) {
   const VcPolicy policy = vc_policy_for(topo.kind());
-  // Routes are stored in the packets' fixed inline arrays: a healthy
-  // indirect route needs at most 2 * diameter + 1 routers. (Fault salvage
-  // can stretch routes further; the simulator clamps its hop limit to the
-  // same capacity.)
+  // Routes are stored in the packets' fixed inline arrays of 16-bit router
+  // ids: a healthy indirect route needs at most 2 * diameter + 1 routers.
+  // (Fault salvage can stretch routes further; the simulator clamps its hop
+  // limit to the same capacity.)
   D2NET_REQUIRE(2 * table.diameter() + 1 <= Route::kMaxRouters,
                 "topology diameter exceeds the inline route capacity");
+  D2NET_REQUIRE(topo.num_routers() <= Route::kMaxRouterIds,
+                "routes store router ids in 16 bits: at most 65,536 routers");
   auto vias = [&]() -> SharedIntermediates {
     if (intermediates != nullptr) return std::move(intermediates);
     return std::make_shared<const std::vector<int>>(valiant_intermediates(topo));

@@ -14,6 +14,11 @@
 // guard the capacity with D2NET_HOT_ASSERT — fatal in Debug/sanitizer
 // builds — and cold entry points (make_routing, fault setup) check it with
 // always-on requires.
+//
+// Router ids are stored as 16 bits and each InlineVec keeps a one-byte
+// count, so a Route is 76 bytes and fits the 128-byte Packet. make_routing
+// and the NetworkSim constructor therefore require at most 65,536 routers
+// (kMaxRouterIds).
 #pragma once
 
 #include <cstdint>
@@ -24,9 +29,12 @@
 namespace d2net {
 
 /// Fixed-capacity inline vector with the small slice of the std::vector
-/// interface the routing code uses. Trivially copyable when T is.
+/// interface the routing code uses. Trivially copyable when T is. The count
+/// is one byte, so N is at most 255.
 template <typename T, int N>
 class InlineVec {
+  static_assert(N >= 0 && N <= 255, "InlineVec stores its count in one byte");
+
  public:
   using value_type = T;
 
@@ -64,12 +72,12 @@ class InlineVec {
   void resize(std::size_t n) {
     D2NET_HOT_ASSERT(n <= static_cast<std::size_t>(N), "InlineVec overflow");
     for (int i = size_; i < static_cast<int>(n); ++i) data_[i] = T{};
-    size_ = static_cast<int>(n);
+    size_ = static_cast<std::uint8_t>(n);
   }
 
   void assign(std::size_t n, T v) {
     D2NET_HOT_ASSERT(n <= static_cast<std::size_t>(N), "InlineVec overflow");
-    size_ = static_cast<int>(n);
+    size_ = static_cast<std::uint8_t>(n);
     for (int i = 0; i < size_; ++i) data_[i] = v;
   }
   // Exact-match overload so assign(1, x) does not fall into the iterator
@@ -91,7 +99,7 @@ class InlineVec {
 
  private:
   T data_[N];
-  int size_ = 0;
+  std::uint8_t size_ = 0;
 };
 
 struct Route {
@@ -102,16 +110,19 @@ struct Route {
   /// topologies (diameter <= 5).
   static constexpr int kMaxRouters = 24;
   static constexpr int kMaxHops = kMaxRouters - 1;
+  /// Router ids are stored as uint16_t: a routed topology has at most this
+  /// many routers.
+  static constexpr int kMaxRouterIds = 1 << 16;
 
   /// Routers visited, source first, destination last. A route within a
   /// single router has size 1 and no hops.
-  InlineVec<int, kMaxRouters> routers;
+  InlineVec<std::uint16_t, kMaxRouters> routers;
   /// vcs[i] is the virtual channel used on the link routers[i]->routers[i+1];
   /// size == routers.size() - 1.
   InlineVec<std::uint8_t, kMaxHops> vcs;
   /// Index into `routers` of the Valiant intermediate, or -1 for a minimal
   /// route.
-  int intermediate_pos = -1;
+  std::int8_t intermediate_pos = -1;
 
   int hops() const { return static_cast<int>(routers.size()) - 1; }
   bool minimal() const { return intermediate_pos < 0; }

@@ -18,7 +18,7 @@ UgalGlobalRouting::UgalGlobalRouting(const MinimalTable& table, VcPolicy policy,
                 "UGAL-G needs at least three intermediates");
 }
 
-std::int64_t UgalGlobalRouting::path_cost(const int* routers, std::size_t n) const {
+std::int64_t UgalGlobalRouting::path_cost(const std::uint16_t* routers, std::size_t n) const {
   std::int64_t cost = 0;
   for (std::size_t i = 0; i + 1 < n; ++i) {
     cost += loads_.output_queue_bytes(routers[i], routers[i + 1]);
@@ -43,7 +43,7 @@ void UgalGlobalRouting::route_into(int src_router, int dst_router, Rng& rng,
   table_.sample_path_into(src_router, dst_router, rng, out.routers);
   double best_cost = static_cast<double>(path_cost(out.routers.begin(), out.routers.size()));
 
-  InlineVec<int, Route::kMaxRouters> candidate;
+  decltype(Route::routers) candidate;
   const std::vector<int>& vias = *intermediates_;
   for (int j = 0; j < num_indirect_; ++j) {
     // Same RNG stream as before on a healthy table (see UgalRouting).
@@ -66,7 +66,7 @@ void UgalGlobalRouting::route_into(int src_router, int dst_router, Rng& rng,
     if (cost < best_cost) {  // strict: minimal wins ties
       best_cost = cost;
       out.routers = candidate;
-      out.intermediate_pos = via_pos;
+      out.intermediate_pos = static_cast<std::int8_t>(via_pos);
     }
   }
 

@@ -10,6 +10,7 @@
 // upper bound on what adaptivity can achieve.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,7 +39,7 @@ class UgalGlobalRouting final : public RoutingAlgorithm {
 
  private:
   /// Sum of output-queue occupancies along a concrete router path.
-  std::int64_t path_cost(const int* routers, std::size_t n) const;
+  std::int64_t path_cost(const std::uint16_t* routers, std::size_t n) const;
 
   const MinimalTable& table_;
   VcPolicy policy_;

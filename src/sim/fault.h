@@ -82,7 +82,9 @@ struct FaultConfig {
 
   /// Source-retry policy (recovery == kRetry): per-packet attempt budget
   /// and the base delay, doubled on every attempt. Deliberately RNG-free so
-  /// retries stay deterministic.
+  /// retries stay deterministic. A faulted run requires retry_backoff >= 0
+  /// and max_retries >= 0 with retry_backoff << (max_retries - 1) fitting
+  /// in TimePs.
   int max_retries = 8;
   TimePs retry_backoff = ns(500);
 
@@ -122,7 +124,8 @@ struct FaultConfig {
   /// packet whose salvage paths all cross links the router believes dead
   /// may be misrouted to a believed-live neighbor at most this many times
   /// before falling back to drop/retry. The hop_limit above acts as the
-  /// TTL-style loop guard on top (propagation only).
+  /// TTL-style loop guard on top (propagation only). Must lie in [0, 255],
+  /// the width of the per-packet counter.
   int misroute_limit = 4;
 
   bool enabled() const { return !schedule.empty(); }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "common/error.h"
@@ -92,6 +93,9 @@ constexpr int kSalvageSamples = 4;
 NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
     : topo_(topo), cfg_(cfg), num_vcs_(num_vcs) {
   D2NET_REQUIRE(topo.finalized(), "topology must be finalized");
+  // Packets carry their routes as 16-bit router ids (see routing/route.h).
+  D2NET_REQUIRE(topo.num_routers() <= Route::kMaxRouterIds,
+                "routes store router ids in 16 bits: at most 65,536 routers");
   D2NET_REQUIRE(num_vcs >= 1 && num_vcs <= 8, "unreasonable VC count");
   vc_buffer_bytes_ = cfg_.buffer_bytes_per_port / num_vcs_;
   D2NET_REQUIRE(vc_buffer_bytes_ >= cfg_.packet_bytes,
@@ -365,7 +369,7 @@ std::vector<NetworkSim::ChannelStats> NetworkSim::channel_stats() const {
 }
 
 bool NetworkSim::start_injection(int node, int dst, int size, TimePs gen_time,
-                                 std::int64_t msg_id, TimePs now) {
+                                 TimePs now) {
   NicState& nic = nics_[node];
   const int src_router = nic.router;
   const int dst_router = topo_.router_of_node(dst);
@@ -376,7 +380,7 @@ bool NetworkSim::start_injection(int node, int dst, int size, TimePs gen_time,
   Packet& pkt = pool_[pkt_id];
   Route& route = pkt.route;
   if (dst_router == src_router) {
-    route.routers.assign(1, src_router);
+    route.routers.assign(1, static_cast<std::uint16_t>(src_router));
     route.vcs.clear();
     route.intermediate_pos = -1;
   } else {
@@ -400,13 +404,11 @@ bool NetworkSim::start_injection(int node, int dst, int size, TimePs gen_time,
     return false;  // stall; retried on credit return
   }
 
-  pkt.src_node = node;
   pkt.dst_node = dst;
   pkt.size = size;
   pkt.gen_time = gen_time;
   pkt.inject_time = now;
   pkt.hop = 0;
-  pkt.msg_id = msg_id;
   pkt.retries = 0;
   pkt.misroutes = 0;
   pkt.link_epoch = 0;
@@ -441,7 +443,7 @@ void NetworkSim::try_inject(int node, TimePs now) {
     // Open loop: destination drawn per packet at injection time.
     const TimePs gen_time = nic.pending.front();
     const int dst = pattern_->dest(node, node_rng_[node]);
-    if (start_injection(node, dst, cfg_.packet_bytes, gen_time, -1, now)) {
+    if (start_injection(node, dst, cfg_.packet_bytes, gen_time, now)) {
       nic.pending.pop();
     }
     return;
@@ -452,8 +454,7 @@ void NetworkSim::try_inject(int node, TimePs now) {
     ExchangeMessage& m = nic.messages[nic.cursor];
     const int chunk =
         static_cast<int>(std::min<std::int64_t>(m.bytes, cfg_.packet_bytes));
-    if (!start_injection(node, m.dst_node, chunk, now,
-                         static_cast<std::int64_t>(nic.cursor), now)) {
+    if (!start_injection(node, m.dst_node, chunk, now, now)) {
       return;
     }
     m.bytes -= chunk;
@@ -660,7 +661,7 @@ void NetworkSim::handle_arrive_node(int pkt_id, TimePs now) {
       }
     }
     if (trace_ != nullptr) {
-      trace_->record({pkt.src_node, pkt.dst_node, pkt.size, pkt.gen_time, pkt.inject_time,
+      trace_->record({pkt.src_node(), pkt.dst_node, pkt.size, pkt.gen_time, pkt.inject_time,
                       now, pkt.route.hops(), pkt.route.minimal()});
     }
   }
@@ -941,18 +942,19 @@ void NetworkSim::drop_packet(int pkt_id, TimePs now) {
 void NetworkSim::handle_retry(int pkt_id, TimePs now) {
   ++progress_;
   Packet& pkt = pool_[pkt_id];
-  NicState& nic = nics_[pkt.src_node];
+  const int src_node = pkt.src_node();
+  NicState& nic = nics_[src_node];
   const int src_router = nic.router;
   const int dst_router = topo_.router_of_node(pkt.dst_node);
   bool ok = nic.free_at <= now && !router_dead_[src_router];
   int vc0 = 0;
   if (ok) {
     if (dst_router == src_router) {
-      pkt.route.routers.assign(1, src_router);
+      pkt.route.routers.assign(1, static_cast<std::uint16_t>(src_router));
       pkt.route.vcs.clear();
       pkt.route.intermediate_pos = -1;
     } else {
-      routing_->route_into(src_router, dst_router, node_rng_[pkt.src_node], pkt.route);
+      routing_->route_into(src_router, dst_router, node_rng_[src_node], pkt.route);
       ok = !pkt.route.routers.empty();
     }
     if (ok) {
@@ -982,7 +984,7 @@ void NetworkSim::handle_retry(int pkt_id, TimePs now) {
   nic.credits[vc0] -= pkt.size;
   const TimePs ser = static_cast<TimePs>(pkt.size) * cfg_.ps_per_byte;
   nic.free_at = now + ser;
-  queue_.push(nic.free_at, EventType::kNicFree, pkt.src_node);
+  queue_.push(nic.free_at, EventType::kNicFree, src_node);
   const TimePs arrival_ser = cfg_.cut_through ? 0 : ser;
   queue_.push_keyed(now + arrival_ser + cfg_.link_latency,
                     pack_packet_okey(EventType::kArriveRouter, pkt.uid),
@@ -1375,6 +1377,19 @@ void NetworkSim::setup_faults() {
     fault_table_->rebuild(topo_, nullptr);
   }
   if (faults_enabled_) {
+    // The retry backoff doubles per attempt (retry_backoff << retries, see
+    // drop_packet), so the last attempt's delay must fit in TimePs; the
+    // per-packet retry and detour counters are one byte wide.
+    const FaultConfig& fc = cfg_.fault;
+    D2NET_REQUIRE(fc.retry_backoff >= 0, "fault.retry_backoff must be non-negative");
+    D2NET_REQUIRE(fc.max_retries >= 0, "fault.max_retries must be non-negative");
+    D2NET_REQUIRE(fc.max_retries == 0 ||
+                      (fc.max_retries <= 63 &&
+                       fc.retry_backoff <= std::numeric_limits<TimePs>::max() >>
+                                               (fc.max_retries - 1)),
+                  "fault.max_retries: retry_backoff << (max_retries - 1) overflows TimePs");
+    D2NET_REQUIRE(fc.misroute_limit >= 0 && fc.misroute_limit <= 255,
+                  "fault.misroute_limit must be in [0, 255]");
     // Entries that can never apply (after run end, unknown ids, non-adjacent
     // links) used to vanish silently; reject them up front with a located
     // error instead.
@@ -1388,8 +1403,6 @@ void NetworkSim::setup_faults() {
                   "fault.detection_delay must be non-negative");
     D2NET_REQUIRE(cfg_.fault.flood_process >= 0,
                   "fault.flood_process must be non-negative");
-    D2NET_REQUIRE(cfg_.fault.misroute_limit >= 0,
-                  "fault.misroute_limit must be non-negative");
     view_.reset(topo_.num_routers(), static_cast<int>(cfg_.fault.schedule.size()));
   } else {
     view_.clear();

@@ -415,8 +415,7 @@ class NetworkSim final : public PortLoadProvider {
 
   /// Builds the packet's route at injection; returns false when the NIC
   /// must stall (insufficient injection credit).
-  bool start_injection(int node, int dst, int size, TimePs gen_time, std::int64_t msg_id,
-                       TimePs now);
+  bool start_injection(int node, int dst, int size, TimePs gen_time, TimePs now);
 
   // --- immutable wiring ---
   const Topology& topo_;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -138,6 +139,78 @@ TEST(Faults, RetryBackoffBelowLinkLatencyRuns) {
   cfg.fault.retry_backoff = cfg.link_latency / 2;
   SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
   EXPECT_NO_THROW(stack.run_open_loop(uni, 0.5, us(12), us(3)));
+}
+
+// The retry backoff doubles per attempt and the per-packet retry and
+// detour counters are one byte wide, so every faulted run validates the
+// budget up front. Each bad value must be rejected with the field named.
+void expect_fault_config_rejected(const char* field, void (*edit)(FaultConfig&)) {
+  const Topology topo = build_slim_fly(5);
+  const UniformTraffic uni(topo.num_nodes());
+  SimConfig cfg = base_config();
+  cfg.fault.schedule.push_back(
+      {us(4), FaultKind::kLinkDown, topo.links()[0].r1, topo.links()[0].r2});
+  edit(cfg.fault);
+  SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
+  try {
+    stack.run_open_loop(uni, 0.5, us(12), us(3));
+    FAIL() << "bad " << field << " was accepted";
+  } catch (const ArgumentError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(field), std::string::npos) << msg;
+  }
+}
+
+TEST(Faults, NegativeRetryBackoffIsRejected) {
+  expect_fault_config_rejected("fault.retry_backoff",
+                               [](FaultConfig& f) { f.retry_backoff = -1; });
+}
+
+TEST(Faults, NegativeMaxRetriesIsRejected) {
+  expect_fault_config_rejected("fault.max_retries", [](FaultConfig& f) { f.max_retries = -1; });
+}
+
+TEST(Faults, MaxRetriesWhoseBackoffOverflowsIsRejected) {
+  // 500 ns << 45 exceeds INT64_MAX picoseconds.
+  expect_fault_config_rejected("fault.max_retries", [](FaultConfig& f) { f.max_retries = 46; });
+}
+
+TEST(Faults, MaxRetriesPastTheShiftWidthIsRejected) {
+  // A zero backoff never overflows, but shifting by 64 is undefined.
+  expect_fault_config_rejected("fault.max_retries", [](FaultConfig& f) {
+    f.retry_backoff = 0;
+    f.max_retries = 65;
+  });
+}
+
+TEST(Faults, NegativeMisrouteLimitIsRejected) {
+  expect_fault_config_rejected("fault.misroute_limit",
+                               [](FaultConfig& f) { f.misroute_limit = -1; });
+}
+
+TEST(Faults, MisrouteLimitWiderThanAByteIsRejected) {
+  expect_fault_config_rejected("fault.misroute_limit",
+                               [](FaultConfig& f) { f.misroute_limit = 256; });
+}
+
+TEST(Faults, DefaultAndLargestValidRetryBudgetsRun) {
+  const Topology topo = build_slim_fly(5);
+  const UniformTraffic uni(topo.num_nodes());
+  for (const bool largest : {false, true}) {
+    SimConfig cfg = base_config();
+    cfg.fault.schedule.push_back(
+        {us(4), FaultKind::kLinkDown, topo.links()[0].r1, topo.links()[0].r2});
+    cfg.fault.recovery = FaultRecovery::kRetry;
+    cfg.fault.propagation = true;
+    if (largest) {
+      cfg.fault.max_retries = 45;  // 500 ns << 44 still fits
+      cfg.fault.misroute_limit = 255;
+    }
+    SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
+    const OpenLoopResult r = stack.run_open_loop(uni, 0.5, us(12), us(3));
+    EXPECT_GT(r.faults.packets_retried, 0) << (largest ? "largest" : "defaults");
+    EXPECT_FALSE(r.faults.wedged);
+  }
 }
 
 TEST(Faults, ExchangeWithEmptyScheduleMatchesWatchdogOff) {

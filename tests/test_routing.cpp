@@ -4,6 +4,8 @@
 
 #include <map>
 #include <memory>
+#include <type_traits>
+#include <vector>
 
 #include "common/rng.h"
 #include "routing/cdg.h"
@@ -150,6 +152,43 @@ TEST(Valiant, SlimFlyIndirectLengths2To4) {
     EXPECT_GE(r.hops(), 2);
     EXPECT_LE(r.hops(), 4);
   }
+}
+
+// ------------------------------------------------------- inline storage
+
+TEST(InlineVec, SixteenBitRouterIdsRoundTripAtCapacity) {
+  // Route::routers stores router ids as uint16_t with a one-byte count; the
+  // full id range and the full capacity must survive resize, assign and copy.
+  using Ids = InlineVec<std::uint16_t, 24>;
+  static_assert(std::is_same_v<decltype(Route::routers), Ids>);
+  Ids v;
+  std::vector<int> expect;
+  for (int i = 0; i < Ids::capacity(); ++i) {
+    const int id = i == 0 ? 65'535 : 65'535 - 2'849 * i;
+    v.push_back(static_cast<std::uint16_t>(id));
+    expect.push_back(id);
+  }
+  ASSERT_EQ(v.size(), 24u);
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()), expect);
+  EXPECT_EQ(v.front(), 65'535);
+
+  const Ids copy = v;
+  EXPECT_EQ(std::vector<int>(copy.begin(), copy.end()), expect);
+
+  v.resize(3);
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()),
+            (std::vector<int>{expect[0], expect[1], expect[2]}));
+  v.resize(24);  // zero-fill growth
+  EXPECT_EQ(v.size(), 24u);
+  EXPECT_EQ(v[3], 0);
+  EXPECT_EQ(v.back(), 0);
+
+  v.assign(24, std::uint16_t{65'535});
+  EXPECT_EQ(v.size(), 24u);
+  for (const std::uint16_t id : v) EXPECT_EQ(id, 65'535);
+  v.assign(expect.begin(), expect.end());
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()), expect);
+  EXPECT_EQ(std::vector<int>(copy.begin(), copy.end()), expect);  // copy is independent
 }
 
 // -------------------------------------------------------------------- VCs

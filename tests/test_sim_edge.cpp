@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/rng.h"
 #include "sim/experiment.h"
+#include "sim/network.h"
 #include "topology/degrade.h"
 #include "topology/fat_tree.h"
 #include "topology/hyperx.h"
@@ -147,6 +149,22 @@ TEST(SimEdge, SteadyStateIsStationary) {
   EXPECT_NEAR(short_run.accepted_throughput, long_run.accepted_throughput, 0.008);
   EXPECT_NEAR(short_run.avg_latency_ns, long_run.avg_latency_ns,
               0.05 * long_run.avg_latency_ns);
+}
+
+TEST(SimEdge, MoreRoutersThanSixteenBitRouteIdsAreRejected) {
+  // Packets store their routes as 16-bit router ids, so the constructor
+  // rejects a larger network before it allocates any per-router state.
+  Topology ring("ring", TopologyKind::kCustom);
+  const int n = Route::kMaxRouterIds + 1;
+  for (int r = 0; r < n; ++r) ring.add_router({}, r == 0 ? 1 : 0);
+  for (int r = 0; r < n; ++r) ring.add_link(r, (r + 1) % n);
+  ring.finalize();
+  try {
+    NetworkSim sim(ring, SimConfig{}, 2);
+    FAIL() << "a " << n << "-router network was accepted";
+  } catch (const ArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("65,536 routers"), std::string::npos) << e.what();
+  }
 }
 
 TEST(SimEdge, PacketTraceRecordsDeliveries) {
