@@ -20,9 +20,11 @@ using namespace d2net::bench;
 
 int main(int argc, char** argv) {
   Cli cli("Ablation: analytic link-load bound vs simulated saturation");
-  add_standard_flags(cli);
+  // A serial, unjournaled table: only the scale flags mean anything here,
+  // so only they are accepted.
+  add_scale_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
-  const BenchOptions opts = read_standard_flags(cli);
+  const BenchOptions opts = read_scale_flags(cli);
 
   SimConfig cfg;
   cfg.seed = opts.seed;

@@ -39,13 +39,33 @@ SweepRunOptions BenchOptions::sweep_options() const {
   return out;
 }
 
-void add_standard_flags(Cli& cli) {
+void add_scale_flags(Cli& cli) {
   cli.flag("full", false, "run the paper-exact configurations (q=13/h=15/k=12; slow)")
       .flag("duration-us", 16.0, "simulated time per load point, microseconds")
       .flag("warmup-us", 4.0, "statistics warm-up, microseconds")
       .flag("seed", std::int64_t{1}, "simulation seed")
-      .flag("csv", false, "also print CSV after each table")
-      .flag("jobs", std::int64_t{0},
+      .flag("csv", false, "also print CSV after each table");
+}
+
+BenchOptions read_scale_flags(const Cli& cli) {
+  BenchOptions opts;
+  opts.full = cli.get_bool("full");
+  opts.duration = us(cli.get_double("duration-us"));
+  opts.warmup = us(cli.get_double("warmup-us"));
+  opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  opts.csv = cli.get_bool("csv");
+  if (opts.full) {
+    // The paper simulates 200 us with a 20 us warm-up; scale up unless the
+    // user overrode the defaults.
+    if (opts.duration == us(16.0)) opts.duration = us(50.0);
+    if (opts.warmup == us(4.0)) opts.warmup = us(10.0);
+  }
+  return opts;
+}
+
+void add_standard_flags(Cli& cli) {
+  add_scale_flags(cli);
+  cli.flag("jobs", std::int64_t{0},
             "concurrent sweep points (0 = all hardware threads); results "
             "are identical for every value")
       .flag("json", std::string{},
@@ -82,12 +102,7 @@ void add_standard_flags(Cli& cli) {
 
 BenchOptions read_standard_flags(const Cli& cli, int workers) {
   D2NET_REQUIRE(workers >= 1, "worker count must be >= 1");
-  BenchOptions opts;
-  opts.full = cli.get_bool("full");
-  opts.duration = us(cli.get_double("duration-us"));
-  opts.warmup = us(cli.get_double("warmup-us"));
-  opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  opts.csv = cli.get_bool("csv");
+  BenchOptions opts = read_scale_flags(cli);
   opts.jobs = static_cast<int>(cli.get_int("jobs"));
   D2NET_REQUIRE(opts.jobs >= 0, "--jobs must be >= 0");
   // --jobs 0 never oversubscribes one process (SweepRunner sizes itself to
@@ -137,12 +152,6 @@ BenchOptions read_standard_flags(const Cli& cli, int workers) {
   D2NET_REQUIRE(opts.point_timeout_s >= 0.0, "--point-timeout must be >= 0");
   opts.point_retries = static_cast<int>(cli.get_int("point-retries"));
   D2NET_REQUIRE(opts.point_retries >= 0, "--point-retries must be >= 0");
-  if (opts.full) {
-    // The paper simulates 200 us with a 20 us warm-up; scale up unless the
-    // user overrode the defaults.
-    if (opts.duration == us(16.0)) opts.duration = us(50.0);
-    if (opts.warmup == us(4.0)) opts.warmup = us(10.0);
-  }
   return opts;
 }
 
@@ -648,16 +657,14 @@ std::vector<std::vector<SweepPoint>> run_and_print_sweep(
   return series;
 }
 
-std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
-                                            const std::vector<ExchangeRowSpec>& rows,
-                                            std::int64_t bytes_per_pair, A2aOrder order,
-                                            TimePs time_limit, const BenchOptions& opts,
-                                            BenchReport* report,
+std::vector<ExchangeRow> run_exchange_table(const CampaignExchangeSweep& ex,
+                                            const BenchOptions& opts, BenchReport* report,
                                             const ExchangeRunControl* ctl) {
+  const std::vector<CampaignExchangeRow>& rows = ex.rows;
   D2NET_REQUIRE(!rows.empty(), "exchange table needs at least one row");
   // exchange_table_title is shared with the campaign merge step's key
   // enumeration — the composed scope must never drift between them.
-  const std::string title = exchange_table_title(title_base, bytes_per_pair, order);
+  const std::string title = exchange_table_title(ex.title, ex.workload);
   const bool quiet = ctl != nullptr && ctl->quiet;
   const std::vector<char>* selected = ctl != nullptr ? ctl->selected : nullptr;
   if (selected != nullptr) {
@@ -688,12 +695,12 @@ std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
   std::int64_t restored_rows = 0;
 
   // One plan per distinct topology: the plan is a pure function of
-  // (num_nodes, bytes, order, seed), so sharing it across this topology's
-  // rows is behavior-identical to rebuilding per row.
+  // (topology, workload, seed), so sharing it across this topology's rows
+  // is behavior-identical to rebuilding per row.
   std::map<const Topology*, ExchangePlan> plans;
   std::vector<ExchangeRow> out;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ExchangeRowSpec& spec = rows[i];
+    const CampaignExchangeRow& spec = rows[i];
     D2NET_REQUIRE(spec.topo != nullptr, "exchange row needs a topology");
     if (selected != nullptr && !(*selected)[i]) {
       // Another worker's row: untouched placeholder (never presented).
@@ -727,14 +734,12 @@ std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
     } else {
       auto pit = plans.find(spec.topo);
       if (pit == plans.end()) {
-        pit = plans
-                  .emplace(spec.topo, make_all_to_all_plan(spec.topo->num_nodes(),
-                                                           bytes_per_pair, order, opts.seed))
+        pit = plans.emplace(spec.topo, make_exchange_plan(*spec.topo, ex.workload, opts.seed))
                   .first;
       }
       const auto row_start = std::chrono::steady_clock::now();
       SimStack stack(*spec.topo, spec.strategy, cfg);
-      row.result = stack.run_exchange(pit->second, time_limit);
+      row.result = stack.run_exchange(pit->second, ex.time_limit);
       if (journal != nullptr) {
         JournalEntry je;
         je.key = key_for(i);

@@ -12,7 +12,7 @@
 #include "common/cli.h"
 #include "common/journal.h"
 #include "common/table.h"
-#include "sim/exchange.h"
+#include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/sweep_runner.h"
 #include "topology/topology.h"
@@ -62,7 +62,16 @@ struct BenchOptions {
   SweepRunOptions sweep_options() const;
 };
 
-/// Registers the standard flags on a Cli.
+/// Registers the run-scale flags (--full, --duration-us, --warmup-us,
+/// --seed, --csv) on a Cli: everything a serial, unjournaled bench honours.
+void add_scale_flags(Cli& cli);
+
+/// Reads them back (--full also scales the default duration/warmup up to
+/// the paper's); every other BenchOptions field keeps its default.
+BenchOptions read_scale_flags(const Cli& cli);
+
+/// Registers the scale flags plus the execution, output, engine and
+/// durability flags the campaign driver honours.
 void add_standard_flags(Cli& cli);
 
 /// Reads them back after parsing. `workers` is the number of cooperating
@@ -219,14 +228,6 @@ std::vector<std::vector<SweepPoint>> run_and_print_sweep(
     const std::string& title, const std::vector<SweepSeriesSpec>& specs,
     const BenchOptions& opts, BenchReport* report);
 
-/// One planned row of an exchange table: which system (by pointer into the
-/// caller's storage) runs the all-to-all under which routing strategy.
-struct ExchangeRowSpec {
-  std::string system;
-  const Topology* topo = nullptr;
-  RoutingStrategy strategy = RoutingStrategy::kMinimal;
-};
-
 /// Worker-mode execution control for run_exchange_table (see
 /// docs/campaigns.md, distributed campaigns). Null = the solo behavior.
 struct ExchangeRunControl {
@@ -246,22 +247,19 @@ struct ExchangeRunControl {
   SweepJournal* journal = nullptr;
 };
 
-/// Runs an all-to-all exchange table (the Fig. 13 shape): for each row, one
-/// make_all_to_all_plan(num_nodes, bytes_per_pair, order, opts.seed)
-/// exchange on a fresh SimStack with cfg.seed = opts.seed, bounded by
-/// `time_limit` simulated time and opts.point_timeout_s wall clock. Prints
-/// the table under "== <title_base> (<bytes> B/pair, <order>) ==" (aborted
-/// rows marked WEDGED / DEADLINE / TIMEOUT), appends to `report` when
+/// Runs an exchange table (the Fig. 13/14 shape): for each row, one
+/// make_exchange_plan(topo, ex.workload, opts.seed) exchange on a fresh
+/// SimStack with cfg.seed = opts.seed, bounded by ex.time_limit simulated
+/// time and opts.point_timeout_s wall clock. Prints the table under
+/// "== exchange_table_title(ex.title, ex.workload) ==" (aborted rows
+/// marked WEDGED / DEADLINE / TIMEOUT), appends to `report` when
 /// non-null, and — when the report carries a journal — journals every row
 /// under that composed title as the scope, restoring completed rows on
 /// --resume with byte-identical output. The solo and multi-worker campaign
 /// paths both execute through this one function, which is what makes a
 /// merged worker run reproduce the solo output byte-for-byte.
-std::vector<ExchangeRow> run_exchange_table(const std::string& title_base,
-                                            const std::vector<ExchangeRowSpec>& rows,
-                                            std::int64_t bytes_per_pair, A2aOrder order,
-                                            TimePs time_limit, const BenchOptions& opts,
-                                            BenchReport* report,
+std::vector<ExchangeRow> run_exchange_table(const CampaignExchangeSweep& ex,
+                                            const BenchOptions& opts, BenchReport* report,
                                             const ExchangeRunControl* ctl = nullptr);
 
 /// Cores this process may run on (its affinity mask); hardware_concurrency()

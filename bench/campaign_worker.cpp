@@ -56,12 +56,7 @@ int execute_campaign(const CampaignSpec& spec, const ExpandedCampaign& plan,
       summaries.push_back(std::move(sum));
     } else {
       const CampaignExchangeSweep& ex = *step.exchange;
-      std::vector<ExchangeRowSpec> rows;
-      for (const CampaignExchangeRow& r : ex.rows) {
-        rows.push_back({r.system, r.topo, r.strategy});
-      }
-      const auto done = run_exchange_table(ex.title, rows, ex.bytes_per_pair, ex.order,
-                                           ex.time_limit, opts, &report);
+      const auto done = run_exchange_table(ex, opts, &report);
       StepSummary sum{ex.title, "exchange"};
       for (const ExchangeRow& r : done) {
         ++sum.points;
@@ -270,18 +265,12 @@ int run_campaign_worker(const CampaignSpec& spec, const ExpandedCampaign& plan,
       executed_points += runner.stats().points - runner.stats().restored_points;
       failed_points += runner.stats().failed_points;
     } else {
-      const CampaignExchangeSweep& ex = *step.exchange;
-      std::vector<ExchangeRowSpec> rows;
-      for (const CampaignExchangeRow& r : ex.rows) {
-        rows.push_back({r.system, r.topo, r.strategy});
-      }
       ExchangeRunControl ctl;
       ctl.selected = &mask;
       ctl.register_scope = first_visit;
       ctl.quiet = true;
       ctl.journal = &journal;
-      run_exchange_table(ex.title, rows, ex.bytes_per_pair, ex.order, ex.time_limit,
-                         opts, /*report=*/nullptr, &ctl);
+      run_exchange_table(*step.exchange, opts, /*report=*/nullptr, &ctl);
       executed_points += static_cast<std::int64_t>(sh.end - sh.begin);
     }
   };

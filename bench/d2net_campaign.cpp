@@ -29,6 +29,7 @@
 #include "campaign_worker.h"
 #include "common/error.h"
 #include "sim/campaign.h"
+#include "topology/properties.h"
 
 using namespace d2net;
 using namespace d2net::bench;
@@ -44,14 +45,36 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-void print_dry_run(const CampaignSpec& spec, const ExpandedCampaign& plan) {
+/// keep_connected can veto fail_links removals; the system then carries
+/// less damage than its spec names.
+void warn_link_failure_shortfalls(const CampaignSpec& spec, const ExpandedCampaign& plan) {
+  for (std::size_t i = 0; i < spec.systems.size(); ++i) {
+    const auto& f = plan.link_failures[i];
+    if (f && f->removed < f->requested) {
+      std::fprintf(stderr,
+                   "warning: %s: keep_connected vetoed %d of %d requested link removals; "
+                   "its fail_links overstates the damage\n",
+                   spec.systems[i].label.c_str(), f->requested - f->removed, f->requested);
+    }
+  }
+}
+
+void print_dry_run(const CampaignSpec& spec, const ExpandedCampaign& plan, bool full) {
   std::printf("campaign %s: %zu system(s), %zu step(s)\n", spec.name.c_str(),
               spec.systems.size(), plan.steps.size());
   for (std::size_t i = 0; i < spec.systems.size(); ++i) {
+    const CampaignSystem& sys = spec.systems[i];
     const Topology& t = plan.topologies[i];
-    std::printf("  system %-12s %s (r=%d, n=%d, l=%d)\n", spec.systems[i].label.c_str(),
-                spec.systems[i].topology.c_str(), t.num_routers(), t.num_nodes(),
-                t.num_links());
+    std::printf("  system %-12s %s (r=%d, n=%d, l=%d, ports/N=%.2f, links/N=%.2f)",
+                sys.label.c_str(),
+                (full && !sys.topology_full.empty() ? sys.topology_full : sys.topology).c_str(),
+                t.num_routers(), t.num_nodes(), t.num_links(), t.ports_per_node(),
+                t.links_per_node());
+    if (const auto& f = plan.link_failures[i]) {
+      std::printf(" failed links=%d, endpoint diameter=%d", f->removed,
+                  node_diameter(t, all_pairs_distances(t)));
+    }
+    std::printf("\n");
   }
   for (const CampaignStep& step : plan.steps) {
     if (step.load) {
@@ -62,16 +85,21 @@ void print_dry_run(const CampaignSpec& spec, const ExpandedCampaign& plan) {
                   step.load->series.front().loads.size(), points,
                   step.load->series.front().fault.enabled() ? " [faults]" : "");
     } else {
-      std::printf("  exchange %-48s %zu row(s), %lld B/pair\n",
-                  step.exchange->title.c_str(), step.exchange->rows.size(),
-                  static_cast<long long>(step.exchange->bytes_per_pair));
+      const CampaignExchangeSweep& ex = *step.exchange;
+      std::printf("  exchange %s: %zu row(s)\n", step_scope(step).c_str(), ex.rows.size());
+      if (ex.workload.pattern != ExchangePattern::kNearestNeighbor) continue;
+      const Topology* last = nullptr;
+      for (const CampaignExchangeRow& row : ex.rows) {
+        if (row.topo == last) continue;
+        last = row.topo;
+        const auto d = paper_torus_dims(*row.topo);
+        std::printf("    torus %-12s %dx%dx%d\n", row.system.c_str(), d[0], d[1], d[2]);
+      }
     }
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Cli cli("declarative campaign runner: expand and execute a campaigns/*.json spec "
           "(see docs/campaigns.md)");
   cli.flag("spec", std::string{}, "campaign spec file (JSON; required)")
@@ -117,9 +145,10 @@ int main(int argc, char** argv) {
   if (spec.engine.has_value()) opts.engine = *spec.engine;
   const CampaignParams params{opts.full, opts.seed, opts.duration, opts.warmup};
   const ExpandedCampaign plan = expand_campaign(spec, params);
+  warn_link_failure_shortfalls(spec, plan);
 
   if (cli.get_bool("dry-run")) {
-    print_dry_run(spec, plan);
+    print_dry_run(spec, plan, opts.full);
     return 0;
   }
 
@@ -152,4 +181,17 @@ int main(int argc, char** argv) {
   // Solo path: exactly the pre-distributed behavior (no protocol overhead,
   // byte-identical output).
   return execute_campaign(spec, plan, opts, extra.str());
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag or spec is the caller's mistake, not a crash: one line and
+  // exit 2, never std::terminate's abort.
+  try {
+    return run(argc, argv);
+  } catch (const ArgumentError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

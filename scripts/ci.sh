@@ -34,9 +34,10 @@
 # which build perfbench_rep into .bench_build/ and fail the build.
 #
 # Stage 6 enforces the campaign porting contract (docs/campaigns.md): every
-# committed spec under campaigns/ must --dry-run clean, and every spec named
-# in campaigns/ci_digests.txt must produce normalised --json output whose
-# sha256 equals its committed digest (fig6-fig13 and transient_faults; the
+# committed spec under campaigns/ must --dry-run clean, a malformed spec
+# must exit 2 with one error line, and every spec named in
+# campaigns/ci_digests.txt must produce normalised --json output whose
+# sha256 equals its committed digest (every figure and ablation spec; the
 # transient_faults propagation sweep's convergence times also get a
 # warn-only +/-20% smoke against BENCH_convergence.json). A mixed
 # load/fault/exchange campaign must survive a simulated SIGKILL (journal
@@ -259,16 +260,28 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
     "$CAMPAIGN" --spec="$spec" --dry-run >/dev/null
   done
 
+  # A bad flag or spec is a usage error: one "error:" line and exit 2,
+  # never an abort.
+  printf '{"name": "bad", "systems": [{"label": "S", "topology": "sf:q=5"}],
+    "sweeps": [{"title": "u", "loads": [0.5], "series": [{"routing": "mni"}]}]}' \
+    > "$WORK/malformed.json"
+  set +e
+  "$CAMPAIGN" --spec="$WORK/malformed.json" --dry-run 2> "$WORK/malformed.err"
+  STATUS=$?
+  set -e
+  [[ "$STATUS" -eq 2 ]]
+  grep -q "^error: .*unknown routing 'mni'" "$WORK/malformed.err"
+  echo "malformed spec rejected with exit 2: $(cat "$WORK/malformed.err")"
+
   # Porting contract: each digested spec's normalised --json hashes to its
-  # committed line. fig13 at the committed 7680 B/pair is minutes of
-  # simulation; its digest is recorded at 256 B/pair.
-  sed 's/"bytes_per_pair": 7680/"bytes_per_pair": 256/' campaigns/fig13.json \
-    > "$WORK/fig13-small.json"
+  # committed line. Exchange payloads at their committed sizes are minutes
+  # of simulation; every digest is recorded with them shrunk to 256 B.
+  shrink() { sed -E 's/"bytes_per_pair(_full)?": [0-9]+/"bytes_per_pair\1": 256/g' "$1"; }
   MISMATCHES=0
   while read -r -u 3 name want; do
     [[ -z "$name" || "$name" == \#* ]] && continue
-    spec="campaigns/$name.json"
-    [[ "$name" == fig13 ]] && spec="$WORK/fig13-small.json"
+    spec="$WORK/$name-small.json"
+    shrink "campaigns/$name.json" > "$spec"
     "$CAMPAIGN" --spec="$spec" "${ARGS[@]}" --json="$WORK/$name.json" >/dev/null
     got=$(normalize "$WORK/$name.json" | sha256sum | cut -d' ' -f1)
     if [[ "$got" != "$want" ]]; then

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "sim/fault.h"
+#include "topology/degrade.h"
 #include "topology/spec.h"
 
 namespace d2net {
@@ -295,12 +296,13 @@ CampaignSweep parse_sweep(const Parse& p, const std::string& path, const JsonVal
     p.check_keys(v, path,
                  {"title", "kind", "systems", "per_system", "seed_mode", "series", "traffic",
                   "shift", "loads", "fault", "grid"},
-                 {"bytes_per_pair", "order", "time_limit_us"},
+                 {"pattern", "bytes_per_pair", "bytes_per_pair_full", "order", "schedule",
+                  "mapping", "time_limit_us"},
                  "only valid for exchange sweeps");
   } else {
     p.check_keys(v, path,
-                 {"title", "kind", "systems", "series", "bytes_per_pair", "order",
-                  "time_limit_us"},
+                 {"title", "kind", "systems", "series", "pattern", "bytes_per_pair",
+                  "bytes_per_pair_full", "order", "schedule", "mapping", "time_limit_us"},
                  {"traffic", "shift", "loads", "fault", "per_system", "seed_mode", "grid"},
                  "only valid for load_sweep sweeps");
   }
@@ -366,13 +368,49 @@ CampaignSweep parse_sweep(const Parse& p, const std::string& path, const JsonVal
       out.grid = parse_grid(p, path + ".grid", *g);
     }
   } else {
-    out.bytes_per_pair = p.opt_int(v, path, "bytes_per_pair", 7680);
-    if (out.bytes_per_pair < 1) p.fail(path + ".bytes_per_pair", "expected an integer >= 1");
+    ExchangeWorkload& w = out.exchange;
+    if (const JsonValue* pt = p.opt(v, path, "pattern", JsonValue::Kind::kString)) {
+      w.pattern = p.parse_enum<ExchangePattern>(
+          path + ".pattern", pt->str,
+          {{"all_to_all", ExchangePattern::kAllToAll},
+           {"nearest_neighbor", ExchangePattern::kNearestNeighbor}},
+          "exchange pattern");
+    }
+    const bool a2a = w.pattern == ExchangePattern::kAllToAll;
+    // Each knob shapes one pattern only; on the other it would be silently
+    // meaningless.
+    for (const char* key : {"order", "schedule", "mapping"}) {
+      const bool a2a_key = std::string_view(key) != "mapping";
+      if (v.find(key) != nullptr && a2a_key != a2a) {
+        p.fail(path + "." + key, std::string("'") + key + "' requires pattern = " +
+                                     (a2a_key ? "all_to_all" : "nearest_neighbor"));
+      }
+    }
+    w.bytes_per_pair = p.opt_int(v, path, "bytes_per_pair", 7680);
+    if (w.bytes_per_pair < 1) p.fail(path + ".bytes_per_pair", "expected an integer >= 1");
+    if (v.find("bytes_per_pair_full") != nullptr) {
+      out.bytes_per_pair_full = p.req_int(v, path, "bytes_per_pair_full");
+      if (*out.bytes_per_pair_full < 1) {
+        p.fail(path + ".bytes_per_pair_full", "expected an integer >= 1");
+      }
+    }
     if (const JsonValue* o = p.opt(v, path, "order", JsonValue::Kind::kString)) {
-      out.order = p.parse_enum<A2aOrder>(path + ".order", o->str,
-                                         {{"staggered", A2aOrder::kStaggered},
-                                          {"shuffled", A2aOrder::kShuffled}},
-                                         "order");
+      w.order = p.parse_enum<A2aOrder>(path + ".order", o->str,
+                                       {{"staggered", A2aOrder::kStaggered},
+                                        {"shuffled", A2aOrder::kShuffled}},
+                                       "order");
+    }
+    if (const JsonValue* sc = p.opt(v, path, "schedule", JsonValue::Kind::kString)) {
+      w.schedule = p.parse_enum<MessageOrder>(path + ".schedule", sc->str,
+                                              {{"interleaved", MessageOrder::kRoundRobin},
+                                               {"sequential", MessageOrder::kSequential}},
+                                              "schedule");
+    }
+    if (const JsonValue* m = p.opt(v, path, "mapping", JsonValue::Kind::kString)) {
+      w.mapping = p.parse_enum<RankMapping>(path + ".mapping", m->str,
+                                            {{"contiguous", RankMapping::kContiguous},
+                                             {"random", RankMapping::kRandom}},
+                                            "mapping");
     }
     if (const JsonValue* tl = p.opt(v, path, "time_limit_us", JsonValue::Kind::kNumber)) {
       if (tl->number <= 0.0) p.fail(path + ".time_limit_us", "expected a number > 0");
@@ -425,7 +463,7 @@ CampaignSpec parse_campaign_spec(std::string_view text, const std::string& where
     const std::string path = "$.systems[" + std::to_string(i) + "]";
     const JsonValue& v = systems.array[i];
     if (!v.is_object()) p.fail(path, "expected an object");
-    p.check_keys(v, path, {"label", "topology", "topology_full"});
+    p.check_keys(v, path, {"label", "topology", "topology_full", "fail_links"});
     CampaignSystem sys;
     sys.label = p.req(v, path, "label", JsonValue::Kind::kString).str;
     if (sys.label.empty()) p.fail(path + ".label", "label must be non-empty");
@@ -436,6 +474,12 @@ CampaignSpec parse_campaign_spec(std::string_view text, const std::string& where
     if (sys.topology.empty()) p.fail(path + ".topology", "topology spec must be non-empty");
     if (const JsonValue* f = p.opt(v, path, "topology_full", JsonValue::Kind::kString)) {
       sys.topology_full = f->str;
+    }
+    if (const JsonValue* fl = p.opt(v, path, "fail_links", JsonValue::Kind::kNumber)) {
+      if (fl->number < 0.0 || fl->number >= 1.0) {
+        p.fail(path + ".fail_links", "expected a fraction in [0, 1)");
+      }
+      sys.fail_links = fl->number;
     }
     out.systems.push_back(std::move(sys));
   }
@@ -482,11 +526,24 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
   for (const CampaignSystem& sys : spec.systems) {
     const std::string& ts =
         params.full && !sys.topology_full.empty() ? sys.topology_full : sys.topology;
-    try {
-      out.topologies.push_back(build_topology_from_spec(ts));
-    } catch (const std::exception& e) {
-      throw ArgumentError("campaign system '" + sys.label + "': " + e.what());
+    Topology topo = [&] {
+      try {
+        return build_topology_from_spec(ts);
+      } catch (const std::exception& e) {
+        throw ArgumentError("campaign system '" + sys.label + "': " + e.what());
+      }
+    }();
+    std::optional<CampaignLinkFailures> failures;
+    if (sys.fail_links) {
+      // The resilience ablation's seed rule: one stream per failure level.
+      Rng rng(params.seed + static_cast<std::uint64_t>(*sys.fail_links * 1000));
+      const int count = static_cast<int>(*sys.fail_links * topo.num_links());
+      DegradeResult deg = remove_random_links(topo, count, rng);
+      failures = CampaignLinkFailures{deg.requested, static_cast<int>(deg.removed.size())};
+      topo = std::move(deg.topo);
     }
+    out.topologies.push_back(std::move(topo));
+    out.link_failures.push_back(failures);
     topos.push_back(&out.topologies.back());
   }
   auto ensure_table = [&](std::size_t i) {
@@ -608,8 +665,10 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
       CampaignStep step;
       CampaignExchangeSweep ex;
       ex.title = sw.title;
-      ex.bytes_per_pair = sw.bytes_per_pair;
-      ex.order = sw.order;
+      ex.workload = sw.exchange;
+      if (params.full && sw.bytes_per_pair_full) {
+        ex.workload.bytes_per_pair = *sw.bytes_per_pair_full;
+      }
       ex.time_limit = us(sw.time_limit_us);
       for (std::size_t i : sel) {
         for (const CampaignSeries& s : sw.series) {
@@ -645,10 +704,19 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
 
 // ------------------------------------------------- multi-worker campaigns
 
-std::string exchange_table_title(const std::string& title_base,
-                                 std::int64_t bytes_per_pair, A2aOrder order) {
-  return title_base + " (" + std::to_string(bytes_per_pair) + " B/pair, " +
-         (order == A2aOrder::kStaggered ? "staggered" : "shuffled+interleaved") + ")";
+std::string exchange_table_title(const std::string& title_base, const ExchangeWorkload& w) {
+  const std::string bytes = std::to_string(w.bytes_per_pair);
+  if (w.pattern == ExchangePattern::kNearestNeighbor) {
+    return title_base + " (" + bytes + " B/neighbor, nearest-neighbor, " +
+           (w.mapping == RankMapping::kRandom ? "random" : "contiguous") + " mapping)";
+  }
+  const bool staggered = w.order == A2aOrder::kStaggered;
+  // The default schedule keeps its historical wording: Fig. 13's title is
+  // its journal scope and part of its digested output.
+  const char* schedule = w.schedule == MessageOrder::kSequential
+                             ? (staggered ? "staggered+sequential" : "shuffled+sequential")
+                             : (staggered ? "staggered" : "shuffled+interleaved");
+  return title_base + " (" + bytes + " B/pair, " + schedule + ")";
 }
 
 std::size_t step_point_count(const CampaignStep& step) {
@@ -662,8 +730,7 @@ std::size_t step_point_count(const CampaignStep& step) {
 
 std::string step_scope(const CampaignStep& step) {
   if (step.load) return step.load->title;
-  return exchange_table_title(step.exchange->title, step.exchange->bytes_per_pair,
-                              step.exchange->order);
+  return exchange_table_title(step.exchange->title, step.exchange->workload);
 }
 
 std::vector<CampaignScope> campaign_scopes(const ExpandedCampaign& plan) {

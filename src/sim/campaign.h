@@ -26,6 +26,11 @@
 //    warmup + (duration - warmup) / at_div, restored after
 //    (duration - warmup) / restore_div (0 = permanent), recovery sampled
 //    in duration / sample_div buckets.
+//  - A system's fail_links removes int(frac * links) links with
+//    Rng(seed + int(frac * 1000)) before anything else sees the topology.
+//  - Exchange plans are built per row topology from the sweep's
+//    ExchangeWorkload with the invocation seed (shuffle order, random
+//    rank mapping).
 //
 // Parsing is strict (unknown keys, bad enums and empty matrices are
 // ArgumentErrors naming the offending spec path): a silently ignored typo
@@ -55,6 +60,10 @@ struct CampaignSystem {
   std::string label;
   std::string topology;       ///< e.g. "sf:q=7"
   std::string topology_full;  ///< --full variant; "" = same as `topology`
+  /// Fraction in [0, 1) of router-to-router links to fail permanently at
+  /// expansion: remove_random_links(topo, frac * links, Rng(seed + frac *
+  /// 1000)), keep_connected. Absent = the intact topology.
+  std::optional<double> fail_links;
 };
 
 enum class CampaignTraffic {
@@ -133,8 +142,9 @@ struct CampaignSweep {
   std::optional<CampaignGrid> grid;
 
   // --- exchanges ---
-  std::int64_t bytes_per_pair = 7680;
-  A2aOrder order = A2aOrder::kShuffled;
+  ExchangeWorkload exchange;
+  /// --full payload; absent = exchange.bytes_per_pair at every scale.
+  std::optional<std::int64_t> bytes_per_pair_full;
   double time_limit_us = 5'000'000.0;
 };
 
@@ -181,11 +191,17 @@ struct CampaignExchangeRow {
 
 /// One expanded exchange sweep: run through bench::run_exchange_table.
 struct CampaignExchangeSweep {
-  std::string title;  ///< base title (the runner appends bytes/order)
-  std::int64_t bytes_per_pair = 0;
-  A2aOrder order = A2aOrder::kShuffled;
+  std::string title;          ///< base title (exchange_table_title composes the rest)
+  ExchangeWorkload workload;  ///< bytes resolved for the invocation scale
   TimePs time_limit = 0;
   std::vector<CampaignExchangeRow> rows;
+};
+
+/// What a system's fail_links removed: removed < requested means
+/// keep_connected vetoed some removals.
+struct CampaignLinkFailures {
+  int requested = 0;
+  int removed = 0;
 };
 
 /// One executable step, in spec order. Exactly one member is engaged.
@@ -207,6 +223,9 @@ struct ExpandedCampaign {
 
   std::vector<CampaignStep> steps;
 
+  /// Per spec system: the fail_links outcome (nullopt = intact topology).
+  std::vector<std::optional<CampaignLinkFailures>> link_failures;
+
   /// Owned backing storage (deque: element addresses are stable across
   /// push_back, and SweepSeriesSpec/CampaignExchangeRow keep raw pointers
   /// into it).
@@ -224,12 +243,15 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
 // ------------------------------------------------- multi-worker campaigns
 // (see docs/campaigns.md, "Distributed campaigns")
 
-/// The composed title an exchange table is printed and journaled under —
-/// "<base> (<bytes> B/pair, <order>)". One function shared by the exchange
-/// runner (scope registration, row keys) and the merge step (expected-key
-/// enumeration): the two must never drift apart.
-std::string exchange_table_title(const std::string& title_base,
-                                 std::int64_t bytes_per_pair, A2aOrder order);
+/// The composed title an exchange table is printed and journaled under:
+/// "<base> (<bytes> B/pair, shuffled+interleaved)" for the default
+/// all-to-all ("staggered" for the staggered order, "<order>+sequential"
+/// for the sequential schedule), "<base> (<bytes> B/neighbor,
+/// nearest-neighbor, <contiguous|random> mapping)" for Fig. 14's exchange.
+/// One function shared by the exchange runner (scope registration, row
+/// keys) and the merge step (expected-key enumeration): the two must never
+/// drift apart.
+std::string exchange_table_title(const std::string& title_base, const ExchangeWorkload& w);
 
 /// Number of flattened points of one step: series x loads for a load
 /// sweep (the SweepRunner flattening order), rows for an exchange table.

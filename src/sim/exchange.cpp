@@ -136,4 +136,20 @@ ExchangePlan make_nearest_neighbor_plan(int num_nodes, const std::array<int, 3>&
   return plan;
 }
 
+ExchangePlan make_exchange_plan(const Topology& topo, const ExchangeWorkload& w,
+                                std::uint64_t seed) {
+  if (w.pattern == ExchangePattern::kAllToAll) {
+    ExchangePlan plan = make_all_to_all_plan(topo.num_nodes(), w.bytes_per_pair, w.order, seed);
+    plan.order = w.schedule;
+    return plan;
+  }
+  const std::array<int, 3> dims = paper_torus_dims(topo);
+  std::vector<int> rank_to_node;
+  if (w.mapping == RankMapping::kRandom) {
+    Rng rng(seed);
+    rank_to_node = random_rank_mapping(topo.num_nodes(), dims[0] * dims[1] * dims[2], rng);
+  }
+  return make_nearest_neighbor_plan(topo.num_nodes(), dims, w.bytes_per_pair, rank_to_node);
+}
+
 }  // namespace d2net

@@ -1,10 +1,15 @@
 // Exchange-workload construction (paper Section 4.4):
-//  * All-to-all: every process sends one message to every other process, in
-//    the staggered shifted order of Kumar et al. (process n sends phase i to
-//    (n + i) mod N), which spreads simultaneous traffic uniformly.
-//  * Nearest-neighbor: processes arranged in the largest 3-D torus that
-//    fits the machine; each sends one message to each of its 6 neighbors,
-//    interleaved round-robin. Ranks map contiguously onto nodes.
+//  * All-to-all: every process sends one message to every other process,
+//    by default each in an independent shuffled destination order with
+//    packets interleaved round-robin across the open messages, which spreads
+//    simultaneous traffic uniformly (the optimized exchanges of Kumar et al.).
+//  * Nearest-neighbor: processes arranged in a 3-D torus (paper_torus_dims);
+//    each sends one message to each of its 6 neighbors, interleaved
+//    round-robin. Ranks map contiguously onto nodes unless a mapping is
+//    given.
+// ExchangeWorkload + make_exchange_plan are the declarative front door the
+// campaign exchange sweeps use; the per-pattern builders stay public for
+// tests and tools.
 #pragma once
 
 #include <array>
@@ -29,7 +34,8 @@ enum class A2aOrder {
 };
 
 /// The all-to-all plan: bytes_per_pair to each of the other N-1 nodes,
-/// sequential message order. `seed` only matters for kShuffled.
+/// packets interleaved round-robin across the open messages
+/// (MessageOrder::kRoundRobin). `seed` only matters for kShuffled.
 ExchangePlan make_all_to_all_plan(int num_nodes, std::int64_t bytes_per_pair,
                                   A2aOrder order = A2aOrder::kShuffled,
                                   std::uint64_t seed = 1);
@@ -63,5 +69,36 @@ ExchangePlan make_nearest_neighbor_plan(int num_nodes, const std::array<int, 3>&
 /// `num_nodes` nodes — the anti-thesis of the contiguous mapping, used to
 /// quantify how much Fig. 14's results depend on placement.
 std::vector<int> random_rank_mapping(int num_nodes, int ranks, Rng& rng);
+
+enum class ExchangePattern {
+  kAllToAll,         ///< make_all_to_all_plan (Fig. 13)
+  kNearestNeighbor,  ///< make_nearest_neighbor_plan on paper_torus_dims (Fig. 14)
+};
+
+enum class RankMapping {
+  kContiguous,  ///< rank r -> node r (the paper's placement)
+  kRandom,      ///< random_rank_mapping with Rng(seed)
+};
+
+/// One exchange, described independently of the machine it runs on. The
+/// defaults are Fig. 13's shuffled, interleaved all-to-all.
+struct ExchangeWorkload {
+  ExchangePattern pattern = ExchangePattern::kAllToAll;
+  /// Payload per (source, destination) pair: per peer for the all-to-all,
+  /// per torus neighbor for the nearest-neighbor exchange.
+  std::int64_t bytes_per_pair = 7680;
+  /// All-to-all only: destination order, and whether packets interleave
+  /// across messages (kRoundRobin) or drain one message at a time
+  /// (kSequential, the schedule ablation).
+  A2aOrder order = A2aOrder::kShuffled;
+  MessageOrder schedule = MessageOrder::kRoundRobin;
+  /// Nearest-neighbor only: rank placement.
+  RankMapping mapping = RankMapping::kContiguous;
+};
+
+/// Builds the workload's plan for `topo`; `seed` drives the shuffled
+/// all-to-all order and the random rank mapping.
+ExchangePlan make_exchange_plan(const Topology& topo, const ExchangeWorkload& w,
+                                std::uint64_t seed);
 
 }  // namespace d2net

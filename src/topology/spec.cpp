@@ -71,7 +71,10 @@ Topology build_topology_from_spec(const std::string& spec) {
         r2 == 2 ? make_spt_pattern_mesh(r1) : make_spt_pattern_ml3b(r1);
     return build_sspt(pattern, get_int_or(s, "s", -1), get_int_or(s, "p", -1));
   }
-  if (s.family == "hyperx") return build_hyperx2d_balanced(get_int(s, "r"));
+  if (s.family == "hyperx") {
+    if (s.kv.count("r")) return build_hyperx2d_balanced(get_int(s, "r"));
+    return build_hyperx2d(get_int(s, "s1"), get_int(s, "s2"), get_int(s, "p"));
+  }
   if (s.family == "dragonfly" || s.family == "df") {
     if (s.kv.count("r")) return build_dragonfly_balanced(get_int(s, "r"));
     return build_dragonfly(get_int(s, "a"), get_int(s, "h"), get_int(s, "p"));
@@ -84,8 +87,8 @@ Topology build_topology_from_spec(const std::string& spec) {
 
 const char* topology_spec_help() {
   return "specs: sf:q=<q>[,p=floor|ceil|<int>] | mlfm:h=<h>[,l=..,p=..] | oft:k=<k> | "
-         "sspt:r1=<r1>,r2=<2|r1>[,s=..,p=..] | hyperx:r=<r> | dragonfly:a=..,h=..,p=.. | "
-         "dragonfly:r=<r> | ft2:r=<r> | ft3:r=<r>";
+         "sspt:r1=<r1>,r2=<2|r1>[,s=..,p=..] | hyperx:r=<r> | hyperx:s1=..,s2=..,p=.. | "
+         "dragonfly:a=..,h=..,p=.. | dragonfly:r=<r> | ft2:r=<r> | ft3:r=<r>";
 }
 
 }  // namespace d2net

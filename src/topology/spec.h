@@ -7,6 +7,7 @@
 //   "mlfm:h=4,l=2,p=3"  general (h,l,p)-MLFM
 //   "oft:k=6"           two-level k-OFT
 //   "hyperx:r=12"       balanced 2-D HyperX for radix r
+//   "hyperx:s1=11,s2=11,p=4"  s1 x s2 HyperX with p endpoints per router
 //   "ft2:r=8" "ft3:r=8" two- / three-level Fat-Trees
 #pragma once
 

@@ -21,6 +21,7 @@
 #include "sim/fault.h"
 #include "sim/sweep_runner.h"
 #include "sim/traffic.h"
+#include "topology/degrade.h"
 #include "topology/slim_fly.h"
 
 namespace d2net {
@@ -332,6 +333,45 @@ TEST(CampaignSpec, ValidatesPropagationKnobs) {
             std::string::npos);
 }
 
+TEST(CampaignSpec, ValidatesExchangeWorkloadAndFailLinks) {
+  auto exchange = [](const std::string& keys) {
+    return parse_error(R"({"name": "t", "systems": [{"label": "S",
+        "topology": "sf:q=5"}], "sweeps": [{"title": "x", "kind": "exchange", )" +
+                       keys + R"(, "series": [{"routing": "min"}]}]})");
+  };
+  // Each knob belongs to one pattern.
+  EXPECT_NE(exchange(R"("mapping": "random")").find("'mapping' requires pattern = "
+                                                    "nearest_neighbor"),
+            std::string::npos);
+  EXPECT_NE(exchange(R"("pattern": "nearest_neighbor", "order": "staggered")")
+                .find("'order' requires pattern = all_to_all"),
+            std::string::npos);
+  EXPECT_NE(exchange(R"("pattern": "nearest_neighbor", "schedule": "sequential")")
+                .find("'schedule' requires pattern = all_to_all"),
+            std::string::npos);
+  EXPECT_NE(exchange(R"("pattern": "ring")").find("unknown exchange pattern 'ring'"),
+            std::string::npos);
+  EXPECT_NE(exchange(R"("schedule": "bursty")").find("unknown schedule 'bursty'"),
+            std::string::npos);
+  EXPECT_NE(exchange(R"("bytes_per_pair_full": 0)").find("expected an integer >= 1"),
+            std::string::npos);
+  EXPECT_EQ(exchange(R"("pattern": "nearest_neighbor", "mapping": "random")"), "");
+  EXPECT_EQ(exchange(R"("schedule": "sequential", "order": "staggered")"), "");
+
+  // fail_links is a fraction in [0, 1).
+  auto system = [](const std::string& fail) {
+    return parse_error(R"({"name": "t", "systems": [{"label": "S", "topology": "sf:q=5",
+        "fail_links": )" + fail + R"(}], "sweeps": [{"title": "u", "loads": [0.5],
+        "series": [{"routing": "min"}]}]})");
+  };
+  EXPECT_NE(system("-0.01").find("fail_links: expected a fraction in [0, 1)"),
+            std::string::npos);
+  EXPECT_NE(system("1.0").find("fail_links: expected a fraction in [0, 1)"),
+            std::string::npos);
+  EXPECT_EQ(system("0"), "");
+  EXPECT_EQ(system("0.1"), "");
+}
+
 // --------------------------------------------------------------- expansion
 
 const char* kMatrixSpec = R"({
@@ -411,7 +451,9 @@ TEST(CampaignExpansion, ExpandsTheMatrixInBenchOrder) {
 
   // Sweep 3: exchange rows, system-major x series-minor.
   const CampaignExchangeSweep& ex = *plan.steps[2].exchange;
-  EXPECT_EQ(ex.bytes_per_pair, 64);
+  EXPECT_EQ(ex.workload.bytes_per_pair, 64);
+  // The default workload keeps Fig. 13's composed title (its journal scope).
+  EXPECT_EQ(step_scope(plan.steps[2]), "a2a (64 B/pair, shuffled+interleaved)");
   ASSERT_EQ(ex.rows.size(), 4u);
   EXPECT_EQ(ex.rows[0].system, "A");
   EXPECT_EQ(ex.rows[1].system, "A");
@@ -498,6 +540,46 @@ TEST(CampaignExpansion, FullSelectsTheFullTopologyWhenPresent) {
   // A has a topology_full (sf:q=7 is bigger); B falls back to its default.
   EXPECT_GT(b.topologies[0].num_nodes(), a.topologies[0].num_nodes());
   EXPECT_EQ(b.topologies[1].num_nodes(), a.topologies[1].num_nodes());
+}
+
+TEST(CampaignExpansion, FailLinksRemovesTheDocumentedLinkSet) {
+  const CampaignSpec spec = parse_campaign_spec(R"({"name": "t",
+    "systems": [{"label": "intact", "topology": "sf:q=5"},
+                {"label": "5%", "topology": "sf:q=5", "fail_links": 0.05}],
+    "sweeps": [{"title": "u", "loads": [0.5], "series": [{"routing": "min"}]}]})");
+  CampaignParams params;
+  params.seed = 9;
+  const ExpandedCampaign plan = expand_campaign(spec, params);
+
+  const Topology base = build_slim_fly(5);
+  Rng rng(9 + 50);  // seed + frac * 1000
+  const DegradeResult want =
+      remove_random_links(base, static_cast<int>(0.05 * base.num_links()), rng);
+  const Topology& got = plan.topologies[1];
+  ASSERT_EQ(got.num_links(), want.topo.num_links());
+  for (int i = 0; i < got.num_links(); ++i) {
+    EXPECT_EQ(got.links()[i].r1, want.topo.links()[i].r1) << "link " << i;
+    EXPECT_EQ(got.links()[i].r2, want.topo.links()[i].r2) << "link " << i;
+  }
+  EXPECT_EQ(plan.topologies[0].num_links(), base.num_links());
+  EXPECT_FALSE(plan.link_failures[0].has_value());
+  ASSERT_TRUE(plan.link_failures[1].has_value());
+  EXPECT_EQ(plan.link_failures[1]->requested, want.requested);
+  EXPECT_EQ(plan.link_failures[1]->removed, static_cast<int>(want.removed.size()));
+}
+
+TEST(CampaignExpansion, FullSelectsTheFullExchangePayload) {
+  const CampaignSpec spec = parse_campaign_spec(R"({"name": "t",
+    "systems": [{"label": "S", "topology": "sf:q=5"}],
+    "sweeps": [{"title": "nn", "kind": "exchange", "pattern": "nearest_neighbor",
+                "bytes_per_pair": 64, "bytes_per_pair_full": 4096,
+                "series": [{"routing": "min"}]}]})");
+  CampaignParams full;
+  full.full = true;
+  EXPECT_EQ(step_scope(expand_campaign(spec, CampaignParams{}).steps[0]),
+            "nn (64 B/neighbor, nearest-neighbor, contiguous mapping)");
+  EXPECT_EQ(step_scope(expand_campaign(spec, full).steps[0]),
+            "nn (4096 B/neighbor, nearest-neighbor, contiguous mapping)");
 }
 
 TEST(CampaignExpansion, RejectsBadTopologySpecWithSystemContext) {
@@ -637,6 +719,60 @@ TEST(CampaignEquivalence, BaseSeedFaultSeriesMatchesDirectSimStack) {
   ASSERT_EQ(campaign.size(), 1u);
   ASSERT_EQ(campaign[0].size(), 1u);
   EXPECT_EQ(render_point_json(campaign[0][0]), render_point_json(direct));
+}
+
+TEST(CampaignEquivalence, ExchangeWorkloadRowsMatchHandBuiltPlans) {
+  // The Fig. 14 mapping and A2A schedule ports: an expanded exchange row
+  // must render exactly like SimStack::run_exchange on the plan the
+  // ablation benches built by hand. Messages span several packets, so the
+  // sequential schedule differs from the interleaved one.
+  const CampaignSpec spec = parse_campaign_spec(R"({
+    "name": "e",
+    "systems": [{"label": "SF", "topology": "sf:q=5"}],
+    "sweeps": [
+      {"title": "nn", "kind": "exchange", "pattern": "nearest_neighbor",
+       "mapping": "random", "bytes_per_pair": 512, "time_limit_us": 20000000,
+       "series": [{"routing": "ugal_th"}]},
+      {"title": "a2a", "kind": "exchange", "schedule": "sequential",
+       "order": "staggered", "bytes_per_pair": 1024, "time_limit_us": 10000000,
+       "series": [{"routing": "min"}]}]
+  })");
+  CampaignParams params;
+  params.seed = 5;
+  const ExpandedCampaign plan = expand_campaign(spec, params);
+  ASSERT_EQ(plan.steps.size(), 2u);
+
+  bench::BenchOptions opts;
+  opts.seed = params.seed;
+  bench::ExchangeRunControl quiet;
+  quiet.quiet = true;
+  const auto nn = bench::run_exchange_table(*plan.steps[0].exchange, opts, nullptr, &quiet);
+  const auto a2a = bench::run_exchange_table(*plan.steps[1].exchange, opts, nullptr, &quiet);
+  ASSERT_EQ(nn.size(), 1u);
+  ASSERT_EQ(a2a.size(), 1u);
+
+  const Topology topo = build_slim_fly(5);
+  SimConfig cfg;
+  cfg.seed = params.seed;
+
+  const auto dims = paper_torus_dims(topo);
+  Rng rng(params.seed);
+  const auto map = random_rank_mapping(topo.num_nodes(), dims[0] * dims[1] * dims[2], rng);
+  const ExchangePlan nn_plan = make_nearest_neighbor_plan(topo.num_nodes(), dims, 512, map);
+  bench::ExchangeRow nn_row{"SF", "UGAL-Th", {}, false, ""};
+  nn_row.result = SimStack(topo, RoutingStrategy::kUgalThreshold, cfg)
+                      .run_exchange(nn_plan, us(20'000'000));
+  EXPECT_TRUE(nn_row.result.completed);
+  EXPECT_EQ(bench::render_exchange_row_json(nn[0]), bench::render_exchange_row_json(nn_row));
+
+  ExchangePlan seq =
+      make_all_to_all_plan(topo.num_nodes(), 1024, A2aOrder::kStaggered, params.seed);
+  seq.order = MessageOrder::kSequential;
+  bench::ExchangeRow a2a_row{"SF", "MIN", {}, false, ""};
+  a2a_row.result =
+      SimStack(topo, RoutingStrategy::kMinimal, cfg).run_exchange(seq, us(10'000'000));
+  EXPECT_TRUE(a2a_row.result.completed);
+  EXPECT_EQ(bench::render_exchange_row_json(a2a[0]), bench::render_exchange_row_json(a2a_row));
 }
 
 }  // namespace

@@ -358,8 +358,7 @@ TEST(ShardPlanning, ShardsNeverSpanStepsAndCoverEveryPoint) {
   ASSERT_EQ(scopes.size(), 2u);
   EXPECT_EQ(scopes[0].scope, "mini sweep");
   EXPECT_EQ(scopes[0].points, 2u);
-  EXPECT_EQ(scopes[1].scope,
-            exchange_table_title("mini exchange", 64, A2aOrder::kShuffled));
+  EXPECT_EQ(scopes[1].scope, "mini exchange (64 B/pair, shuffled+interleaved)");
   EXPECT_EQ(scopes[1].points, 1u);
 
   const std::vector<CampaignShard> shards = plan_campaign_shards(plan, 1);
