@@ -18,7 +18,9 @@
 using namespace d2net;
 using namespace d2net::bench;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Cli cli("Ablation: analytic link-load bound vs simulated saturation");
   // A serial, unjournaled table: only the scale flags mean anything here,
   // so only they are accepted.
@@ -78,3 +80,7 @@ int main(int argc, char** argv) {
   if (opts.csv) t.print_csv(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

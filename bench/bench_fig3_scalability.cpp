@@ -10,7 +10,9 @@
 
 using namespace d2net;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Cli cli("Fig. 3: scale and cost of low-diameter topologies vs router radix");
   cli.flag("csv", false, "also print CSV");
   if (!cli.parse(argc, argv)) return 0;
@@ -61,3 +63,7 @@ int main(int argc, char** argv) {
   h.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

@@ -26,9 +26,7 @@ void report(Table& t, const Topology& topo, int seeds) {
         fmt(bb.per_node, 3));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Cli cli("Fig. 4: approximate bisection bandwidth per endpoint");
   cli.flag("seeds", std::int64_t{6}, "partitioner restarts (best cut wins)");
   cli.flag("csv", false, "also print CSV");
@@ -48,3 +46,7 @@ int main(int argc, char** argv) {
   if (cli.get_bool("csv")) t.print_csv(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

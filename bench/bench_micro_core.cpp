@@ -7,8 +7,9 @@
 //   bench_micro_core [gbench args]   the usual google-benchmark CLI
 //   bench_micro_core --json=PATH     self-timed perf snapshot: end-to-end
 //                                    events/sec at saturation plus ns/op
-//                                    for the core primitives and the peak
-//                                    live VOQ cells, written as
+//                                    for the core primitives, the peak
+//                                    live VOQ cells and the SF q=13
+//                                    minimal-table build, written as
 //                                    flat JSON (the BENCH_core.json
 //                                    artifact scripts/ci.sh diffs against;
 //                                    see docs/perf.md for refreshing it).
@@ -18,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
@@ -256,6 +258,19 @@ double best_ns_per_op(std::int64_t iters, std::int64_t ops_per_iter, Body&& body
   return best;
 }
 
+/// Median-of-`reps` wall milliseconds of `body()`.
+template <typename Body>
+double median_ms(int reps, Body&& body) {
+  std::vector<double> ms;
+  for (int rep = 0; rep < reps; ++rep) {
+    const double t0 = now_seconds();
+    body();
+    ms.push_back((now_seconds() - t0) * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
 int write_json_snapshot(const std::string& path) {
   const Topology topo = build_slim_fly(7);
 
@@ -316,6 +331,31 @@ int write_json_snapshot(const std::string& path) {
     }
   });
 
+  // Minimal-table build at paper scale (SF q=13, 338 routers): the
+  // constructor, and a full rebuild against a filter that cuts every 7th
+  // link and kills one router (no early BFS stop for it, longer paths).
+  const Topology sf13 = build_slim_fly(13);
+  const int n13 = sf13.num_routers();
+  const double ms_table = median_ms(9, [&] {
+    const MinimalTable t(sf13);
+    benchmark::DoNotOptimize(t.diameter());
+  });
+  std::vector<char> cut(static_cast<std::size_t>(n13) * n13, 0);
+  for (std::size_t i = 0; i < sf13.links().size(); i += 7) {
+    const Link& l = sf13.links()[i];
+    cut[static_cast<std::size_t>(l.r1) * n13 + l.r2] = 1;
+    cut[static_cast<std::size_t>(l.r2) * n13 + l.r1] = 1;
+  }
+  const int dead = n13 / 2;
+  const LinkFilter damaged = [&](int a, int b) {
+    return a != dead && b != dead && cut[static_cast<std::size_t>(a) * n13 + b] == 0;
+  };
+  MinimalTable damaged_table(sf13);
+  const double ms_rebuild = median_ms(9, [&] {
+    damaged_table.rebuild(sf13, damaged);
+    benchmark::DoNotOptimize(damaged_table.diameter());
+  });
+
   // Steady-state event-queue push+pop pair with `resident` events pending:
   // 4,096, and 100,000, about what a saturated SF q=13 run keeps pending.
   // Rescheduling up to 2^17 ps ahead then dispatches ~1.5 events per ps,
@@ -363,6 +403,8 @@ int write_json_snapshot(const std::string& path) {
   std::fprintf(f, "  \"packet_pool_peak_bytes\": %zu,\n", packet_pool_peak_bytes);
   std::fprintf(f, "  \"ns_pool_alloc_release\": %.2f,\n", ns_pool);
   std::fprintf(f, "  \"ns_csr_next_hops\": %.2f,\n", ns_csr);
+  std::fprintf(f, "  \"ms_minimal_table_sf13\": %.2f,\n", ms_table);
+  std::fprintf(f, "  \"ms_minimal_table_rebuild_sf13\": %.2f,\n", ms_rebuild);
   std::fprintf(f, "  \"ns_event_queue_wheel\": %.2f,\n", ns_wheel);
   std::fprintf(f, "  \"ns_event_queue_wheel_dense\": %.2f\n", ns_wheel_dense);
   std::fprintf(f, "}\n");
@@ -376,7 +418,9 @@ int write_json_snapshot(const std::string& path) {
 }  // namespace
 }  // namespace d2net
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--json=", 0) == 0) {
@@ -389,3 +433,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

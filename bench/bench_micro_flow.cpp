@@ -154,7 +154,9 @@ int run(const std::string& json_path, bool skip_large) {
 }  // namespace
 }  // namespace d2net
 
-int main(int argc, char** argv) {
+namespace {
+
+int cli_main(int argc, char** argv) {
   std::string json_path;
   bool skip_large = false;
   for (int i = 1; i < argc; ++i) {
@@ -171,3 +173,7 @@ int main(int argc, char** argv) {
   }
   return d2net::run(json_path, skip_large);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(cli_main, argc, argv); }

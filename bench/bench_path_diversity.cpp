@@ -23,9 +23,7 @@ void report(Table& t, const Topology& topo) {
         static_cast<std::int64_t>(d2.max), static_cast<std::int64_t>(d2.pairs_with_diversity));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Cli cli("Section 2.3.3: minimal-path diversity at distance 2");
   cli.flag("sf-q23", false, "include the paper's q = 23 SF data point (slow-ish)");
   if (!cli.parse(argc, argv)) return 0;
@@ -41,3 +39,7 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

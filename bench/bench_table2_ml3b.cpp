@@ -11,7 +11,9 @@
 
 using namespace d2net;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Cli cli("Table 2: k-ML3B tabular representation (paper prints k = 4)");
   cli.flag("k", std::int64_t{4}, "ML3B degree (k - 1 must be a prime power)");
   if (!cli.parse(argc, argv)) return 0;
@@ -41,3 +43,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

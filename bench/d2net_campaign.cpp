@@ -185,13 +185,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // A bad flag or spec is the caller's mistake, not a crash: one line and
-  // exit 2, never std::terminate's abort.
-  try {
-    return run(argc, argv);
-  } catch (const ArgumentError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

@@ -26,9 +26,7 @@ RoutingStrategy parse_strategy(const std::string& s) {
   throw ArgumentError("unknown routing '" + s + "' (min|inr|ugal|ugal-th)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Cli cli("Estimate collective-exchange performance on diameter-two networks");
   cli.flag("topo", std::string("oft:k=6"), "topology spec");
   cli.flag("exchange", std::string("a2a"), "a2a | nn");
@@ -74,3 +72,7 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

@@ -20,7 +20,9 @@
 
 using namespace d2net;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Cli cli("Quantify the impact of random link failures on a diameter-two network");
   cli.flag("topo", std::string("sf:q=7"), "topology spec");
   cli.flag("fail-fraction", 0.05, "fraction of router-router links to remove");
@@ -77,3 +79,7 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

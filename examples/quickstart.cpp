@@ -3,6 +3,7 @@
 // traffic — the library's core loop in ~60 lines.
 #include <cstdio>
 
+#include "common/cli.h"
 #include "common/rng.h"
 #include "sim/experiment.h"
 #include "sim/traffic.h"
@@ -10,7 +11,9 @@
 
 using namespace d2net;
 
-int main() {
+namespace {
+
+int run(int /*argc*/, char** /*argv*/) {
   // 1. Build a two-level Orthogonal Fat-Tree with k = 6:
   //    31 routers per level, 372 endpoints, every router radix 12.
   const Topology topo = build_oft(6);
@@ -49,3 +52,7 @@ int main() {
               min_adv.accepted_throughput);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

@@ -17,7 +17,9 @@
 
 using namespace d2net;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Cli cli("Compare MIN / INR / UGAL / UGAL-Th on one topology and pattern");
   cli.flag("topo", std::string("mlfm:h=7"), "topology spec");
   cli.flag("pattern", std::string("uniform"), "uniform | worst-case | shift");
@@ -70,3 +72,7 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

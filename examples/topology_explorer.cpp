@@ -30,9 +30,7 @@ void report_one(const std::string& spec, bool deadlock) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Cli cli(std::string("Structural analysis of diameter-two topologies. ") +
           topology_spec_help());
   cli.flag("topo", std::string("oft:k=6"), "topology spec");
@@ -56,3 +54,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return d2net::run_cli(run, argc, argv); }

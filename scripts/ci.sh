@@ -35,7 +35,8 @@
 #
 # Stage 6 enforces the campaign porting contract (docs/campaigns.md): every
 # committed spec under campaigns/ must --dry-run clean, a malformed spec
-# must exit 2 with one error line, and every spec named in
+# (and a bad flag to bench_ablation_analytic) must exit 2 with one error
+# line, and every spec named in
 # campaigns/ci_digests.txt must produce normalised --json output whose
 # sha256 equals its committed digest (every figure and ablation spec; the
 # transient_faults propagation sweep's convergence times also get a
@@ -173,6 +174,7 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     printf '%-26s %14s %14s %8s  %s\n' metric baseline current delta verdict
     for key in events_per_sec_minimal events_per_sec_ugal ns_voq_push_pop \
                voq_cells_peak packet_pool_peak_bytes ns_pool_alloc_release ns_csr_next_hops \
+               ms_minimal_table_sf13 ms_minimal_table_rebuild_sf13 \
                ns_event_queue_wheel ns_event_queue_wheel_dense; do
       base=$(field BENCH_core.json "$key")
       cur=$(field build-ci/BENCH_core.json "$key")
@@ -181,7 +183,7 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
           "MISSING (baseline schema drift?)"
         continue
       fi
-      # events/sec regress downward, ns/op regress upward; the
+      # events/sec regress downward, ns/op and ms regress upward; the
       # deterministic voq_cells_peak and packet_pool_peak_bytes flag any
       # increase on every host.
       awk -v key="$key" -v base="$base" -v cur="$cur" -v same="$same_host" 'BEGIN {
@@ -246,7 +248,7 @@ fi
 
 if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
   echo "=== stage 6: declarative campaign drill (specs vs committed digests) ==="
-  cmake --build build-ci -j "$JOBS" --target d2net_campaign
+  cmake --build build-ci -j "$JOBS" --target d2net_campaign bench_ablation_analytic
   CAMPAIGN=./build-ci/bench/d2net_campaign
   WORK=build-ci/campaign-drill
   rm -rf "$WORK" && mkdir -p "$WORK"
@@ -272,6 +274,14 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
   [[ "$STATUS" -eq 2 ]]
   grep -q "^error: .*unknown routing 'mni'" "$WORK/malformed.err"
   echo "malformed spec rejected with exit 2: $(cat "$WORK/malformed.err")"
+  # Every other bench and example CLI shares that contract.
+  set +e
+  ./build-ci/bench/bench_ablation_analytic --json=x.json 2> "$WORK/badflag.err"
+  STATUS=$?
+  set -e
+  [[ "$STATUS" -eq 2 ]]
+  grep -qx "error: unknown flag --json" "$WORK/badflag.err"
+  echo "bad flag rejected with exit 2: $(cat "$WORK/badflag.err")"
 
   # Porting contract: each digested spec's normalised --json hashes to its
   # committed line. Exchange payloads at their committed sizes are minutes

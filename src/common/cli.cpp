@@ -17,8 +17,9 @@ struct ParsedArg {
 };
 
 ParsedArg split_arg(const std::string& arg) {
-  D2NET_REQUIRE(arg.size() > 2 && arg[0] == '-' && arg[1] == '-',
-                "arguments must look like --name[=value]: " + arg);
+  if (arg.size() <= 2 || arg[0] != '-' || arg[1] != '-') {
+    throw ArgumentError("arguments must look like --name[=value]: " + arg);
+  }
   ParsedArg out;
   const auto eq = arg.find('=');
   if (eq == std::string::npos) {
@@ -31,6 +32,10 @@ ParsedArg split_arg(const std::string& arg) {
   return out;
 }
 
+// Argument errors are the caller's mistake, not a violated requirement of
+// the code, so they throw plain ArgumentError text ("unknown flag --bogus")
+// rather than D2NET_REQUIRE's file:line form.
+//
 // Strict numeric parsing: the *entire* token must parse, so "--load=0.9o"
 // or "--duration=10us" fail loudly instead of silently truncating (or, for
 // strtod with a bad prefix, silently becoming 0).
@@ -39,8 +44,9 @@ std::int64_t parse_int_value(const std::string& name, const std::string& s) {
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(s.c_str(), &end, 10);
-  D2NET_REQUIRE(!s.empty() && end == s.c_str() + s.size() && errno != ERANGE,
-                "flag --" + name + " expects an integer, got '" + s + "'");
+  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) {
+    throw ArgumentError("flag --" + name + " expects an integer, got '" + s + "'");
+  }
   return static_cast<std::int64_t>(v);
 }
 
@@ -48,19 +54,28 @@ double parse_double_value(const std::string& name, const std::string& s) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  D2NET_REQUIRE(!s.empty() && end == s.c_str() + s.size() && errno != ERANGE,
-                "flag --" + name + " expects a number, got '" + s + "'");
+  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) {
+    throw ArgumentError("flag --" + name + " expects a number, got '" + s + "'");
+  }
   return v;
 }
 
 bool parse_bool_value(const std::string& name, const std::string& s) {
   if (s == "true" || s == "1") return true;
   if (s == "false" || s == "0") return false;
-  D2NET_REQUIRE(false, "flag --" + name + " expects true/false/1/0, got '" + s + "'");
-  return false;  // unreachable
+  throw ArgumentError("flag --" + name + " expects true/false/1/0, got '" + s + "'");
 }
 
 }  // namespace
+
+int run_cli(int (*body)(int, char**), int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const ArgumentError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+}
 
 Cli::Cli(std::string program_description) : description_(std::move(program_description)) {}
 
@@ -94,11 +109,11 @@ bool Cli::parse(int argc, char** argv) {
     }
     ParsedArg pa = split_arg(arg);
     auto it = entries_.find(pa.name);
-    D2NET_REQUIRE(it != entries_.end(), "unknown flag --" + pa.name);
+    if (it == entries_.end()) throw ArgumentError("unknown flag --" + pa.name);
     Entry& entry = it->second;
     // Bool flags may omit the value ("--full" means true).
     if (!pa.has_value && !std::holds_alternative<bool>(entry.value)) {
-      D2NET_REQUIRE(i + 1 < argc, "flag --" + pa.name + " expects a value");
+      if (i + 1 >= argc) throw ArgumentError("flag --" + pa.name + " expects a value");
       pa.value = argv[++i];
       pa.has_value = true;
     }

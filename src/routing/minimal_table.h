@@ -96,10 +96,15 @@ class MinimalTable {
     return static_cast<std::size_t>(a) * static_cast<std::size_t>(n_) + b;
   }
 
+  /// The links a filter admits, in adjacency order; the filter is asked
+  /// once per directed link.
+  struct AdmittedLinks;
+
   /// BFS from s over the admitted links into dist_ (unreached rows = -1).
-  void bfs_row(const Topology& topo, const LinkFilter& alive, int s);
+  /// `queue` is scratch of at least n_ entries.
+  void bfs_row(const AdmittedLinks& links, int s, std::vector<int>& queue);
   /// Rebuilds nh_off_/nh_data_ from dist_ and the admitted adjacency.
-  void pack_next_hops(const Topology& topo, const LinkFilter& alive);
+  void pack_next_hops(const AdmittedLinks& links);
   void recompute_diameter();
 
   int n_ = 0;

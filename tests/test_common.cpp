@@ -5,6 +5,8 @@
 #include <cstring>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/cli.h"
 #include "common/error.h"
@@ -277,6 +279,37 @@ TEST(Cli, UnknownFlagThrows) {
   Cli cli("test");
   const char* argv[] = {"prog", "--nope=1"};
   EXPECT_THROW(cli.parse(2, const_cast<char**>(argv)), ArgumentError);
+}
+
+// Argument errors read as the caller's mistake: plain text, no source
+// location or stringified condition.
+std::string parse_error(Cli& cli, std::vector<const char*> argv) {
+  try {
+    cli.parse(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
+  } catch (const ArgumentError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Cli, ErrorsArePlainText) {
+  Cli cli("test");
+  cli.flag("x", std::int64_t{1}, "a count").flag("r", 0.5, "a rate").flag("b", false, "sw");
+  EXPECT_EQ(parse_error(cli, {"prog", "--bogus"}), "unknown flag --bogus");
+  EXPECT_EQ(parse_error(cli, {"prog", "--x"}), "flag --x expects a value");
+  EXPECT_EQ(parse_error(cli, {"prog", "--x=3k"}), "flag --x expects an integer, got '3k'");
+  EXPECT_EQ(parse_error(cli, {"prog", "--r=fast"}), "flag --r expects a number, got 'fast'");
+  EXPECT_EQ(parse_error(cli, {"prog", "--b=yes"}), "flag --b expects true/false/1/0, got 'yes'");
+  EXPECT_EQ(parse_error(cli, {"prog", "x=1"}), "arguments must look like --name[=value]: x=1");
+}
+
+TEST(Cli, RunCliTurnsArgumentErrorsIntoExitTwo) {
+  const auto bad = [](int, char**) -> int { throw ArgumentError("unknown flag --bogus"); };
+  const auto good = [](int argc, char**) { return argc; };
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli(bad, 0, nullptr), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "error: unknown flag --bogus\n");
+  EXPECT_EQ(run_cli(good, 5, nullptr), 5);
 }
 
 TEST(Cli, HelpReturnsFalse) {

@@ -2,9 +2,15 @@
 // obligations of Section 3 of the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <map>
 #include <memory>
+#include <queue>
+#include <set>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,6 +23,7 @@
 #include "topology/mlfm.h"
 #include "topology/oft.h"
 #include "topology/slim_fly.h"
+#include "topology/spec.h"
 #include "topology/topology.h"
 
 namespace d2net {
@@ -74,6 +81,131 @@ TEST(MinimalTable, EnumerationMatchesPathCounts) {
   // Cross-column LR pair: exactly 1 path.
   table.enumerate_paths(mlfm_lr_id(h, 0, 1), mlfm_lr_id(h, 1, 2), paths);
   EXPECT_EQ(paths.size(), 1u);
+}
+
+// Reference builder: one BFS per source, then for every (a, b) a scan of
+// a's neighbours in adjacency order, asking the filter for each — the
+// straightforward form of the rule MinimalTable's row-against-row build
+// must reproduce byte for byte.
+struct ReferenceTable {
+  int n = 0;
+  std::vector<int> dist;                // n * n, -1 = unreachable
+  std::vector<std::vector<int>> hops;  // n * n next-hop lists
+};
+
+ReferenceTable reference_table(const Topology& topo, const LinkFilter& alive) {
+  const auto admits = [&](int a, int b) { return alive == nullptr || alive(a, b); };
+  ReferenceTable ref;
+  ref.n = topo.num_routers();
+  const auto at = [&](int a, int b) { return static_cast<std::size_t>(a) * ref.n + b; };
+  ref.dist.assign(static_cast<std::size_t>(ref.n) * ref.n, -1);
+  ref.hops.resize(ref.dist.size());
+  for (int s = 0; s < ref.n; ++s) {
+    std::queue<int> q;
+    ref.dist[at(s, s)] = 0;
+    q.push(s);
+    while (!q.empty()) {
+      const int u = q.front();
+      q.pop();
+      for (int v : topo.neighbors(u)) {
+        if (ref.dist[at(s, v)] < 0 && admits(u, v)) {
+          ref.dist[at(s, v)] = ref.dist[at(s, u)] + 1;
+          q.push(v);
+        }
+      }
+    }
+  }
+  for (int a = 0; a < ref.n; ++a) {
+    for (int b = 0; b < ref.n; ++b) {
+      const int d = ref.dist[at(a, b)];
+      if (a == b || d < 0) continue;
+      for (int v : topo.neighbors(a)) {
+        if (admits(a, v) && ref.dist[at(v, b)] == d - 1) ref.hops[at(a, b)].push_back(v);
+      }
+    }
+  }
+  return ref;
+}
+
+void expect_matches_reference(const MinimalTable& table, const ReferenceTable& ref,
+                              const std::string& state) {
+  ASSERT_EQ(table.num_routers(), ref.n) << state;
+  int diameter = 0;
+  std::int64_t unreachable = 0;
+  for (int a = 0; a < ref.n; ++a) {
+    for (int b = 0; b < ref.n; ++b) {
+      const std::size_t i = static_cast<std::size_t>(a) * ref.n + b;
+      diameter = std::max(diameter, ref.dist[i]);
+      unreachable += ref.dist[i] < 0 ? 1 : 0;
+      ASSERT_EQ(table.distance(a, b), ref.dist[i])
+          << state << ": distance (" << a << ", " << b << ")";
+      const auto nh = table.next_hops(a, b);
+      ASSERT_EQ(std::vector<int>(nh.begin(), nh.end()), ref.hops[i])
+          << state << ": next hops (" << a << ", " << b << ")";
+    }
+  }
+  EXPECT_EQ(table.diameter(), diameter) << state;
+  EXPECT_EQ(table.unreachable_pairs(), unreachable) << state;
+}
+
+class TableOracle : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(TableOracle, BuildRebuildAndUpdateMatchReference) {
+  const Topology topo = build_topology_from_spec(GetParam());
+  const int n = topo.num_routers();
+  MinimalTable table(topo);
+  expect_matches_reference(table, reference_table(topo, nullptr), "healthy");
+
+  // Seeded damage: every 7th link from a random offset cut, one router dead.
+  Rng rng(23);
+  const auto offset = static_cast<std::size_t>(rng.next_below(7));
+  const int dead = static_cast<int>(rng.next_below(n));
+  std::set<std::pair<int, int>> cut;
+  for (std::size_t i = offset; i < topo.links().size(); i += 7) {
+    cut.insert({topo.links()[i].r1, topo.links()[i].r2});
+    cut.insert({topo.links()[i].r2, topo.links()[i].r1});
+  }
+  const LinkFilter damaged = [&](int a, int b) {
+    return a != dead && b != dead && cut.count({a, b}) == 0;
+  };
+  table.rebuild(topo, damaged);
+  expect_matches_reference(table, reference_table(topo, damaged), "filtered rebuild");
+
+  // Incremental cut then revival of one link, from the healthy table.
+  table.rebuild(topo, nullptr);
+  const Link link = topo.links()[rng.next_below(topo.links().size())];
+  const LinkFilter without = [&](int a, int b) {
+    return !((a == link.r1 && b == link.r2) || (a == link.r2 && b == link.r1));
+  };
+  table.update_link(topo, without, link.r1, link.r2);
+  expect_matches_reference(table, reference_table(topo, without), "update_link cut");
+  table.update_link(topo, nullptr, link.r1, link.r2);
+  expect_matches_reference(table, reference_table(topo, nullptr), "update_link revival");
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, TableOracle,
+                         ::testing::Values("sf:q=7", "mlfm:h=5", "oft:k=5",
+                                           "dragonfly:a=4,h=2,p=2", "ft3:r=6",
+                                           "hyperx:s1=4,s2=3,p=2"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+                           }
+                           return name;
+                         });
+
+TEST(MinimalTable, RebuildAsksTheFilterOncePerDirectedLink) {
+  const Topology topo = build_slim_fly(7);
+  MinimalTable table(topo);
+  std::int64_t calls = 0;
+  table.rebuild(topo, [&](int, int) {
+    ++calls;
+    return true;
+  });
+  std::int64_t directed = 0;
+  for (int r = 0; r < topo.num_routers(); ++r) directed += topo.network_degree(r);
+  EXPECT_EQ(calls, directed);
 }
 
 // --------------------------------------------------------------- Minimal
