@@ -3,7 +3,6 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -100,29 +99,10 @@ void add_standard_flags(Cli& cli) {
             "that timed out or threw");
 }
 
-BenchOptions read_standard_flags(const Cli& cli, int workers) {
-  D2NET_REQUIRE(workers >= 1, "worker count must be >= 1");
+BenchOptions read_standard_flags(const Cli& cli) {
   BenchOptions opts = read_scale_flags(cli);
   opts.jobs = static_cast<int>(cli.get_int("jobs"));
   D2NET_REQUIRE(opts.jobs >= 0, "--jobs must be >= 0");
-  // --jobs 0 never oversubscribes one process (SweepRunner sizes itself to
-  // the machine), but N co-located campaign workers each take the whole
-  // machine — flag the combination that lands workers x jobs threads on
-  // fewer cores.
-  if (workers > 1) {
-    const int hw = ThreadPool::hardware_concurrency();
-    const int eff_jobs = opts.jobs > 0 ? opts.jobs : hw;
-    const long long threads = static_cast<long long>(workers) * eff_jobs;
-    // Warn-once flags in reusable code must assume concurrent callers.
-    static std::atomic<bool> warned{false};
-    if (threads > hw && !warned.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "warning: --workers %d x %d job(s) = %lld simulation threads "
-                   "exceeds hardware concurrency (%d) if all workers share this "
-                   "host; expect contention, not speedup\n",
-                   workers, eff_jobs, threads, hw);
-    }
-  }
   opts.json_path = cli.get_string("json");
   opts.metrics = cli.get_bool("metrics");
   const double sample_us = cli.get_double("metrics-sample-us");
@@ -454,17 +434,17 @@ BenchReport::BenchReport(std::string bench_name, const BenchOptions& opts,
     D2NET_REQUIRE(probe.good(), "cannot open --json path: " + opts_.json_path);
   }
   if (!opts_.journal_dir.empty()) {
+    // A journal worth opening guards a long run: an acked point must
+    // survive a host power loss, not just a process kill. Output bytes are
+    // unaffected.
     JournalOptions jopts;
-    jopts.durable = opts_.journal_durable;
-    jopts.worker = opts_.journal_worker;
+    jopts.durable = true;
     journal_ = std::make_unique<SweepJournal>(
         opts_.journal_dir, bench_manifest(bench_name_, opts_) + manifest_extra,
-        opts_.resume, std::move(jopts));
+        opts_.resume, jopts);
     if (opts_.resume && journal_->loaded_points() > 0) {
-      const std::string prefix =
-          opts_.journal_worker.empty() ? "" : "[worker " + opts_.journal_worker + "] ";
-      std::printf("%sresuming from %s: %zu completed point(s) on record\n",
-                  prefix.c_str(), opts_.journal_dir.c_str(), journal_->loaded_points());
+      std::printf("resuming from %s: %zu completed point(s) on record\n",
+                  opts_.journal_dir.c_str(), journal_->loaded_points());
     }
   }
 }
@@ -489,8 +469,11 @@ void BenchReport::write() const {
   os.precision(10);
   os << "{\n";
   os << "  \"bench\": \"" << json_escape(bench_name_) << "\",\n";
-  os << "  \"jobs\": " << (sweeps_.empty() ? opts_.jobs : sweeps_.front().stats.jobs)
-     << ",\n";
+  // The pool size the run used (--jobs 0 resolved to the core count).
+  const int jobs = !sweeps_.empty()      ? sweeps_.front().stats.jobs
+                   : !exchanges_.empty() ? exchanges_.front().stats.jobs
+                                         : opts_.jobs;
+  os << "  \"jobs\": " << jobs << ",\n";
   // Always 1 (one serial event loop per simulation). The key stays so
   // existing --json consumers and the committed output digests
   // (campaigns/ci_digests.txt) remain byte-identical.
@@ -658,56 +641,41 @@ std::vector<std::vector<SweepPoint>> run_and_print_sweep(
 }
 
 std::vector<ExchangeRow> run_exchange_table(const CampaignExchangeSweep& ex,
-                                            const BenchOptions& opts, BenchReport* report,
-                                            const ExchangeRunControl* ctl) {
+                                            const BenchOptions& opts, BenchReport* report) {
   const std::vector<CampaignExchangeRow>& rows = ex.rows;
   D2NET_REQUIRE(!rows.empty(), "exchange table needs at least one row");
-  // exchange_table_title is shared with the campaign merge step's key
-  // enumeration — the composed scope must never drift between them.
+  // exchange_table_title is shared with campaign_scopes, the key space
+  // --status counts against — the composed scope must never drift.
   const std::string title = exchange_table_title(ex.title, ex.workload);
-  const bool quiet = ctl != nullptr && ctl->quiet;
-  const std::vector<char>* selected = ctl != nullptr ? ctl->selected : nullptr;
-  if (selected != nullptr) {
-    D2NET_REQUIRE(selected->size() == rows.size(),
-                  "selection mask must cover every exchange row");
-  }
 
   SimConfig cfg = opts.sweep_options().config;
   // --point-timeout bounds the wall clock of each exchange run.
   cfg.wall_limit_seconds = opts.point_timeout_s;
 
-  SweepJournal* journal = ctl != nullptr && ctl->journal != nullptr
-                              ? ctl->journal
-                              : (report != nullptr ? report->journal() : nullptr);
+  SweepJournal* journal = report != nullptr ? report->journal() : nullptr;
   auto key_for = [&](std::size_t i) { return title + "#" + std::to_string(i); };
   auto fingerprint = [](const Topology& t) {
     std::ostringstream os;
     os << "r=" << t.num_routers() << ",n=" << t.num_nodes() << ",l=" << t.num_links();
     return os.str();
   };
-  if (journal != nullptr && (ctl == nullptr || ctl->register_scope)) {
-    journal->register_scope(title);
-  }
+  if (journal != nullptr) journal->register_scope(title);
 
-  if (!quiet) std::printf("== %s ==\n", title.c_str());
-  Table t({"system", "routing", "eff. throughput", "completion (us)"});
+  std::printf("== %s ==\n", title.c_str());
   const auto wall_start = std::chrono::steady_clock::now();
-  std::int64_t restored_rows = 0;
 
-  // One plan per distinct topology: the plan is a pure function of
-  // (topology, workload, seed), so sharing it across this topology's rows
-  // is behavior-identical to rebuilding per row.
+  // Restore journaled rows and build one plan per topology still to run,
+  // on the calling thread: pool threads then only read shared state. The
+  // plan is a pure function of (topology, workload, seed), so sharing it
+  // across a topology's rows is behavior-identical to rebuilding per row.
+  std::vector<ExchangeRow> out(rows.size());
   std::map<const Topology*, ExchangePlan> plans;
-  std::vector<ExchangeRow> out;
+  std::vector<std::size_t> pending;
+  std::int64_t restored_rows = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CampaignExchangeRow& spec = rows[i];
     D2NET_REQUIRE(spec.topo != nullptr, "exchange row needs a topology");
-    if (selected != nullptr && !(*selected)[i]) {
-      // Another worker's row: untouched placeholder (never presented).
-      out.emplace_back();
-      continue;
-    }
-    ExchangeRow row;
+    ExchangeRow& row = out[i];
     row.system = spec.system;
     row.routing = to_string(spec.strategy);
 
@@ -731,63 +699,69 @@ std::vector<ExchangeRow> run_exchange_table(const CampaignExchangeSweep& ex,
       row.result.timed_out = e->status == "timed_out";
       row.result.faults.wedged = e->wedged;
       ++restored_rows;
-    } else {
-      auto pit = plans.find(spec.topo);
-      if (pit == plans.end()) {
-        pit = plans.emplace(spec.topo, make_exchange_plan(*spec.topo, ex.workload, opts.seed))
-                  .first;
-      }
-      const auto row_start = std::chrono::steady_clock::now();
-      SimStack stack(*spec.topo, spec.strategy, cfg);
-      row.result = stack.run_exchange(pit->second, ex.time_limit);
-      if (journal != nullptr) {
-        JournalEntry je;
-        je.key = key_for(i);
-        je.label = row.system + " " + row.routing;
-        je.topo = fingerprint(*spec.topo);
-        je.seed = opts.seed;
-        je.status = row.result.timed_out ? "timed_out" : "ok";
-        je.events = 0;  // ExchangeResult does not count events
-        je.wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - row_start)
-                .count();
-        je.throughput = row.result.effective_throughput;
-        je.avg_latency_ns = row.result.avg_latency_ns;
-        je.exchange_completed = row.result.completed ? 1 : 0;
-        je.completion_us = row.result.completion_us;
-        je.wedged = row.result.faults.wedged;
-        je.payload = render_exchange_row_json(row);
-        journal->append(je);
-      }
+      continue;
     }
+    if (plans.find(spec.topo) == plans.end()) {
+      plans.emplace(spec.topo, make_exchange_plan(*spec.topo, ex.workload, opts.seed));
+    }
+    pending.push_back(i);
+  }
 
-    // An aborted run has no meaningful completion time; an explicit marker
-    // beats a misleading 0.0 in the table/CSV/JSON. The three abort modes
-    // are distinct: WEDGED = no simulated progress (watchdog), DEADLINE =
-    // --point-timeout wall-clock budget expired, TIMEOUT = the simulated
-    // time limit elapsed while still progressing.
+  auto run_row = [&](std::size_t k) {
+    const std::size_t i = pending[k];
+    const CampaignExchangeRow& spec = rows[i];
+    ExchangeRow& row = out[i];
+    const auto row_start = std::chrono::steady_clock::now();
+    SimStack stack(*spec.topo, spec.strategy, cfg);
+    row.result = stack.run_exchange(plans.at(spec.topo), ex.time_limit);
+    if (journal == nullptr) return;
+    JournalEntry je;
+    je.key = key_for(i);
+    je.label = row.system + " " + row.routing;
+    je.topo = fingerprint(*spec.topo);
+    je.seed = opts.seed;
+    je.status = row.result.timed_out ? "timed_out" : "ok";
+    je.events = 0;  // ExchangeResult does not count events
+    je.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - row_start).count();
+    je.throughput = row.result.effective_throughput;
+    je.avg_latency_ns = row.result.avg_latency_ns;
+    je.exchange_completed = row.result.completed ? 1 : 0;
+    je.completion_us = row.result.completion_us;
+    je.wedged = row.result.faults.wedged;
+    je.payload = render_exchange_row_json(row);
+    journal->append(je);
+  };
+  // As in the sweep runner, a journaled table stops claiming rows after a
+  // hard error.
+  const int jobs = opts.jobs == 0 ? ThreadPool::hardware_concurrency() : opts.jobs;
+  ThreadPool::run_indexed(jobs, pending.size(), run_row,
+                          /*stop_on_first_error=*/journal != nullptr);
+
+  // An aborted run has no meaningful completion time; an explicit marker
+  // beats a misleading 0.0 in the table/CSV/JSON. The three abort modes
+  // are distinct: WEDGED = no simulated progress (watchdog), DEADLINE =
+  // --point-timeout wall-clock budget expired, TIMEOUT = the simulated
+  // time limit elapsed while still progressing.
+  Table t({"system", "routing", "eff. throughput", "completion (us)"});
+  for (const ExchangeRow& row : out) {
     const ExchangeResult& r = row.result;
     const char* abort_marker =
         r.faults.wedged ? "WEDGED" : r.timed_out ? "DEADLINE" : "TIMEOUT";
-    if (!quiet) {
-      t.add(row.system, row.routing,
-            r.completed ? fmt(r.effective_throughput, 3) : abort_marker,
-            r.completed ? fmt(r.completion_us, 1) : abort_marker);
-    }
-    out.push_back(std::move(row));
+    t.add(row.system, row.routing,
+          r.completed ? fmt(r.effective_throughput, 3) : abort_marker,
+          r.completed ? fmt(r.completion_us, 1) : abort_marker);
   }
-  if (!quiet) {
-    t.print(std::cout);
-    if (opts.csv) t.print_csv(std::cout);
-  }
+  t.print(std::cout);
+  if (opts.csv) t.print_csv(std::cout);
 
   SweepRunStats stats;
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   stats.points = static_cast<std::int64_t>(out.size());
   stats.restored_points = restored_rows;
-  stats.jobs = 1;
-  if (restored_rows > 0 && !quiet) {
+  stats.jobs = jobs;
+  if (restored_rows > 0) {
     std::printf("durability: %lld row(s) restored from journal\n",
                 static_cast<long long>(restored_rows));
   }

@@ -46,17 +46,6 @@ struct BenchOptions {
   double point_timeout_s = 0;  ///< --point-timeout: wall budget per point, s
   int point_retries = 1;       ///< --point-retries: extra attempts per point
 
-  // Multi-worker campaigns (see docs/campaigns.md, distributed campaigns).
-  // These do not enter the journal manifest: like --jobs, they change how
-  // the work is executed, never what it computes.
-  /// fsync journal appends + directory metadata (JournalOptions::durable).
-  /// Defaults off for plain benches (the historical flush-only behavior);
-  /// the campaign runner turns it on.
-  bool journal_durable = false;
-  /// Worker id stamped on journal entries and stderr diagnostics
-  /// (JournalOptions::worker). Empty = solo.
-  std::string journal_worker;
-
   /// SweepRunner options carrying these settings (seed becomes the base
   /// seed for per-point derivation).
   SweepRunOptions sweep_options() const;
@@ -74,11 +63,8 @@ BenchOptions read_scale_flags(const Cli& cli);
 /// durability flags the campaign driver honours.
 void add_standard_flags(Cli& cli);
 
-/// Reads them back after parsing. `workers` is the number of cooperating
-/// campaign worker processes expected on this machine (1 for every plain
-/// bench): the oversubscription warning accounts for workers x jobs
-/// threads landing on one host's cores.
-BenchOptions read_standard_flags(const Cli& cli, int workers = 1);
+/// Reads them back after parsing.
+BenchOptions read_standard_flags(const Cli& cli);
 
 /// One of the paper's four evaluated systems (Section 4.1).
 struct SystemConfig {
@@ -152,10 +138,11 @@ struct ExchangeRow {
 class BenchReport {
  public:
   /// With opts.journal_dir set, opens (or resumes) the crash-safe sweep
-  /// journal — manifest mismatch on resume is a hard error (see
-  /// docs/durable_sweeps.md). `manifest_extra` is appended to the standard
-  /// manifest text — the campaign runner records its spec hash there, so a
-  /// journal cannot resume under an edited spec.
+  /// journal in durable mode (JournalOptions::durable) — manifest mismatch
+  /// on resume is a hard error (see docs/durable_sweeps.md).
+  /// `manifest_extra` is appended to the standard manifest text — the
+  /// campaign runner records its spec hash there, so a journal cannot
+  /// resume under an edited spec.
   BenchReport(std::string bench_name, const BenchOptions& opts,
               std::string manifest_extra = "");
 
@@ -228,39 +215,19 @@ std::vector<std::vector<SweepPoint>> run_and_print_sweep(
     const std::string& title, const std::vector<SweepSeriesSpec>& specs,
     const BenchOptions& opts, BenchReport* report);
 
-/// Worker-mode execution control for run_exchange_table (see
-/// docs/campaigns.md, distributed campaigns). Null = the solo behavior.
-struct ExchangeRunControl {
-  /// Row mask (size = rows.size()); rows with a zero entry are skipped
-  /// entirely — not restored, not executed, not journaled — and returned
-  /// as empty placeholders. Row keys are positional, so a worker
-  /// executing a slice journals exactly the keys a solo run would.
-  const std::vector<char>* selected = nullptr;
-  /// Register the composed title as a journal scope. A worker executing
-  /// several shards of one table passes false after the first.
-  bool register_scope = true;
-  /// Suppress the printed table/timing (workers execute; only the merged
-  /// run presents).
-  bool quiet = false;
-  /// Journal override: journal rows here instead of report->journal()
-  /// (worker mode runs without a BenchReport). Non-owning.
-  SweepJournal* journal = nullptr;
-};
-
 /// Runs an exchange table (the Fig. 13/14 shape): for each row, one
 /// make_exchange_plan(topo, ex.workload, opts.seed) exchange on a fresh
 /// SimStack with cfg.seed = opts.seed, bounded by ex.time_limit simulated
-/// time and opts.point_timeout_s wall clock. Prints the table under
+/// time and opts.point_timeout_s wall clock. Rows run concurrently on
+/// opts.jobs threads (0 = all cores) and land at their index, so the
+/// results are identical for every --jobs value. Prints the table under
 /// "== exchange_table_title(ex.title, ex.workload) ==" (aborted rows
 /// marked WEDGED / DEADLINE / TIMEOUT), appends to `report` when
 /// non-null, and — when the report carries a journal — journals every row
 /// under that composed title as the scope, restoring completed rows on
-/// --resume with byte-identical output. The solo and multi-worker campaign
-/// paths both execute through this one function, which is what makes a
-/// merged worker run reproduce the solo output byte-for-byte.
+/// --resume with byte-identical output.
 std::vector<ExchangeRow> run_exchange_table(const CampaignExchangeSweep& ex,
-                                            const BenchOptions& opts, BenchReport* report,
-                                            const ExchangeRunControl* ctl = nullptr);
+                                            const BenchOptions& opts, BenchReport* report);
 
 /// Cores this process may run on (its affinity mask); hardware_concurrency()
 /// counts the machine's.

@@ -2,32 +2,27 @@
 //
 // Reads a committed JSON spec (campaigns/*.json, schema in
 // docs/campaigns.md), expands it into sweep/exchange work, and executes it
-// through the shared machinery — SweepRunner (--jobs), the
-// crash-safe journal (--journal/--resume), per-point deadlines
+// through the shared machinery — SweepRunner and run_exchange_table on
+// one --jobs thread pool, the crash-safe journal (--journal/--resume), per-point deadlines
 // (--point-timeout) and BenchReport --json output. Each figure spec's
 // normalised --json at CI args matches its committed sha256 in
 // campaigns/ci_digests.txt (scripts/ci.sh stage 6 enforces this).
 //
 // The journal manifest additionally pins the spec text's FNV-1a hash:
 // editing a spec invalidates its journals, so a resumed campaign can never
-// silently mix results from two versions of the experiment.
-//
-// Beyond the solo path, the driver fans one campaign out across processes
-// and hosts (see docs/campaigns.md, "Distributed campaigns"):
-//   --workers/--worker-id   join as one cooperating worker (lease-based
-//                           shard claiming; survives any worker dying)
-//   --lease-ttl             staleness threshold for stealing a dead
-//                           worker's shards
-//   --merge                 merge worker journals and emit output
-//                           byte-identical to a single-process run
-//   --status                per-shard campaign state from the journal dir
+// silently mix results from two versions of the experiment. --status reads
+// a journal directory back, per step, without writing to it.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iostream>
+#include <map>
 #include <sstream>
 
 #include "bench_common.h"
-#include "campaign_worker.h"
 #include "common/error.h"
+#include "common/journal.h"
+#include "common/table.h"
 #include "sim/campaign.h"
 #include "topology/properties.h"
 
@@ -38,10 +33,10 @@ namespace {
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  D2NET_REQUIRE(in.good(), "cannot open --spec file: " + path);
+  if (!in.good()) throw ArgumentError("cannot open --spec file: " + path);
   std::ostringstream os;
   os << in.rdbuf();
-  D2NET_REQUIRE(in.good() || in.eof(), "failed reading --spec file: " + path);
+  if (!in.good() && !in.eof()) throw ArgumentError("failed reading --spec file: " + path);
   return os.str();
 }
 
@@ -99,43 +94,123 @@ void print_dry_run(const CampaignSpec& spec, const ExpandedCampaign& plan, bool 
   }
 }
 
+/// Executes every step through one BenchReport (table printing, --json,
+/// journal/resume), prints the per-step summary, and returns the process
+/// exit code.
+int execute_campaign(const CampaignSpec& spec, const ExpandedCampaign& plan,
+                     const BenchOptions& opts, const std::string& manifest_extra) {
+  BenchReport report(spec.name, opts, manifest_extra);
+
+  struct StepSummary {
+    std::string title;
+    const char* kind;
+    std::int64_t points = 0;
+    std::int64_t restored = 0;
+    std::int64_t timed_out = 0;
+    std::int64_t failed = 0;
+  };
+  std::vector<StepSummary> summaries;
+
+  for (const CampaignStep& step : plan.steps) {
+    if (step.load) {
+      const auto series = run_and_print_sweep(step.load->title, step.load->series, opts,
+                                              &report);
+      StepSummary sum{step.load->title, "sweep"};
+      for (const auto& s : series) {
+        for (const SweepPoint& pt : s) {
+          ++sum.points;
+          sum.restored += pt.restored ? 1 : 0;
+          sum.timed_out += pt.result.timed_out ? 1 : 0;
+          sum.failed += pt.failed ? 1 : 0;
+        }
+      }
+      summaries.push_back(std::move(sum));
+    } else {
+      const CampaignExchangeSweep& ex = *step.exchange;
+      const auto done = run_exchange_table(ex, opts, &report);
+      StepSummary sum{ex.title, "exchange"};
+      for (const ExchangeRow& r : done) {
+        ++sum.points;
+        sum.restored += r.restored ? 1 : 0;
+        sum.timed_out += (!r.result.completed) ? 1 : 0;
+      }
+      summaries.push_back(std::move(sum));
+    }
+  }
+
+  std::printf("\n== campaign summary: %s ==\n", spec.name.c_str());
+  Table summary({"step", "kind", "points", "restored", "timed out/aborted", "failed"});
+  for (const StepSummary& s : summaries) {
+    summary.add(s.title, s.kind, s.points, s.restored, s.timed_out, s.failed);
+  }
+  summary.print(std::cout);
+  if (opts.csv) summary.print_csv(std::cout);
+
+  return report.finish();
+}
+
+/// --status: per-step progress of the journal in `dir`, counted against
+/// the spec's key space (campaign_scopes). Returns 1 when `dir` holds no
+/// journal.
+int print_status(const ExpandedCampaign& plan, const std::string& dir,
+                 const std::string& manifest_text) {
+  std::string journaled_text;
+  std::uint64_t hash = 0;
+  if (!read_journal_manifest(dir, journaled_text, hash)) {
+    std::fprintf(stderr, "no campaign journal in '%s'\n", dir.c_str());
+    return 1;
+  }
+  if (journaled_text != manifest_text) {
+    std::fprintf(stderr,
+                 "warning: '%s' was journaled under a different configuration; "
+                 "--resume would refuse it\n",
+                 dir.c_str());
+  }
+  // A later line for a key supersedes an earlier one, as on resume; torn
+  // lines are skipped.
+  std::map<std::string, std::string> status;
+  std::ifstream in(std::filesystem::path(dir) / "journal.jsonl");
+  for (std::string line; std::getline(in, line);) {
+    JournalEntry e;
+    if (SweepJournal::parse_line(line, e)) status[e.key] = e.status;
+  }
+
+  Table t({"step", "points", "ok", "timed out", "failed", "missing"});
+  std::size_t points = 0, missing = 0;
+  for (const CampaignScope& sc : campaign_scopes(plan)) {
+    std::size_t ok = 0, timed_out = 0, failed = 0;
+    for (std::size_t i = 0; i < sc.points; ++i) {
+      const auto it = status.find(sc.scope + "#" + std::to_string(i));
+      if (it == status.end()) continue;
+      ok += it->second == "ok" ? 1 : 0;
+      timed_out += it->second == "timed_out" ? 1 : 0;
+      failed += it->second == "failed" ? 1 : 0;
+    }
+    const std::size_t step_missing = sc.points - ok - timed_out - failed;
+    t.add(sc.scope, sc.points, ok, timed_out, failed, step_missing);
+    points += sc.points;
+    missing += step_missing;
+  }
+  t.print(std::cout);
+  std::printf("%zu of %zu point(s) journaled, %zu missing\n", points - missing, points,
+              missing);
+  return 0;
+}
+
 int run(int argc, char** argv) {
   Cli cli("declarative campaign runner: expand and execute a campaigns/*.json spec "
           "(see docs/campaigns.md)");
   cli.flag("spec", std::string{}, "campaign spec file (JSON; required)")
       .flag("dry-run", false, "print the expanded matrix and exit without simulating")
-      .flag("workers", std::int64_t{1},
-            "cooperating worker processes executing this campaign via "
-            "lease-based shard claiming (see docs/campaigns.md); all must "
-            "share --journal on one filesystem")
-      .flag("worker-id", std::string{},
-            "unique id of this worker (journals under <journal>/workers/<id>); "
-            "setting it joins worker mode even with --workers=1")
-      .flag("lease-ttl", 30.0,
-            "seconds without heartbeat before a worker's shard lease is "
-            "considered stale and stealable")
-      .flag("shard-points", std::int64_t{0},
-            "points per claimed shard (0 = auto, ~4 shards per worker); all "
-            "workers of one campaign must agree")
-      .flag("merge", false,
-            "merge per-worker journals into <journal>/journal.jsonl and emit "
-            "campaign output byte-identical to a single-process run")
       .flag("status", false,
-            "print per-shard campaign state (unclaimed/leased/stale/done) "
-            "from the journal directory and exit");
+            "print per-step ok/timed-out/failed/missing point counts of the "
+            "--journal directory and exit");
   add_standard_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  const int workers = static_cast<int>(cli.get_int("workers"));
-  D2NET_REQUIRE(workers >= 1, "--workers must be >= 1");
-  BenchOptions opts = read_standard_flags(cli, workers);
-  // Campaign mode defaults durable journaling on: the claim protocol (and
-  // any long study worth journaling) assumes an acked point survives a
-  // host power loss, not just a process kill. Bytes of all output are
-  // unaffected.
-  opts.journal_durable = !opts.journal_dir.empty();
+  BenchOptions opts = read_standard_flags(cli);
   const std::string spec_path = cli.get_string("spec");
-  D2NET_REQUIRE(!spec_path.empty(), "--spec=<file> is required");
+  if (spec_path.empty()) throw ArgumentError("--spec=<file> is required");
 
   const std::string spec_text = read_file(spec_path);
   const CampaignSpec spec = parse_campaign_spec(spec_text, spec_path);
@@ -159,27 +234,9 @@ int run(int argc, char** argv) {
         << "spec_fnv1a64=" << std::hex << fnv1a64(spec_text) << "\n";
 
   if (cli.get_bool("status")) {
-    return print_campaign_status(plan, opts, cli.get_double("lease-ttl"));
+    if (opts.journal_dir.empty()) throw ArgumentError("--status requires --journal=<dir>");
+    return print_status(plan, opts.journal_dir, bench_manifest(spec.name, opts) + extra.str());
   }
-  if (cli.get_bool("merge")) {
-    return run_campaign_merge(spec, plan, opts, extra.str());
-  }
-  if (workers > 1 || !cli.get_string("worker-id").empty()) {
-    CampaignWorkerOptions wopts;
-    wopts.workers = workers;
-    wopts.worker_id = cli.get_string("worker-id");
-    if (wopts.worker_id.empty()) {
-      wopts.worker_id = std::string("w") + std::to_string(::getpid());
-    }
-    wopts.lease_ttl = cli.get_double("lease-ttl");
-    wopts.shard_points = static_cast<int>(cli.get_int("shard-points"));
-    D2NET_REQUIRE(wopts.shard_points >= 0, "--shard-points must be >= 0");
-    opts.journal_worker = wopts.worker_id;
-    return run_campaign_worker(spec, plan, opts, extra.str(), wopts);
-  }
-
-  // Solo path: exactly the pre-distributed behavior (no protocol overhead,
-  // byte-identical output).
   return execute_campaign(spec, plan, opts, extra.str());
 }
 

@@ -18,7 +18,8 @@
 # Stages 2 and 3 additionally run campaigns/transient_faults.json (whose
 # detection-delay sweep exercises modeled fault detection + link-state
 # propagation, see docs/resilience.md) under TSan and ASan+UBSan, and stage
-# 2 runs campaigns/fig6.json on the flow engine under --jobs=4.
+# 2 runs campaigns/fig6.json on the flow engine and campaigns/smoke.json
+# (whose exchange rows share the sweep's thread pool) under --jobs=4.
 #
 # Stage 5 is a warn-only perf smoke: bench_micro_core --json against the
 # committed BENCH_core.json baseline with a +/-15% band. It prints a
@@ -43,11 +44,7 @@
 # warn-only +/-20% smoke against BENCH_convergence.json). A mixed
 # load/fault/exchange campaign must survive a simulated SIGKILL (journal
 # truncated mid-file with a torn final line) and resume to byte-identical
-# output. It closes with the multi-worker chaos drill: three cooperating
-# --workers processes, one SIGKILLed right after claiming a shard (before
-# journaling anything), a survivor stealing the stale lease, and --merge
-# output byte-identical (diff + sha256 digest) to the single-process
-# reference.
+# output, and --status must count the cut journal's points exactly.
 #
 #   scripts/ci.sh            # all stages, build trees under build-ci*/
 #   SKIP_TSAN=1 scripts/ci.sh
@@ -88,6 +85,11 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   # into tens of minutes; the thread structure under test is identical.
   TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/bench/d2net_campaign \
     --spec=campaigns/fig6.json --engine=flow --flow-interval-us=0.2 \
+    --duration-us=2 --warmup-us=0.5 --seed=3 --jobs=4 >/dev/null
+  # Exchange rows run on the same pool as sweep points and append to the
+  # journal from pool threads.
+  TSAN_OPTIONS="halt_on_error=1" ./build-ci-tsan/bench/d2net_campaign \
+    --spec=campaigns/smoke.json --journal=build-ci-tsan/smoke-journal \
     --duration-us=2 --warmup-us=0.5 --seed=3 --jobs=4 >/dev/null
 fi
 
@@ -274,6 +276,20 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
   [[ "$STATUS" -eq 2 ]]
   grep -q "^error: .*unknown routing 'mni'" "$WORK/malformed.err"
   echo "malformed spec rejected with exit 2: $(cat "$WORK/malformed.err")"
+  # A bad topology parameter reads as a spec error: no source path, no
+  # stringified condition.
+  printf '{"name": "bad", "systems": [{"label": "D", "topology": "dragonfly:r=16"}],
+    "sweeps": [{"title": "u", "loads": [0.5], "series": [{"routing": "min"}]}]}' \
+    > "$WORK/badtopo.json"
+  set +e
+  "$CAMPAIGN" --spec="$WORK/badtopo.json" --dry-run 2> "$WORK/badtopo.err"
+  STATUS=$?
+  set -e
+  [[ "$STATUS" -eq 2 ]]
+  [[ "$(wc -l < "$WORK/badtopo.err")" -eq 1 ]]
+  grep -qx "error: campaign system 'D': balanced Dragonfly needs radix with (r+1) % 4 == 0, got r = 16" \
+    "$WORK/badtopo.err"
+  echo "bad topology rejected with exit 2: $(cat "$WORK/badtopo.err")"
   # Every other bench and example CLI shares that contract.
   set +e
   ./build-ci/bench/bench_ablation_analytic --json=x.json 2> "$WORK/badflag.err"
@@ -285,13 +301,20 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
 
   # Porting contract: each digested spec's normalised --json hashes to its
   # committed line. Exchange payloads at their committed sizes are minutes
-  # of simulation; every digest is recorded with them shrunk to 256 B.
-  shrink() { sed -E 's/"bytes_per_pair(_full)?": [0-9]+/"bytes_per_pair\1": 256/g' "$1"; }
+  # of simulation; every digest is recorded with them shrunk to 256 B (one
+  # packet), except ablation_a2a_schedule's at 512 B: its sequential and
+  # interleaved schedules differ only once a message spans two packets.
+  shrink() {
+    local bytes=256
+    [[ "$1" == ablation_a2a_schedule ]] && bytes=512
+    sed -E "s/\"bytes_per_pair(_full)?\": [0-9]+/\"bytes_per_pair\\1\": $bytes/g" \
+      "campaigns/$1.json"
+  }
   MISMATCHES=0
   while read -r -u 3 name want; do
     [[ -z "$name" || "$name" == \#* ]] && continue
     spec="$WORK/$name-small.json"
-    shrink "campaigns/$name.json" > "$spec"
+    shrink "$name" > "$spec"
     "$CAMPAIGN" --spec="$spec" "${ARGS[@]}" --json="$WORK/$name.json" >/dev/null
     got=$(normalize "$WORK/$name.json" | sha256sum | cut -d' ' -f1)
     if [[ "$got" != "$want" ]]; then
@@ -341,55 +364,25 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
   KEEP=$(( LINES * 2 / 5 )); [[ "$KEEP" -lt 1 ]] && KEEP=1
   head -n "$KEEP" "$WORK/smoke-full/journal.jsonl" > "$WORK/smoke-cut/journal.jsonl"
   printf '{"key": "torn' >> "$WORK/smoke-cut/journal.jsonl"
+  # --status reads the cut journal back per step, without writing to it:
+  # the KEEP surviving lines are journaled points, the rest are missing.
+  "$CAMPAIGN" --spec=campaigns/smoke.json "${ARGS[@]}" --journal="$WORK/smoke-cut" \
+    --status > "$WORK/status.txt"
+  cat "$WORK/status.txt"
+  grep -qx "$KEEP of $LINES point(s) journaled, $(( LINES - KEEP )) missing" "$WORK/status.txt"
   "$CAMPAIGN" --spec=campaigns/smoke.json "${ARGS[@]}" \
     --journal="$WORK/smoke-cut" --resume --json="$WORK/smoke-resumed.json" >/dev/null
   diff <(normalize "$WORK/smoke-resumed.json") <(normalize "$WORK/smoke-clean.json")
   echo "campaign resume drill OK ($KEEP/$LINES journal lines survived the crash)"
 
-  # Multi-worker chaos drill (docs/campaigns.md, distributed campaigns):
-  # three cooperating workers on the smoke campaign; the first claims a
-  # shard and is SIGKILLed in the narrowest recovery window (lease
-  # published, zero journal entries). A survivor must steal the stale
-  # lease after --lease-ttl, and the merged output must be byte-identical
-  # (diff + digest) to the single-process reference above.
-  DIST="$WORK/smoke-dist"
-  rm -rf "$DIST"
-  D2NET_CAMPAIGN_HOLD=120 "$CAMPAIGN" --spec=campaigns/smoke.json "${ARGS[@]}" \
-    --journal="$DIST" --workers=3 --worker-id=victim --lease-ttl=2 \
-    > "$WORK/victim.log" 2>&1 &
-  VICTIM=$!
-  # The hold message means the victim holds a published lease and has
-  # journaled nothing — the exact crash window the steal path must absorb.
-  for _ in $(seq 1 200); do
-    grep -q "holding shard" "$WORK/victim.log" 2>/dev/null && break
-    sleep 0.1
-  done
-  grep -q "holding shard" "$WORK/victim.log"
-  kill -9 "$VICTIM" 2>/dev/null
-  wait "$VICTIM" 2>/dev/null || true
-  "$CAMPAIGN" --spec=campaigns/smoke.json "${ARGS[@]}" \
-    --journal="$DIST" --workers=3 --worker-id=survivor1 --lease-ttl=2 \
-    > "$WORK/survivor1.log" 2>&1 &
-  S1=$!
-  "$CAMPAIGN" --spec=campaigns/smoke.json "${ARGS[@]}" \
-    --journal="$DIST" --workers=3 --worker-id=survivor2 --lease-ttl=2 \
-    > "$WORK/survivor2.log" 2>&1 &
-  S2=$!
-  wait "$S1"
-  wait "$S2"
-  # A survivor must have evicted the dead worker's stale lease. Whoever
-  # renames it away logs the eviction, even when the other survivor then
-  # wins the re-claim, so this holds on every interleaving.
-  grep -h "evicted stale lease" "$WORK/survivor1.log" "$WORK/survivor2.log"
-  "$CAMPAIGN" --spec=campaigns/smoke.json "${ARGS[@]}" --journal="$DIST" --status
-  "$CAMPAIGN" --spec=campaigns/smoke.json "${ARGS[@]}" \
-    --journal="$DIST" --merge --json="$WORK/smoke-merged.json" >/dev/null
-  diff <(normalize "$WORK/smoke-merged.json") <(normalize "$WORK/smoke-clean.json")
-  MERGED_DIGEST=$(normalize "$WORK/smoke-merged.json" | sha256sum | cut -d' ' -f1)
-  REFERENCE_DIGEST=$(normalize "$WORK/smoke-clean.json" | sha256sum | cut -d' ' -f1)
-  [[ "$MERGED_DIGEST" == "$REFERENCE_DIGEST" ]]
-  echo "multi-worker chaos drill OK: survivor evicted the dead worker's lease," \
-       "merged digest $MERGED_DIGEST matches the single-process reference"
+  # A directory without a journal is --status exit 1.
+  mkdir -p "$WORK/no-journal"
+  set +e
+  "$CAMPAIGN" --spec=campaigns/smoke.json "${ARGS[@]}" --journal="$WORK/no-journal" --status
+  STATUS=$?
+  set -e
+  [[ "$STATUS" -eq 1 ]]
+  echo "status check OK: $KEEP/$LINES points journaled, empty directory exits 1"
 fi
 
 echo "CI OK"

@@ -3,9 +3,11 @@
 # OFT k=12; 50 us simulated per point) and stores one log per figure under
 # results/full/. Figs. 6-14 run from their campaigns/*.json specs through
 # d2net_campaign, journaled under results/full/<name>/ so an interrupted
-# run picks up where it stopped when re-run. Expect several hours on a
-# single core; figures are independent, so parallelize across
-# machines/cores freely, e.g.:
+# run picks up where it stopped when re-run. Within a figure, sweep points
+# and exchange rows (Figs. 13/14) already run on every core:
+# d2net_campaign's --jobs defaults to all hardware threads. Expect several
+# hours on a single core; figures are independent, so spread them across
+# machines freely, e.g.:
 #   scripts/run_paper_scale.sh fig6
 #   scripts/run_paper_scale.sh fig14 bench_ablation_analytic
 set -euo pipefail

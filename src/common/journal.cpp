@@ -55,6 +55,12 @@ std::uint64_t fnv1a64(std::string_view s) {
 
 const char* build_describe() { return D2NET_BUILD_DESCRIBE; }
 
+namespace {
+
+// Makes durable whatever `dir` records about its entries: fsyncs the
+// directory fd so a freshly renamed file inside it survives a host power
+// loss. Best-effort: false when the platform/filesystem refuses (the write
+// itself already succeeded).
 bool fsync_dir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return false;
@@ -62,8 +68,6 @@ bool fsync_dir(const std::string& dir) {
   ::close(fd);
   return ok;
 }
-
-namespace {
 
 // Minimal tolerant scanner for the flat JSON objects the journal itself
 // writes. Any malformation flips `ok` and the caller discards the line —
@@ -273,45 +277,6 @@ bool read_journal_manifest(const std::string& dir, std::string& text_out,
   return read_manifest(dir, text_out, hash_out);
 }
 
-std::string render_lease(const LeaseRecord& l) {
-  std::ostringstream os;
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(l.spec_hash));
-  os << "{\"worker\": \"" << json_escape(l.worker) << "\""
-     << ", \"shard\": " << l.shard
-     << ", \"spec_hash\": \"" << hex << "\""
-     << ", \"acquired_at\": " << fmt_double(l.acquired_at)
-     << ", \"heartbeat_at\": " << fmt_double(l.heartbeat_at)
-     << ", \"token\": " << l.token << "}\n";
-  return os.str();
-}
-
-bool parse_lease(std::string_view text, LeaseRecord& out) {
-  JsonScanner sc{text};
-  if (!sc.consume('{')) return false;
-  out = LeaseRecord{};
-  while (sc.ok) {
-    if (sc.peek() == '}') break;
-    std::string key = sc.parse_string();
-    if (!sc.ok || !sc.consume(':')) return false;
-    if (key == "worker") out.worker = sc.parse_string();
-    else if (key == "shard") out.shard = sc.parse_int();
-    else if (key == "spec_hash") {
-      std::string hexs = sc.parse_string();
-      if (!sc.ok) return false;
-      char* end = nullptr;
-      out.spec_hash = std::strtoull(hexs.c_str(), &end, 16);
-      if (hexs.empty() || end != hexs.c_str() + hexs.size()) return false;
-    } else if (key == "acquired_at") out.acquired_at = sc.parse_double();
-    else if (key == "heartbeat_at") out.heartbeat_at = sc.parse_double();
-    else if (key == "token") out.token = sc.parse_uint();
-    else sc.parse_raw_value();  // forward compat
-    if (!sc.consume(',')) break;
-  }
-  if (!sc.ok || !sc.consume('}')) return false;
-  return !out.worker.empty() && out.shard >= 0;
-}
-
 std::string SweepJournal::render_line(const JournalEntry& e) {
   std::ostringstream os;
   os << "{\"key\": \"" << json_escape(e.key) << "\""
@@ -332,8 +297,6 @@ std::string SweepJournal::render_line(const JournalEntry& e) {
        << ", \"completion_us\": " << fmt_double(e.completion_us)
        << ", \"wedged\": " << (e.wedged ? "true" : "false");
   }
-  // Worker attribution only when set: solo journals stay byte-stable.
-  if (!e.worker.empty()) os << ", \"worker\": \"" << json_escape(e.worker) << "\"";
   if (!e.error.empty()) os << ", \"error\": \"" << json_escape(e.error) << "\"";
   os << ", \"result\": " << (e.payload.empty() ? "null" : e.payload) << "}";
   return os.str();
@@ -364,7 +327,6 @@ bool SweepJournal::parse_line(std::string_view line, JournalEntry& out) {
     else if (key == "exchange_completed") out.exchange_completed = static_cast<int>(sc.parse_int());
     else if (key == "completion_us") out.completion_us = sc.parse_double();
     else if (key == "wedged") out.wedged = sc.parse_raw_value() == "true";
-    else if (key == "worker") out.worker = sc.parse_string();
     else if (key == "error") out.error = sc.parse_string();
     else if (key == "result") {
       std::string_view raw = sc.parse_raw_value();
@@ -389,10 +351,6 @@ SweepJournal::SweepJournal(std::string dir, std::string manifest_text, bool resu
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   D2NET_REQUIRE(!ec, "cannot create journal directory '" + dir_ + "': " + ec.message());
-  // Interleaved stderr from concurrent campaign workers must be
-  // attributable to the process that wrote it.
-  const std::string diag_prefix =
-      options_.worker.empty() ? "" : "[worker " + options_.worker + "] ";
 
   std::string prev_text;
   std::uint64_t prev_hash = 0;
@@ -418,8 +376,8 @@ SweepJournal::SweepJournal(std::string dir, std::string manifest_text, bool resu
       if (!parse_line(line, e)) {
         ++skipped;
         std::fprintf(stderr,
-                     "%swarning: skipping torn/corrupt journal line %zu in %s\n",
-                     diag_prefix.c_str(), lineno, journal_path(dir_).string().c_str());
+                     "warning: skipping torn/corrupt journal line %zu in %s\n", lineno,
+                     journal_path(dir_).string().c_str());
         continue;
       }
       entries_[e.key] = std::move(e);
@@ -444,9 +402,8 @@ SweepJournal::SweepJournal(std::string dir, std::string manifest_text, bool resu
     // Fresh start (also: --resume with no prior manifest, so the same
     // command line works for the first run and every restart). The
     // manifest is written to a temp name and renamed into place: a reader
-    // (a concurrent campaign worker validating its configuration) never
-    // sees a half-written manifest, and a crash mid-write leaves the old
-    // one intact.
+    // (`d2net_campaign --status`) never sees a half-written manifest, and a
+    // crash mid-write leaves the old one intact.
     char hex[32];
     std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(hash_));
     const std::filesystem::path tmp =
@@ -477,22 +434,12 @@ const JournalEntry* SweepJournal::find(const std::string& key) const {
 }
 
 void SweepJournal::append(const JournalEntry& e) {
-  // Entries from a worker-attributed journal carry the worker id even when
-  // the caller did not stamp it (one stamping point instead of N call
-  // sites).
-  std::string line;
-  if (!options_.worker.empty() && e.worker.empty()) {
-    JournalEntry stamped = e;
-    stamped.worker = options_.worker;
-    line = render_line(stamped);
-  } else {
-    line = render_line(e);
-  }
+  const std::string line = render_line(e);
   std::lock_guard<std::mutex> lock(mu_);
   bool ok = std::fwrite(line.data(), 1, line.size(), out_) == line.size() &&
             std::fputc('\n', out_) != EOF && std::fflush(out_) == 0;
   // Durable mode: the entry must survive a host power loss, not just a
-  // process kill — the claim protocol assumes an acked point is recorded.
+  // process kill.
   if (ok && options_.durable) ok = ::fdatasync(::fileno(out_)) == 0;
   D2NET_REQUIRE(ok, "journal append failed in '" + dir_ + "'");
 }

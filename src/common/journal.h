@@ -46,18 +46,10 @@ std::uint64_t fnv1a64(std::string_view s);
 const char* build_describe();
 
 /// Reads `<dir>/manifest.json` back (text + recorded hash); false when the
-/// file is missing or unparseable. The campaign merge step uses this to
-/// verify every worker journal was written under the top-level manifest
-/// before mixing their entries.
+/// file is missing or unparseable. `d2net_campaign --status` inspects a
+/// journal through it without opening the journal for write.
 bool read_journal_manifest(const std::string& dir, std::string& text_out,
                            std::uint64_t& hash_out);
-
-/// Makes durable whatever `dir` records about its entries: fsyncs the
-/// directory fd so a freshly created/renamed file inside it survives a
-/// host power loss (see docs/campaigns.md, distributed campaigns). Returns
-/// false when the platform/filesystem refuses; callers treat that as
-/// best-effort (the write itself already succeeded).
-bool fsync_dir(const std::string& dir);
 
 /// One journal line: the durable record of one finished sweep point (or,
 /// for campaign exchange scopes, one finished exchange row).
@@ -83,52 +75,20 @@ struct JournalEntry {
   int exchange_completed = -1;
   double completion_us = 0.0;
   bool wedged = false;
-  /// Worker id of the process that executed the point (multi-worker
-  /// campaigns; see docs/campaigns.md). Empty on solo runs, and omitted
-  /// from the serialized line when empty so solo journals are byte-stable
-  /// across versions.
-  std::string worker;
   std::string error;    ///< exception text when status == "failed"
   std::string payload;  ///< rendered result JSON object ("" when failed)
 
   bool completed() const { return status == "ok" || status == "timed_out"; }
 };
 
-/// Journal behavior knobs (defaults preserve the PR 4 semantics).
+/// Journal behavior knobs.
 struct JournalOptions {
   /// fsync the journal fd after every appended entry (and the directory
   /// after the manifest write), so an acked point survives host power loss
-  /// — not just a process kill. Off for plain benches (flush-only, the
-  /// historical behavior); the campaign runner turns it on because the
-  /// multi-worker claim protocol assumes acked points are truly recorded.
+  /// — not just a process kill. Off for a bare SweepJournal (flush-only);
+  /// BenchReport turns it on whenever it opens a journal.
   bool durable = false;
-  /// Worker id stamped on every appended entry and prefixed to this
-  /// journal's stderr diagnostics, so interleaved logs from concurrent
-  /// workers are attributable. Empty = solo (no stamp, no prefix).
-  std::string worker;
 };
-
-/// One shard lease of the multi-worker claim protocol (see
-/// docs/campaigns.md): the JSON document stored in
-/// `<journal>/leases/shard-<id>.lease`. Timestamps are seconds since the
-/// Unix epoch — leases are compared across processes and hosts, so they
-/// use the shared wall clock (clock skew bounds are part of the protocol
-/// contract; see the failure matrix in the docs).
-struct LeaseRecord {
-  std::string worker;
-  std::int64_t shard = -1;
-  std::uint64_t spec_hash = 0;   ///< manifest hash; claim/steal sanity check
-  double acquired_at = 0.0;      ///< first claim time
-  double heartbeat_at = 0.0;     ///< last refresh; staleness is judged on this
-  std::uint64_t token = 0;       ///< unique per claim attempt (steal dedup)
-};
-
-/// Serializes a lease as a single JSON line (with trailing newline).
-std::string render_lease(const LeaseRecord& l);
-/// Parses a lease document; false on torn/corrupt input (a lease being
-/// rewritten by a dying worker must read as "unparseable", never crash the
-/// scanner).
-bool parse_lease(std::string_view text, LeaseRecord& out);
 
 /// Manifest + JSONL journal in one directory. Thread-safe appends (sweep
 /// points complete on pool workers); each line is flushed before append()

@@ -82,6 +82,17 @@ void ThreadPool::parallel_for(std::size_t n,
   wait_idle();
 }
 
+void ThreadPool::run_indexed(int threads, std::size_t n,
+                             const std::function<void(std::size_t)>& body,
+                             bool stop_on_first_error) {
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  ThreadPool pool(threads - 1);
+  pool.parallel_for(n, body, stop_on_first_error);
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -53,6 +53,13 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                     bool stop_on_first_error = false);
 
+  /// Runs body(0) .. body(n-1) on `threads` threads, the caller included:
+  /// inline in index order when threads <= 1, otherwise parallel_for on a
+  /// pool of threads - 1 workers.
+  static void run_indexed(int threads, std::size_t n,
+                          const std::function<void(std::size_t)>& body,
+                          bool stop_on_first_error = false);
+
  private:
   void worker_loop();
   /// Stores the first captured exception (later ones are dropped).

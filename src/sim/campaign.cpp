@@ -1,14 +1,9 @@
 #include "sim/campaign.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <tuple>
 
 #include "common/error.h"
@@ -702,7 +697,7 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
   return out;
 }
 
-// ------------------------------------------------- multi-worker campaigns
+// ----------------------------------------------------------- journal scopes
 
 std::string exchange_table_title(const std::string& title_base, const ExchangeWorkload& w) {
   const std::string bytes = std::to_string(w.bytes_per_pair);
@@ -739,121 +734,6 @@ std::vector<CampaignScope> campaign_scopes(const ExpandedCampaign& plan) {
     out.push_back({step_scope(step), step_point_count(step)});
   }
   return out;
-}
-
-std::vector<CampaignShard> plan_campaign_shards(const ExpandedCampaign& plan,
-                                                int points_per_shard) {
-  D2NET_REQUIRE(points_per_shard >= 1, "points per shard must be >= 1");
-  std::vector<CampaignShard> out;
-  const std::size_t chunk = static_cast<std::size_t>(points_per_shard);
-  for (std::size_t s = 0; s < plan.steps.size(); ++s) {
-    const std::size_t n = step_point_count(plan.steps[s]);
-    for (std::size_t b = 0; b < n; b += chunk) {
-      CampaignShard sh;
-      sh.id = static_cast<int>(out.size());
-      sh.step = s;
-      sh.begin = b;
-      sh.end = std::min(n, b + chunk);
-      out.push_back(sh);
-    }
-  }
-  return out;
-}
-
-CampaignMergeStats merge_worker_journals(const std::string& dir,
-                                         const std::vector<CampaignScope>& scopes) {
-  namespace fs = std::filesystem;
-  CampaignMergeStats stats;
-
-  std::string top_text;
-  std::uint64_t top_hash = 0;
-  D2NET_REQUIRE(read_journal_manifest(dir, top_text, top_hash),
-                "merge: no readable manifest.json in '" + dir +
-                    "' — has the campaign been started?");
-
-  // Worker directories in sorted (lexicographic) order: the dedup
-  // tie-break below depends on a deterministic iteration order.
-  std::vector<std::string> workers;
-  const fs::path workers_root = fs::path(dir) / "workers";
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(workers_root, ec)) {
-    if (entry.is_directory()) workers.push_back(entry.path().string());
-  }
-  D2NET_REQUIRE(!ec && !workers.empty(),
-                "merge: no worker journals under '" + workers_root.string() + "'");
-  std::sort(workers.begin(), workers.end());
-  stats.workers = workers.size();
-
-  // Best entry per key, with the raw line preserved: the merged journal
-  // carries each winning line verbatim, so the follow-up resumed run
-  // restores exactly the bytes the executing worker recorded.
-  struct Merged {
-    std::string line;
-    bool completed = false;
-    bool failed = false;
-  };
-  std::map<std::string, Merged> best;
-  for (const std::string& wdir : workers) {
-    std::string wtext;
-    std::uint64_t whash = 0;
-    D2NET_REQUIRE(read_journal_manifest(wdir, wtext, whash),
-                  "merge: worker journal '" + wdir + "' has no readable manifest");
-    if (wtext != top_text) {
-      throw ArgumentError(
-          "merge: worker journal '" + wdir +
-          "' was written under a different configuration than '" + dir +
-          "' — refusing to mix results.\n--- worker manifest ---\n" + wtext +
-          "--- campaign manifest ---\n" + top_text);
-    }
-    std::ifstream in(fs::path(wdir) / "journal.jsonl");
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      JournalEntry e;
-      if (!SweepJournal::parse_line(line, e)) continue;  // torn tail: skip
-      auto it = best.find(e.key);
-      if (it == best.end()) {
-        best.emplace(e.key, Merged{line, e.completed(), e.status == "failed"});
-        continue;
-      }
-      ++stats.duplicates;
-      // Completed beats failed; otherwise the first (sorted-order) worker
-      // already won. Within one worker's journal, a later line supersedes
-      // an earlier one for the same key (the resume-retry convention) —
-      // but only if it is at least as good.
-      if (e.completed() && !it->second.completed) {
-        it->second = Merged{line, true, false};
-      }
-    }
-  }
-
-  // Emit in campaign expansion order, so the merged journal reads like a
-  // solo run's.
-  const fs::path tmp = fs::path(dir) / ("journal.jsonl.merge." + std::to_string(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    D2NET_REQUIRE(out.good(), "merge: cannot write '" + tmp.string() + "'");
-    for (const CampaignScope& sc : scopes) {
-      for (std::size_t i = 0; i < sc.points; ++i) {
-        ++stats.expected;
-        auto it = best.find(sc.scope + "#" + std::to_string(i));
-        if (it == best.end()) {
-          ++stats.missing;
-          continue;
-        }
-        out << it->second.line << "\n";
-        ++stats.merged;
-        if (it->second.failed) ++stats.failed;
-      }
-    }
-    out.flush();
-    D2NET_REQUIRE(out.good(), "merge: failed writing '" + tmp.string() + "'");
-  }
-  fs::rename(tmp, fs::path(dir) / "journal.jsonl", ec);
-  D2NET_REQUIRE(!ec, "merge: cannot install merged journal in '" + dir +
-                         "': " + ec.message());
-  fsync_dir(dir);
-  return stats;
 }
 
 }  // namespace d2net

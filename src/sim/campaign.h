@@ -240,8 +240,7 @@ struct ExpandedCampaign {
 /// whose topology spec string does not parse.
 ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams& params);
 
-// ------------------------------------------------- multi-worker campaigns
-// (see docs/campaigns.md, "Distributed campaigns")
+// ----------------------------------------------------------- journal scopes
 
 /// The composed title an exchange table is printed and journaled under:
 /// "<base> (<bytes> B/pair, shuffled+interleaved)" for the default
@@ -249,8 +248,7 @@ ExpandedCampaign expand_campaign(const CampaignSpec& spec, const CampaignParams&
 /// for the sequential schedule), "<base> (<bytes> B/neighbor,
 /// nearest-neighbor, <contiguous|random> mapping)" for Fig. 14's exchange.
 /// One function shared by the exchange runner (scope registration, row
-/// keys) and the merge step (expected-key enumeration): the two must never
-/// drift apart.
+/// keys) and campaign_scopes (the key space `--status` counts against).
 std::string exchange_table_title(const std::string& title_base, const ExchangeWorkload& w);
 
 /// Number of flattened points of one step: series x loads for a load
@@ -269,51 +267,7 @@ struct CampaignScope {
 };
 
 /// Every step's scope + point count, in spec order: the campaign's full
-/// deterministic key space (what the merge step enumerates).
+/// deterministic key space.
 std::vector<CampaignScope> campaign_scopes(const ExpandedCampaign& plan);
-
-/// One contiguous shard of the campaign's flattened point list: points
-/// [begin, end) of step `step`. Shards never span steps, so a worker
-/// executing a shard touches exactly one journal scope.
-struct CampaignShard {
-  int id = 0;
-  std::size_t step = 0;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Splits the campaign into contiguous shards of at most `points_per_shard`
-/// points each (>= 1), step by step in spec order. The plan is a pure
-/// function of (expanded campaign, points_per_shard), so every worker
-/// invoked with the same spec and --shard-points computes the same shards
-/// (enforced on disk by ShardClaimer::pin_plan).
-std::vector<CampaignShard> plan_campaign_shards(const ExpandedCampaign& plan,
-                                                int points_per_shard);
-
-/// Outcome of merging per-worker journals (see merge_worker_journals).
-struct CampaignMergeStats {
-  std::size_t workers = 0;     ///< worker journals read
-  std::size_t expected = 0;    ///< points the campaign defines
-  std::size_t merged = 0;      ///< entries written to the merged journal
-  std::size_t missing = 0;     ///< expected keys no worker recorded
-  std::size_t duplicates = 0;  ///< keys recorded by more than one worker
-  std::size_t failed = 0;      ///< merged entries with status "failed"
-};
-
-/// K-way merges the per-worker journals under `<dir>/workers/*/` into the
-/// top-level `<dir>/journal.jsonl`, in campaign expansion order (the order
-/// `scopes` lists). Duplicate keys — the at-least-once residue of a lease
-/// steal racing its owner's heartbeat — are deduplicated with a
-/// deterministic winner: a completed entry beats a failed one, ties go to
-/// the lexicographically first worker directory (results are deterministic
-/// functions of the seed, so completed duplicates carry identical
-/// payloads). Worker journals whose manifest does not match the top-level
-/// manifest are a hard error (never silently mix configurations); torn
-/// lines are skipped exactly as resume skips them. Failed entries are
-/// merged, not dropped — the follow-up resumed run re-executes and reports
-/// them just as a solo run would. The merged file is written to a temp
-/// name and atomically renamed into place.
-CampaignMergeStats merge_worker_journals(const std::string& dir,
-                                         const std::vector<CampaignScope>& scopes);
 
 }  // namespace d2net

@@ -77,14 +77,6 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
     for (std::size_t l = 0; l < specs[s].loads.size(); ++l) points.push_back({s, l});
   }
 
-  if (opts_.selected != nullptr) {
-    D2NET_REQUIRE(opts_.selected->size() == points.size(),
-                  "selection mask must cover every point of the sweep");
-  }
-  auto is_selected = [&](std::size_t i) {
-    return opts_.selected == nullptr || (*opts_.selected)[i] != 0;
-  };
-
   std::vector<std::int64_t> events(points.size(), 0);
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -100,9 +92,8 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
   // it here keeps the worker path free of validation branches.
   std::vector<const JournalEntry*> restored(points.size(), nullptr);
   if (opts_.journal != nullptr) {
-    if (opts_.register_scope) opts_.journal->register_scope(opts_.scope);
+    opts_.journal->register_scope(opts_.scope);
     for (std::size_t i = 0; i < points.size(); ++i) {
-      if (!is_selected(i)) continue;
       const JournalEntry* e = opts_.journal->find(key_for(i));
       if (e == nullptr || !e->completed()) continue;  // failed/missing: re-run
       const SweepSeriesSpec& spec = specs[points[i].series];
@@ -124,7 +115,6 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
   }
 
   auto run_point = [&](std::size_t i) {
-    if (!is_selected(i)) return;  // another worker's point; leave untouched
     const SweepSeriesSpec& spec = specs[points[i].series];
     const double load = spec.loads[points[i].load_index];
     const TimePs duration = spec.duration > 0 ? spec.duration : opts_.duration;
@@ -211,25 +201,17 @@ std::vector<std::vector<SweepPoint>> SweepRunner::run(
     out[points[i].series][points[i].load_index] = std::move(pt);
   };
 
-  if (jobs_ <= 1) {
-    for (std::size_t i = 0; i < points.size(); ++i) run_point(i);
-  } else {
-    // jobs_ - 1 pool workers: parallel_for has the calling thread claim
-    // points too, so exactly jobs_ threads simulate. Journaled runs stop
-    // claiming new points after a hard error (journal I/O, non-tolerated
-    // point failure) — everything already completed is on disk, so bailing
-    // out fast beats burning hours on a run that will exit non-zero anyway.
-    ThreadPool pool(jobs_ - 1);
-    pool.parallel_for(points.size(), run_point,
-                      /*stop_on_first_error=*/opts_.journal != nullptr);
-  }
+  // Exactly jobs_ threads simulate. Journaled runs stop claiming new
+  // points after a hard error (journal I/O, non-tolerated point failure) —
+  // everything already completed is on disk, so bailing out fast beats
+  // burning hours on a run that will exit non-zero anyway.
+  ThreadPool::run_indexed(jobs_, points.size(), run_point,
+                          /*stop_on_first_error=*/opts_.journal != nullptr);
 
   const auto t1 = std::chrono::steady_clock::now();
   stats_ = SweepRunStats{};
   stats_.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (is_selected(i)) ++stats_.points;
-  }
+  stats_.points = static_cast<std::int64_t>(points.size());
   stats_.jobs = jobs_;
   for (std::int64_t e : events) stats_.events += e;
   for (const auto& series : out) {

@@ -93,21 +93,6 @@ struct SweepRunOptions {
   /// Renders a finished point's result JSON for the journal (the fragment
   /// restored points splice back verbatim). Null journals summaries only.
   std::function<std::string(const SweepPoint&)> serialize;
-
-  // --- multi-worker campaigns (see docs/campaigns.md) ---
-  /// Optional selection mask over the flattened point list (series-major,
-  /// load-minor — the same order global point indices follow). When set it
-  /// must cover every point; points with a zero mask entry are skipped
-  /// entirely (not restored, not executed, not journaled) and stats count
-  /// only selected points. Global indices — and thus keys and derived
-  /// seeds — are unaffected by the mask, so a worker executing shard k of
-  /// a sweep journals exactly the lines a solo run would. Null = run all.
-  const std::vector<char>* selected = nullptr;
-  /// Register `scope` with the journal (duplicate-scope guard). A worker
-  /// executing several shards of one sweep runs it multiple times over the
-  /// same scope; only the first run per scope may register. True for every
-  /// solo caller.
-  bool register_scope = true;
 };
 
 /// Aggregate execution metrics of the last run (for the benches' JSON

@@ -7,9 +7,9 @@
 namespace d2net {
 
 Topology build_dragonfly(int a, int h, int p) {
-  D2NET_REQUIRE(a >= 2, "Dragonfly needs >= 2 routers per group");
-  D2NET_REQUIRE(h >= 1, "Dragonfly needs >= 1 global link per router");
-  D2NET_REQUIRE(p >= 1, "Dragonfly needs >= 1 endpoint per router");
+  if (a < 2) throw ArgumentError("Dragonfly needs >= 2 routers per group");
+  if (h < 1) throw ArgumentError("Dragonfly needs >= 1 global link per router");
+  if (p < 1) throw ArgumentError("Dragonfly needs >= 1 endpoint per router");
   const int groups = a * h + 1;
 
   Topology topo("Dragonfly(a=" + std::to_string(a) + ",h=" + std::to_string(h) +
@@ -53,7 +53,10 @@ Topology build_dragonfly(int a, int h, int p) {
 }
 
 Topology build_dragonfly_balanced(int r) {
-  D2NET_REQUIRE((r + 1) % 4 == 0, "balanced Dragonfly needs radix with (r+1) % 4 == 0");
+  if ((r + 1) % 4 != 0) {
+    throw ArgumentError("balanced Dragonfly needs radix with (r+1) % 4 == 0, got r = " +
+                        std::to_string(r));
+  }
   const int p = (r + 1) / 4;
   return build_dragonfly(2 * p, p, p);
 }

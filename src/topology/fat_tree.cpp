@@ -7,7 +7,7 @@
 namespace d2net {
 
 Topology build_fat_tree2(int r) {
-  D2NET_REQUIRE(r >= 2 && r % 2 == 0, "two-level Fat-Tree needs an even radix");
+  if (r < 2 || r % 2 != 0) throw ArgumentError("two-level Fat-Tree needs an even radix");
   const int half = r / 2;
   Topology topo("FatTree2(r=" + std::to_string(r) + ")", TopologyKind::kFatTree2);
   // Leaves first (they carry the endpoints), spines after.
@@ -22,7 +22,7 @@ Topology build_fat_tree2(int r) {
 }
 
 Topology build_fat_tree3(int r) {
-  D2NET_REQUIRE(r >= 2 && r % 2 == 0, "three-level Fat-Tree needs an even radix");
+  if (r < 2 || r % 2 != 0) throw ArgumentError("three-level Fat-Tree needs an even radix");
   const int half = r / 2;
   Topology topo("FatTree3(r=" + std::to_string(r) + ")", TopologyKind::kFatTree3);
 

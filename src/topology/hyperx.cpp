@@ -7,8 +7,8 @@
 namespace d2net {
 
 Topology build_hyperx2d(int s1, int s2, int p) {
-  D2NET_REQUIRE(s1 >= 2 && s2 >= 2, "HyperX dimensions must be >= 2");
-  D2NET_REQUIRE(p >= 1, "HyperX p must be >= 1");
+  if (s1 < 2 || s2 < 2) throw ArgumentError("HyperX dimensions must be >= 2");
+  if (p < 1) throw ArgumentError("HyperX p must be >= 1");
 
   Topology topo("HyperX2D(" + std::to_string(s1) + "x" + std::to_string(s2) +
                     ",p=" + std::to_string(p) + ")",
@@ -31,7 +31,9 @@ Topology build_hyperx2d(int s1, int s2, int p) {
 }
 
 Topology build_hyperx2d_balanced(int r) {
-  D2NET_REQUIRE(r >= 3 && r % 3 == 0, "balanced 2-D HyperX needs radix divisible by 3");
+  if (r < 3 || r % 3 != 0) {
+    throw ArgumentError("balanced 2-D HyperX needs radix divisible by 3");
+  }
   const int s = r / 3 + 1;
   return build_hyperx2d(s, s, r / 3);
 }

@@ -7,9 +7,9 @@
 namespace d2net {
 
 Topology build_mlfm(int h, int l, int p) {
-  D2NET_REQUIRE(h >= 2, "MLFM h must be >= 2");
-  D2NET_REQUIRE(l >= 1, "MLFM l must be >= 1");
-  D2NET_REQUIRE(p >= 1, "MLFM p must be >= 1");
+  if (h < 2) throw ArgumentError("MLFM h must be >= 2");
+  if (l < 1) throw ArgumentError("MLFM l must be >= 1");
+  if (p < 1) throw ArgumentError("MLFM p must be >= 1");
 
   Topology topo("MLFM(h=" + std::to_string(h) + ",l=" + std::to_string(l) +
                     ",p=" + std::to_string(p) + ")",

@@ -9,12 +9,13 @@
 namespace d2net {
 
 Ml3bTable build_ml3b(int k) {
-  D2NET_REQUIRE(k >= 2, "ML3B degree must be >= 2");
+  if (k < 2) throw ArgumentError("ML3B degree must be >= 2");
   const int n = k - 1;  // order of the Latin squares / projective plane
   // n == 1 (k == 2) is the trivial projective plane of order 1 (a triangle)
   // and needs no Latin squares.
-  D2NET_REQUIRE(n == 1 || GaloisField::is_prime_power(n),
-                "ML3B requires k - 1 to be a prime power, got k = " + std::to_string(k));
+  if (n != 1 && !GaloisField::is_prime_power(n)) {
+    throw ArgumentError("ML3B requires k - 1 to be a prime power, got k = " + std::to_string(k));
+  }
   const int rl = oft_routers_per_level(k);  // = n^2 + n + 1
   Ml3bTable table(rl, std::vector<int>(k, -1));
 

@@ -9,8 +9,9 @@
 namespace d2net {
 
 SlimFlyShape slim_fly_shape(int q) {
-  D2NET_REQUIRE(GaloisField::is_prime_power(q), "Slim Fly q must be a prime power, got " +
-                                                    std::to_string(q));
+  if (!GaloisField::is_prime_power(q)) {
+    throw ArgumentError("Slim Fly q must be a prime power, got " + std::to_string(q));
+  }
   SlimFlyShape s;
   s.q = q;
   switch (q % 4) {
@@ -20,10 +21,10 @@ SlimFlyShape slim_fly_shape(int q) {
     default:
       // q % 4 == 2 means q = 2 (only even prime power with q/2 odd), which
       // cannot be written as 4w + delta with delta in {-1, 0, 1} and w >= 1.
-      D2NET_REQUIRE(false, "q = " + std::to_string(q) + " is not of the form 4w + delta");
+      throw ArgumentError("q = " + std::to_string(q) + " is not of the form 4w + delta");
   }
   s.w = (q - s.delta) / 4;
-  D2NET_REQUIRE(s.w >= 1, "q too small for an MMS graph: " + std::to_string(q));
+  if (s.w < 1) throw ArgumentError("q too small for an MMS graph: " + std::to_string(q));
   s.network_radix = (3 * q - s.delta) / 2;
   s.num_routers = 2 * q * q;
   return s;

@@ -29,21 +29,33 @@ ParsedSpec parse(const std::string& spec) {
   std::string item;
   while (std::getline(rest, item, ',')) {
     const auto eq = item.find('=');
-    D2NET_REQUIRE(eq != std::string::npos, "expected key=value in topology spec: " + item);
+    if (eq == std::string::npos) {
+      throw ArgumentError("expected key=value in topology spec: " + item);
+    }
     out.kv[item.substr(0, eq)] = item.substr(eq + 1);
   }
   return out;
 }
 
+int to_int(const std::string& key, const std::string& value) {
+  std::size_t used = 0;
+  try {
+    const int v = std::stoi(value, &used);
+    if (used == value.size()) return v;
+  } catch (const std::exception&) {
+  }
+  throw ArgumentError("topology spec " + key + "=" + value + " is not an integer");
+}
+
 int get_int(const ParsedSpec& s, const std::string& key) {
   auto it = s.kv.find(key);
-  D2NET_REQUIRE(it != s.kv.end(), "topology spec needs " + key + "=<int>");
-  return std::stoi(it->second);
+  if (it == s.kv.end()) throw ArgumentError("topology spec needs " + key + "=<int>");
+  return to_int(key, it->second);
 }
 
 int get_int_or(const ParsedSpec& s, const std::string& key, int fallback) {
   auto it = s.kv.find(key);
-  return it == s.kv.end() ? fallback : std::stoi(it->second);
+  return it == s.kv.end() ? fallback : to_int(key, it->second);
 }
 
 }  // namespace
@@ -55,7 +67,7 @@ Topology build_topology_from_spec(const std::string& spec) {
     auto it = s.kv.find("p");
     if (it == s.kv.end() || it->second == "floor") return build_slim_fly(q, SlimFlyP::kFloor);
     if (it->second == "ceil") return build_slim_fly(q, SlimFlyP::kCeil);
-    return build_slim_fly(q, SlimFlyP::kFloor, std::stoi(it->second));
+    return build_slim_fly(q, SlimFlyP::kFloor, to_int("p", it->second));
   }
   if (s.family == "mlfm") {
     const int h = get_int(s, "h");
@@ -65,8 +77,9 @@ Topology build_topology_from_spec(const std::string& spec) {
   if (s.family == "sspt") {
     const int r1 = get_int(s, "r1");
     const int r2 = get_int(s, "r2");
-    D2NET_REQUIRE(r2 == 2 || r2 == r1,
-                  "known SPT interconnection patterns exist for r2 = 2 and r2 = r1");
+    if (r2 != 2 && r2 != r1) {
+      throw ArgumentError("known SPT interconnection patterns exist for r2 = 2 and r2 = r1");
+    }
     const SptPattern pattern =
         r2 == 2 ? make_spt_pattern_mesh(r1) : make_spt_pattern_ml3b(r1);
     return build_sspt(pattern, get_int_or(s, "s", -1), get_int_or(s, "p", -1));
@@ -81,8 +94,7 @@ Topology build_topology_from_spec(const std::string& spec) {
   }
   if (s.family == "ft2") return build_fat_tree2(get_int(s, "r"));
   if (s.family == "ft3") return build_fat_tree3(get_int(s, "r"));
-  D2NET_REQUIRE(false, "unknown topology family '" + s.family + "'; " + topology_spec_help());
-  return Topology("", TopologyKind::kCustom);  // unreachable
+  throw ArgumentError("unknown topology family '" + s.family + "'; " + topology_spec_help());
 }
 
 const char* topology_spec_help() {

@@ -8,7 +8,7 @@
 namespace d2net {
 
 SptPattern make_spt_pattern_mesh(int r1) {
-  D2NET_REQUIRE(r1 >= 2, "mesh SPT needs r1 >= 2");
+  if (r1 < 2) throw ArgumentError("mesh SPT needs r1 >= 2");
   SptPattern p;
   p.r1 = r1;
   p.r2 = 2;
@@ -77,7 +77,7 @@ bool spt_pattern_is_valid(const SptPattern& p) {
 }
 
 Topology build_spt(const SptPattern& pattern, int endpoints_per_router) {
-  D2NET_REQUIRE(spt_pattern_is_valid(pattern), "invalid SPT pattern");
+  if (!spt_pattern_is_valid(pattern)) throw ArgumentError("invalid SPT pattern");
   const int p = endpoints_per_router < 0 ? pattern.r1 : endpoints_per_router;
   Topology topo("SPT(r1=" + std::to_string(pattern.r1) + ",r2=" + std::to_string(pattern.r2) +
                     ")",
@@ -92,14 +92,15 @@ Topology build_spt(const SptPattern& pattern, int endpoints_per_router) {
 }
 
 Topology build_sspt(const SptPattern& pattern, int copies, int endpoints_per_router) {
-  D2NET_REQUIRE(spt_pattern_is_valid(pattern), "invalid SPT pattern");
+  if (!spt_pattern_is_valid(pattern)) throw ArgumentError("invalid SPT pattern");
   int s = copies;
   if (s < 0) {
-    D2NET_REQUIRE(2 * pattern.r1 % pattern.r2 == 0,
-                  "single-radix stacking needs r2 | 2*r1");
+    if (2 * pattern.r1 % pattern.r2 != 0) {
+      throw ArgumentError("single-radix stacking needs r2 | 2*r1");
+    }
     s = 2 * pattern.r1 / pattern.r2;
   }
-  D2NET_REQUIRE(s >= 1, "need at least one copy");
+  if (s < 1) throw ArgumentError("need at least one copy");
   const int p = endpoints_per_router < 0 ? pattern.r1 : endpoints_per_router;
 
   Topology topo("SSPT(r1=" + std::to_string(pattern.r1) + ",r2=" + std::to_string(pattern.r2) +

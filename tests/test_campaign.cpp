@@ -4,18 +4,22 @@
 // arithmetic/seed policy; every committed campaigns/*.json expands), and
 // — the porting contract — executor equivalence: an expanded campaign run
 // through SweepRunner must render every point byte-identically to the
-// hand-written construction it ports.
+// hand-written construction it ports. Exchange tables on the --jobs pool
+// must match a serial run row for row and journal entry for entry, and
+// resume from rows journaled by pool threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/error.h"
+#include "common/journal.h"
 #include "common/json.h"
 #include "sim/campaign.h"
 #include "sim/fault.h"
@@ -461,6 +465,17 @@ TEST(CampaignExpansion, ExpandsTheMatrixInBenchOrder) {
   EXPECT_EQ(ex.rows[2].system, "B");
   EXPECT_EQ(ex.rows[0].topo, &plan.topologies[0]);
   EXPECT_EQ(ex.rows[2].topo, &plan.topologies[1]);
+
+  // The journal key space --status counts against: one scope per step,
+  // series x loads points for a sweep, one per row for an exchange.
+  const std::vector<CampaignScope> scopes = campaign_scopes(plan);
+  ASSERT_EQ(scopes.size(), 3u);
+  EXPECT_EQ(scopes[0].scope, "uni");
+  EXPECT_EQ(scopes[0].points, 8u);
+  EXPECT_EQ(scopes[1].scope, "faults — A");
+  EXPECT_EQ(scopes[1].points, 2u);
+  EXPECT_EQ(scopes[2].scope, "a2a (64 B/pair, shuffled+interleaved)");
+  EXPECT_EQ(scopes[2].points, 4u);
 }
 
 TEST(CampaignExpansion, GridExpandsSeriesMajorGridMinor) {
@@ -591,6 +606,36 @@ TEST(CampaignExpansion, RejectsBadTopologySpecWithSystemContext) {
     FAIL() << "expected ArgumentError";
   } catch (const ArgumentError& e) {
     EXPECT_NE(std::string(e.what()).find("campaign system 'S'"), std::string::npos);
+  }
+}
+
+TEST(CampaignExpansion, BadTopologyParametersReadAsPlainSpecErrors) {
+  // A bad parameter in a spec string is a usage error: the message names
+  // the system and the rule, never a source path or a stringified
+  // condition.
+  auto error_for = [](const std::string& topology) {
+    const CampaignSpec spec = parse_campaign_spec(R"({"name": "t",
+      "systems": [{"label": "D", "topology": ")" + topology + R"("}],
+      "sweeps": [{"title": "u", "loads": [0.5], "series": [{"routing": "min"}]}]})");
+    try {
+      expand_campaign(spec, CampaignParams{});
+    } catch (const ArgumentError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error_for("dragonfly:r=16"),
+            "campaign system 'D': balanced Dragonfly needs radix with (r+1) % 4 == 0, "
+            "got r = 16");
+  for (const char* bad : {"sf:q=6", "sf:q=2", "sf:q=abc", "mlfm:h=1", "oft:k=7",
+                          "hyperx:r=4", "hyperx:s1=1,s2=3,p=1", "ft2:r=3", "ft3:r=5",
+                          "dragonfly:a=1,h=1,p=1", "sspt:r1=1,r2=2", "sspt:r1=4,r2=3",
+                          "sf:q", "bogus:k=3"}) {
+    const std::string msg = error_for(bad);
+    SCOPED_TRACE(std::string(bad) + " -> " + msg);
+    EXPECT_EQ(msg.rfind("campaign system 'D': ", 0), 0u);
+    EXPECT_EQ(msg.find("requirement failed"), std::string::npos);
+    EXPECT_EQ(msg.find(".cpp"), std::string::npos);
   }
 }
 
@@ -744,10 +789,8 @@ TEST(CampaignEquivalence, ExchangeWorkloadRowsMatchHandBuiltPlans) {
 
   bench::BenchOptions opts;
   opts.seed = params.seed;
-  bench::ExchangeRunControl quiet;
-  quiet.quiet = true;
-  const auto nn = bench::run_exchange_table(*plan.steps[0].exchange, opts, nullptr, &quiet);
-  const auto a2a = bench::run_exchange_table(*plan.steps[1].exchange, opts, nullptr, &quiet);
+  const auto nn = bench::run_exchange_table(*plan.steps[0].exchange, opts, nullptr);
+  const auto a2a = bench::run_exchange_table(*plan.steps[1].exchange, opts, nullptr);
   ASSERT_EQ(nn.size(), 1u);
   ASSERT_EQ(a2a.size(), 1u);
 
@@ -773,6 +816,126 @@ TEST(CampaignEquivalence, ExchangeWorkloadRowsMatchHandBuiltPlans) {
       SimStack(topo, RoutingStrategy::kMinimal, cfg).run_exchange(seq, us(10'000'000));
   EXPECT_TRUE(a2a_row.result.completed);
   EXPECT_EQ(bench::render_exchange_row_json(a2a[0]), bench::render_exchange_row_json(a2a_row));
+}
+
+// ------------------------------------------------ pooled exchange rows
+
+// Two topologies x two routings: rows of different sizes finish out of
+// order on the pool.
+ExpandedCampaign two_topology_exchange() {
+  const CampaignSpec spec = parse_campaign_spec(R"({
+    "name": "pool",
+    "systems": [{"label": "SF", "topology": "sf:q=5"},
+                {"label": "OFT", "topology": "oft:k=4"}],
+    "sweeps": [{"title": "a2a", "kind": "exchange", "bytes_per_pair": 64,
+                "series": [{"routing": "min"}, {"routing": "ugal_th"}]}]
+  })");
+  CampaignParams params;
+  params.seed = 7;
+  return expand_campaign(spec, params);
+}
+
+bench::BenchOptions exchange_opts(int jobs, const std::string& journal, bool resume) {
+  bench::BenchOptions opts;
+  opts.seed = 7;
+  opts.jobs = jobs;
+  opts.journal_dir = journal;
+  opts.resume = resume;
+  return opts;
+}
+
+std::string fresh_dir(const std::string& name) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) / ("d2net_" + name);
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
+std::vector<std::string> journal_lines(const std::string& dir) {
+  std::ifstream in(std::filesystem::path(dir) / "journal.jsonl");
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Journal entries by key, with the per-run wall time zeroed.
+std::map<std::string, std::string> journal_by_key(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const std::string& line : journal_lines(dir)) {
+    JournalEntry e;
+    EXPECT_TRUE(SweepJournal::parse_line(line, e)) << line;
+    e.wall_seconds = 0.0;
+    out[e.key] = SweepJournal::render_line(e);
+  }
+  return out;
+}
+
+std::vector<std::string> rendered(const std::vector<bench::ExchangeRow>& rows) {
+  std::vector<std::string> out;
+  for (const bench::ExchangeRow& r : rows) out.push_back(bench::render_exchange_row_json(r));
+  return out;
+}
+
+TEST(CampaignExchange, PooledRowsMatchSerialRowsAndJournalPayloads) {
+  const ExpandedCampaign plan = two_topology_exchange();
+  const CampaignExchangeSweep& ex = *plan.steps[0].exchange;
+  ASSERT_EQ(ex.rows.size(), 4u);
+
+  const std::string serial_dir = fresh_dir("pool_serial");
+  const std::string pooled_dir = fresh_dir("pool_jobs4");
+  std::vector<bench::ExchangeRow> serial, pooled;
+  {
+    bench::BenchReport report("pool", exchange_opts(1, serial_dir, false));
+    serial = bench::run_exchange_table(ex, exchange_opts(1, serial_dir, false), &report);
+  }
+  {
+    bench::BenchReport report("pool", exchange_opts(4, pooled_dir, false));
+    pooled = bench::run_exchange_table(ex, exchange_opts(4, pooled_dir, false), &report);
+  }
+  EXPECT_EQ(rendered(pooled), rendered(serial));
+  for (const bench::ExchangeRow& r : pooled) EXPECT_TRUE(r.result.completed);
+  EXPECT_EQ(pooled[0].system, "SF");
+  EXPECT_EQ(pooled[3].system, "OFT");
+
+  const auto serial_entries = journal_by_key(serial_dir);
+  EXPECT_EQ(serial_entries.size(), 4u);
+  EXPECT_EQ(journal_by_key(pooled_dir), serial_entries);
+}
+
+TEST(CampaignExchange, ResumeRestoresRowsJournaledFromPoolThreads) {
+  const ExpandedCampaign plan = two_topology_exchange();
+  const CampaignExchangeSweep& ex = *plan.steps[0].exchange;
+  const std::string dir = fresh_dir("pool_resume");
+  std::vector<bench::ExchangeRow> reference;
+  {
+    bench::BenchReport report("pool", exchange_opts(4, dir, false));
+    reference = bench::run_exchange_table(ex, exchange_opts(4, dir, false), &report);
+  }
+
+  // Keep the first two lines the pool wrote (completion order, not row
+  // order) plus a torn fragment: what a kill mid-table leaves behind.
+  const std::vector<std::string> lines = journal_lines(dir);
+  ASSERT_EQ(lines.size(), 4u);
+  {
+    std::ofstream out(std::filesystem::path(dir) / "journal.jsonl", std::ios::trunc);
+    out << lines[0] << "\n" << lines[1] << "\n{\"key\": \"torn";
+  }
+  std::vector<bench::ExchangeRow> resumed;
+  {
+    bench::BenchReport report("pool", exchange_opts(4, dir, true));
+    resumed = bench::run_exchange_table(ex, exchange_opts(4, dir, true), &report);
+  }
+  int restored = 0;
+  for (const bench::ExchangeRow& r : resumed) restored += r.restored ? 1 : 0;
+  EXPECT_EQ(restored, 2);
+  EXPECT_EQ(rendered(resumed), rendered(reference));
+
+  // Every row is on record now: a second resume simulates nothing.
+  {
+    bench::BenchReport report("pool", exchange_opts(4, dir, true));
+    resumed = bench::run_exchange_table(ex, exchange_opts(4, dir, true), &report);
+  }
+  for (const bench::ExchangeRow& r : resumed) EXPECT_TRUE(r.restored);
+  EXPECT_EQ(rendered(resumed), rendered(reference));
 }
 
 }  // namespace
