@@ -102,11 +102,11 @@ void add_standard_flags(Cli& cli) {
 BenchOptions read_standard_flags(const Cli& cli) {
   BenchOptions opts = read_scale_flags(cli);
   opts.jobs = static_cast<int>(cli.get_int("jobs"));
-  D2NET_REQUIRE(opts.jobs >= 0, "--jobs must be >= 0");
+  if (opts.jobs < 0) throw ArgumentError("--jobs must be >= 0");
   opts.json_path = cli.get_string("json");
   opts.metrics = cli.get_bool("metrics");
   const double sample_us = cli.get_double("metrics-sample-us");
-  D2NET_REQUIRE(sample_us > 0.0, "--metrics-sample-us must be > 0");
+  if (!(sample_us > 0.0)) throw ArgumentError("--metrics-sample-us must be > 0");
   opts.metrics_sample = us(sample_us);
   const std::string engine = cli.get_string("engine");
   if (engine == "packet") {

@@ -8,8 +8,9 @@
 //   bench_micro_core --json=PATH     self-timed perf snapshot: end-to-end
 //                                    events/sec at saturation plus ns/op
 //                                    for the core primitives, the peak
-//                                    live VOQ cells and the SF q=13
-//                                    minimal-table build, written as
+//                                    live VOQ cells, the SF q=13
+//                                    minimal-table build and a host
+//                                    probe (drift), written as
 //                                    flat JSON (the BENCH_core.json
 //                                    artifact scripts/ci.sh diffs against;
 //                                    see docs/perf.md for refreshing it).
@@ -17,8 +18,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -258,6 +261,43 @@ double best_ns_per_op(std::int64_t iters, std::int64_t ops_per_iter, Body&& body
   return best;
 }
 
+/// The host probe of perfbench/rep.cpp, copied so both benches measure the
+/// host with the same work: dependent loads over a 96 MiB random cycle
+/// (larger than the last-level cache share, like the engine's pools), then
+/// a dependent integer hash chain. It does not touch the simulator, so a
+/// change in its time is host drift, not a code change.
+class HostProbe {
+ public:
+  HostProbe() : next_(kBytes / sizeof(std::uint32_t)) {
+    // Sattolo's shuffle: a single cycle through every slot, fixed seed.
+    for (std::size_t i = 0; i < next_.size(); ++i) next_[i] = static_cast<std::uint32_t>(i);
+    Rng rng(0x686f737450726f62ULL);
+    for (std::size_t i = next_.size() - 1; i > 0; --i) {
+      std::swap(next_[i], next_[rng.next_below(i)]);
+    }
+  }
+
+  /// One round of the probe's work; the caller times it.
+  void run() {
+    std::uint32_t at = at_;
+    for (int i = 0; i < kLoads; ++i) at = next_[at];
+    std::uint64_t h = at;
+    for (int i = 0; i < kHashes; ++i) {
+      h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+      h ^= h >> 29;
+    }
+    at_ = at;
+    benchmark::DoNotOptimize(h);
+  }
+
+ private:
+  static constexpr std::size_t kBytes = std::size_t{96} << 20;
+  static constexpr int kLoads = 500000;
+  static constexpr int kHashes = 40000000;
+  std::vector<std::uint32_t> next_;
+  std::uint32_t at_ = 0;
+};
+
 /// Median-of-`reps` wall milliseconds of `body()`.
 template <typename Body>
 double median_ms(int reps, Body&& body) {
@@ -272,6 +312,14 @@ double median_ms(int reps, Body&& body) {
 }
 
 int write_json_snapshot(const std::string& path) {
+  // Host drift: one best-of-3 probe round before the timings and one after;
+  // scripts/ci.sh stage 5 divides each timing ratio by the probe's ratio.
+  HostProbe probe;
+  const auto probe_ns = [&] {
+    return best_ns_per_op(1, 1, [&](std::int64_t) { probe.run(); });
+  };
+  const double ns_probe_before = probe_ns();
+
   const Topology topo = build_slim_fly(7);
 
   const std::int64_t eps_min =
@@ -380,6 +428,7 @@ int write_json_snapshot(const std::string& path) {
   };
   const double ns_wheel = queue_ns(1 << 12);
   const double ns_wheel_dense = queue_ns(100'000);
+  const double ns_host_probe = (ns_probe_before + probe_ns()) / 2.0;
 
   const int cores = bench::usable_cores();
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -406,7 +455,8 @@ int write_json_snapshot(const std::string& path) {
   std::fprintf(f, "  \"ms_minimal_table_sf13\": %.2f,\n", ms_table);
   std::fprintf(f, "  \"ms_minimal_table_rebuild_sf13\": %.2f,\n", ms_rebuild);
   std::fprintf(f, "  \"ns_event_queue_wheel\": %.2f,\n", ns_wheel);
-  std::fprintf(f, "  \"ns_event_queue_wheel_dense\": %.2f\n", ns_wheel_dense);
+  std::fprintf(f, "  \"ns_event_queue_wheel_dense\": %.2f,\n", ns_wheel_dense);
+  std::fprintf(f, "  \"ns_host_probe\": %.0f\n", ns_host_probe);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("events/sec: minimal=%lld ugal=%lld -> %s\n",

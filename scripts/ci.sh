@@ -27,6 +27,9 @@
 # committed baseline is refreshed deliberately, see docs/perf.md). The band
 # applies only when the host fingerprint (usable cores and CPU model)
 # matches the baseline's; on any other host the table is informational.
+# Each timing is first divided by the host drift: the ratio of the host
+# probe's time now to its time in the baseline (ns_host_probe, the same
+# work as perfbench's probe, which runs no simulator code).
 # voq_cells_peak (peak live VOQ cells of a fixed run) and
 # packet_pool_peak_bytes (that run's peak packet-pool slots times
 # sizeof(Packet)) are deterministic, so any increase over the baseline is
@@ -173,6 +176,20 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     [[ "$base_host" == "$cur_host" ]] && same_host=1
     echo "baseline host: $base_host"
     echo "current host:  $cur_host"
+    # Host drift: the host probe (no simulator code) ran base_probe ns when
+    # the baseline was recorded and cur_probe ns now. Each timing ratio is
+    # divided by the probe's ratio before the band applies.
+    base_probe=$(field BENCH_core.json ns_host_probe)
+    cur_probe=$(field build-ci/BENCH_core.json ns_host_probe)
+    drift=1
+    if [[ -n "$base_probe" && -n "$cur_probe" ]]; then
+      drift=$(awk -v b="$base_probe" -v c="$cur_probe" 'BEGIN { printf "%.4f", c / b }')
+      awk -v b="$base_probe" -v c="$cur_probe" -v d="$drift" 'BEGIN {
+        printf "host drift: probe %.0f ns now vs %.0f ns at baseline (x%.3f); timing deltas below are drift-corrected\n", c, b, d
+      }'
+    else
+      echo "host drift: unknown (ns_host_probe missing), timing deltas are raw"
+    fi
     printf '%-26s %14s %14s %8s  %s\n' metric baseline current delta verdict
     for key in events_per_sec_minimal events_per_sec_ugal ns_voq_push_pop \
                voq_cells_peak packet_pool_peak_bytes ns_pool_alloc_release ns_csr_next_hops \
@@ -188,8 +205,13 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
       # events/sec regress downward, ns/op and ms regress upward; the
       # deterministic voq_cells_peak and packet_pool_peak_bytes flag any
       # increase on every host.
-      awk -v key="$key" -v base="$base" -v cur="$cur" -v same="$same_host" 'BEGIN {
-        delta = base > 0 ? (cur - base) / base * 100 : 0
+      awk -v key="$key" -v base="$base" -v cur="$cur" -v same="$same_host" \
+          -v drift="$drift" 'BEGIN {
+        # A drift-slowed host lowers events/sec and raises ns and ms.
+        adj = cur
+        if (key ~ /^events_per_sec/) adj = cur * drift
+        else if (key ~ /^(ns|ms)_/) adj = cur / drift
+        delta = base > 0 ? (adj - base) / base * 100 : 0
         worse = (key ~ /^events_per_sec/) ? -delta : delta
         verdict = worse > 15 ? "REGRESSION (warn-only)" : "ok"
         if (same != 1) verdict = "informational (host differs)"
@@ -298,6 +320,18 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
   [[ "$STATUS" -eq 2 ]]
   grep -qx "error: unknown flag --json" "$WORK/badflag.err"
   echo "bad flag rejected with exit 2: $(cat "$WORK/badflag.err")"
+  # Out-of-range values of the shared bench flags read the same way.
+  for bad in "--jobs=-1|--jobs must be >= 0" \
+             "--metrics-sample-us=0|--metrics-sample-us must be > 0"; do
+    set +e
+    "$CAMPAIGN" --spec=campaigns/smoke.json --dry-run "${bad%%|*}" 2> "$WORK/badvalue.err"
+    STATUS=$?
+    set -e
+    [[ "$STATUS" -eq 2 ]]
+    [[ "$(wc -l < "$WORK/badvalue.err")" -eq 1 ]]
+    grep -qx "error: ${bad#*|}" "$WORK/badvalue.err"
+    echo "bad value rejected with exit 2: $(cat "$WORK/badvalue.err")"
+  done
 
   # Porting contract: each digested spec's normalised --json hashes to its
   # committed line. Exchange payloads at their committed sizes are minutes

@@ -58,7 +58,12 @@ enum class EventType : std::uint8_t {
   kGenerate,        ///< a = node: open-loop packet generation tick
   kNicFree,         ///< a = node: injection link finished serializing
   kArriveRouter,    ///< a = packet, b = router, c = in_port, d = vc
-  kHeadEligible,    ///< a = router, b = in_port, c = vc
+  /// a = VOQ cell, b = in_port, c = vc, d = out_port. The okey packs the
+  /// router in a's place (okey_router() reads it back): like a pool slot,
+  /// the cell index is allocator state, so neither the key nor the digest
+  /// sees it, and the handler uses it only after checking the cell still
+  /// holds this (router, in_port, vc, out_port) FIFO.
+  kHeadEligible,
   kChannelFree,     ///< a = router, b = out_port
   kCreditToRouter,  ///< a = router, b = out_port, c = vc, d = bytes
   kCreditToNic,     ///< a = node, c = vc, d = bytes
@@ -101,7 +106,8 @@ struct Event {
 };
 
 /// Ordering key for events whose operands are stable entity identities
-/// (everything except the packet-carrying kinds, whose `a` is a pool slot):
+/// (everything except the packet-carrying kinds, whose `a` is a pool slot;
+/// kHeadEligible passes its router as `a`, not its cell):
 /// type:8 | a:22 | b:12 | c:4 | d:18. Out-of-range operands merely alias keys
 /// and fall back to the (still deterministic) seq tie-break.
 inline std::uint64_t pack_event_okey(EventType type, std::int32_t a, std::int32_t b,
@@ -111,6 +117,12 @@ inline std::uint64_t pack_event_okey(EventType type, std::int32_t a, std::int32_
          ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(b)) & 0xFFFu) << 22) |
          ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(c)) & 0xFu) << 18) |
          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(d)) & 0x3FFFFu);
+}
+
+/// Operand `a` of an identity-operand okey (bits 34-55): the router of a
+/// kHeadEligible event, whose own `a` holds its VOQ cell.
+inline std::int32_t okey_router(std::uint64_t okey) {
+  return static_cast<std::int32_t>((okey >> 34) & 0x3FFFFFu);
 }
 
 /// Ordering key for packet-carrying events (kArriveRouter, kArriveNode,

@@ -52,9 +52,10 @@ inline std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t v) {
 }
 
 // The digest words fold an event's full identity without its pool slot:
-// `a` is a pool index for the packet-carrying kinds (and is
-// embedded in the okey for every other kind), so hashing it would make the
-// digest depend on allocator state instead of simulation content.
+// `a` is a pool index for the packet-carrying kinds and a VOQ cell for
+// kHeadEligible (whose okey packs its router instead), and is embedded in
+// the okey for every other kind, so hashing it would make the digest
+// depend on allocator state instead of simulation content.
 inline std::uint64_t digest_w1(const Event& e) {
   return static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.b)) |
          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.c)) << 32);
@@ -96,10 +97,12 @@ NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
   // Packets carry their routes as 16-bit router ids (see routing/route.h).
   D2NET_REQUIRE(topo.num_routers() <= Route::kMaxRouterIds,
                 "routes store router ids in 16 bits: at most 65,536 routers");
-  D2NET_REQUIRE(num_vcs >= 1 && num_vcs <= 8, "unreasonable VC count");
+  D2NET_REQUIRE(num_vcs >= 1 && num_vcs <= kMaxVcs, "unreasonable VC count");
   vc_buffer_bytes_ = cfg_.buffer_bytes_per_port / num_vcs_;
   D2NET_REQUIRE(vc_buffer_bytes_ >= cfg_.packet_bytes,
                 "per-VC buffer smaller than one packet");
+  // Credits are counted in int32 (OutPort's line 0 holds all of them).
+  D2NET_REQUIRE(vc_buffer_bytes_ <= INT32_MAX, "per-VC buffer overflows 32-bit credits");
   // The VCT fast path assumes the whole packet is buffered by the time the
   // router may forward it (eligibility = head + router latency).
   D2NET_REQUIRE(!cfg_.cut_through || cfg_.router_latency >= cfg_.packet_serialization(),
@@ -107,6 +110,7 @@ NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
 
   routers_.resize(topo.num_routers());
   nics_.resize(topo.num_nodes());
+  std::vector<int> sorted;
   for (int r = 0; r < topo.num_routers(); ++r) {
     RouterState& rs = routers_[r];
     const auto& nbrs = topo.neighbors(r);
@@ -114,14 +118,16 @@ NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
     const int p = topo.endpoints_of(r);
     rs.in_ports.resize(deg + p);
     rs.out_ports.resize(deg + p);
-    for (int i = 0; i < deg; ++i) {
-      rs.port_of_neighbor.emplace_back(nbrs[i], i);
-    }
-    std::sort(rs.port_of_neighbor.begin(), rs.port_of_neighbor.end());
-    for (std::size_t i = 1; i < rs.port_of_neighbor.size(); ++i) {
-      D2NET_REQUIRE(rs.port_of_neighbor[i].first != rs.port_of_neighbor[i - 1].first,
-                    "parallel links are not supported by the simulator");
-    }
+    sorted.assign(nbrs.begin(), nbrs.end());
+    std::sort(sorted.begin(), sorted.end());
+    D2NET_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+                  "parallel links are not supported by the simulator");
+    // The port row: neighbour i sits at index i, the padding is r itself.
+    rs.row_base = static_cast<std::int32_t>(port_rows_.size());
+    rs.degree = deg;
+    port_rows_.insert(port_rows_.end(), nbrs.begin(), nbrs.end());
+    port_rows_.resize(port_rows_.size() + (kRowBlock - deg % kRowBlock) % kRowBlock,
+                      static_cast<std::uint16_t>(r));
     for (int j = 0; j < p; ++j) {
       const int node = topo.node_base(r) + j;
       nics_[node].router = r;
@@ -167,16 +173,8 @@ NetworkSim::NetworkSim(const Topology& topo, const SimConfig& cfg, int num_vcs)
     total_ports += rs.out_ports.size();
     D2NET_REQUIRE(total_ivcs <= static_cast<std::size_t>(INT32_MAX),
                   "input VC count overflows 32-bit indexing");
-    for (OutPort& op : rs.out_ports) {
-      op.credits.resize(op.to_node ? 0 : num_vcs_);
-      op.credits_pending.resize(op.to_node ? 0 : num_vcs_);
-    }
   }
   ivc_head_.assign(total_ivcs, -1);
-  for (NicState& nic : nics_) {
-    nic.credits.resize(num_vcs_);
-    nic.credits_pending.resize(num_vcs_);
-  }
   router_dead_.assign(routers_.size(), 0);
   table_router_dead_.assign(routers_.size(), 0);
 
@@ -219,21 +217,21 @@ void NetworkSim::reset() {
       op.queued_bytes = 0;
       op.bytes_sent_window = 0;
       op.ready.clear();
-      std::fill(op.credits.begin(), op.credits.end(), vc_buffer_bytes_);
+      std::fill_n(op.credits, num_vcs_, static_cast<std::int32_t>(vc_buffer_bytes_));
       op.up = true;
       op.phys_up = true;
       op.table_up = true;
       op.epoch = 0;
-      std::fill(op.credits_pending.begin(), op.credits_pending.end(), std::int64_t{0});
+      std::fill_n(op.credits_pending, num_vcs_, std::int32_t{0});
     }
   }
   for (NicState& nic : nics_) {
     nic.free_at = 0;
-    std::fill(nic.credits.begin(), nic.credits.end(), vc_buffer_bytes_);
+    std::fill_n(nic.credits, num_vcs_, static_cast<std::int32_t>(vc_buffer_bytes_));
     nic.pending.clear();
     nic.messages.clear();
     nic.cursor = 0;
-    std::fill(nic.credits_pending.begin(), nic.credits_pending.end(), std::int64_t{0});
+    std::fill_n(nic.credits_pending, num_vcs_, std::int32_t{0});
   }
   std::fill(router_dead_.begin(), router_dead_.end(), std::uint8_t{0});
   std::fill(table_router_dead_.begin(), table_router_dead_.end(), std::uint8_t{0});
@@ -255,6 +253,7 @@ void NetworkSim::reset() {
   std::fill(node_uid_ctr_.begin(), node_uid_ctr_.end(), std::uint64_t{0});
   now_ = 0;
   events_processed_ = 0;
+  stale_carried_cells_ = 0;
   event_digest_ = kDigestOffset;
   ejected_bytes_window_ = 0;
   ejected_per_node_.assign(topo_.num_nodes(), 0);
@@ -299,11 +298,11 @@ std::int32_t NetworkSim::find_cell(const RouterState& rs, int in_port, int vc,
   return ci;
 }
 
-std::int32_t NetworkSim::cell_for_push(const RouterState& rs, int in_port, int vc,
-                                       int out_idx) {
+std::int32_t NetworkSim::cell_for_push(int router, int in_port, int vc, int out_idx) {
+  const RouterState& rs = routers_[router];
   const std::int32_t found = find_cell(rs, in_port, vc, out_idx);
   if (found >= 0) return found;
-  const std::int32_t ci = voq_.alloc(in_port, vc, out_idx);
+  const std::int32_t ci = voq_.alloc(router, in_port, vc, out_idx);
   std::int32_t& head = ivc_head_[ivc_index(rs, in_port, vc)];
   voq_[ci].next_sib = head;
   head = ci;
@@ -322,10 +321,24 @@ void NetworkSim::release_cell(const RouterState& rs, std::int32_t ci) {
 }
 
 int NetworkSim::out_port_toward(int router, int neighbor) const {
-  const auto& map = routers_[router].port_of_neighbor;
-  auto it = std::lower_bound(map.begin(), map.end(), std::make_pair(neighbor, -1));
-  D2NET_ASSERT(it != map.end() && it->first == neighbor, "no port toward neighbor");
-  return it->second;
+  const RouterState& rs = routers_[router];
+  const std::uint16_t* row = port_rows_.data() + rs.row_base;
+  const auto want = static_cast<std::uint16_t>(neighbor);
+  // Branch-free within a block, so it vectorises: neighbours are distinct,
+  // so the sum is the one hit's offset + 1. Padding (the router itself)
+  // only matches a query for the router itself, and any sum over padding
+  // offsets lands at or past the degree, where the check below fails.
+  int port = rs.degree;
+  for (int b = 0; b < rs.degree; b += kRowBlock) {
+    unsigned sum = 0;
+    for (int i = 0; i < kRowBlock; ++i) sum += row[b + i] == want ? i + 1 : 0;
+    if (sum != 0) {
+      port = b + static_cast<int>(sum) - 1;
+      break;
+    }
+  }
+  D2NET_ASSERT(port < rs.degree, "no port toward neighbor");
+  return port;
 }
 
 int NetworkSim::out_port_for_packet(int router, const Packet& pkt) const {
@@ -511,16 +524,34 @@ void NetworkSim::handle_arrive_router(int pkt_id, int router, int in_port,
   }
   const int size = pool_[pkt_id].size;
   rs.out_ports[out_idx].queued_bytes += size;
-  const std::int32_t ci = cell_for_push(rs, in_port, vc, out_idx);
+  const std::int32_t ci = cell_for_push(router, in_port, vc, out_idx);
   if (voq_push(pool_, voq_[ci], pkt_id, now + cfg_.router_latency)) {
-    queue_.push(now + cfg_.router_latency, EventType::kHeadEligible, router, in_port, vc, out_idx);
+    schedule_head_eligible(now + cfg_.router_latency, ci, router, in_port, vc, out_idx);
   }
 }
 
-void NetworkSim::handle_head_eligible(int router, int in_port, int vc,
+void NetworkSim::schedule_head_eligible(TimePs at, std::int32_t ci, int router, int in_port,
+                                        int vc, int out_idx) {
+  queue_.push_keyed(at, pack_event_okey(EventType::kHeadEligible, router, in_port, vc, out_idx),
+                    EventType::kHeadEligible, ci, in_port, vc, out_idx);
+}
+
+void NetworkSim::handle_head_eligible(std::int32_t carried, int router, int in_port, int vc,
                                       int out_idx, TimePs now) {
   RouterState& rs = routers_[router];
-  const std::int32_t ci = find_cell(rs, in_port, vc, out_idx);
+  // The carried cell still holds this FIFO while it is live (non-empty)
+  // with the same identity: at most one live cell has a given identity.
+  // A fault drain may have released it since, and the pool may have handed
+  // it to another FIFO; then search the input VC's list as before.
+  D2NET_HOT_ASSERT(static_cast<std::size_t>(carried) < voq_.size(),
+                   "kHeadEligible carries a cell past the pool");
+  std::int32_t ci = carried;
+  const VoqCell& c = voq_[ci];
+  if (c.head < 0 || c.router != router || c.in_port != in_port || c.vc != vc ||
+      c.out != out_idx) {
+    ++stale_carried_cells_;
+    ci = find_cell(rs, in_port, vc, out_idx);
+  }
   // Stale event: the FIFO emptied since, or its head already sits in the
   // ready list (head granted and successor rescheduled).
   if (ci < 0 || voq_[ci].in_ready) return;
@@ -528,7 +559,7 @@ void NetworkSim::handle_head_eligible(int router, int in_port, int vc,
   const TimePs eligible_at = pool_[cell.head].eligible_at;
   if (eligible_at > now) {
     // Defensive: never strand a head — re-arm at its eligibility time.
-    queue_.push(eligible_at, EventType::kHeadEligible, router, in_port, vc, out_idx);
+    schedule_head_eligible(eligible_at, ci, router, in_port, vc, out_idx);
     return;
   }
   cell.in_ready = 1;
@@ -623,8 +654,8 @@ void NetworkSim::try_grant(int router, int out_idx, TimePs now) {
 
     // Wake the new head of the FIFO, or return its emptied cell.
     if (cell.head >= 0) {
-      queue_.push(std::max(now, pool_[cell.head].eligible_at),
-                  EventType::kHeadEligible, router, in_port, in_vc, out_idx);
+      schedule_head_eligible(std::max(now, pool_[cell.head].eligible_at), ci, router, in_port,
+                             in_vc, out_idx);
     } else {
       release_cell(rs, ci);
     }
@@ -701,7 +732,7 @@ void NetworkSim::dispatch(const Event& e) {
       handle_arrive_router(e.a, e.b, e.c, e.d, e.time);
       break;
     case EventType::kHeadEligible:
-      handle_head_eligible(e.a, e.b, e.c, e.d, e.time);
+      handle_head_eligible(e.a, okey_router(e.okey), e.b, e.c, e.d, e.time);
       break;
     case EventType::kChannelFree:
       try_grant(e.a, e.b, e.time);
@@ -1011,11 +1042,10 @@ void NetworkSim::drain_out_port(int router, int out_idx, TimePs now, bool credit
           const int new_out = out_port_for_packet(router, pkt);
           D2NET_ASSERT(new_out != out_idx, "salvage re-chose the dead port");
           ++fstats_.reroutes;
-          const std::int32_t fresh = cell_for_push(rs, ipx, vc, new_out);
+          const std::int32_t fresh = cell_for_push(router, ipx, vc, new_out);
           rs.out_ports[new_out].queued_bytes += pkt.size;
           if (voq_push(pool_, voq_[fresh], pkt_id, now + cfg_.router_latency)) {
-            queue_.push(now + cfg_.router_latency, EventType::kHeadEligible, router, ipx,
-                        vc, new_out);
+            schedule_head_eligible(now + cfg_.router_latency, fresh, router, ipx, vc, new_out);
           }
         } else {
           if (credit_returns) return_input_credit(router, ipx, vc, pkt.size, now);
@@ -1044,8 +1074,8 @@ void NetworkSim::resync_link_credits(int u, int v) {
   OutPort& op = routers_[u].out_ports[out_port_toward(u, v)];
   const RouterState& peer = routers_[v];
   for (int vc = 0; vc < num_vcs_; ++vc) {
-    op.credits[vc] = vc_buffer_bytes_ - input_vc_bytes(peer, op.peer_in_port, vc) -
-                     op.credits_pending[vc];
+    op.credits[vc] = static_cast<std::int32_t>(
+        vc_buffer_bytes_ - input_vc_bytes(peer, op.peer_in_port, vc) - op.credits_pending[vc]);
   }
 }
 
@@ -1053,8 +1083,8 @@ void NetworkSim::resync_nic_credits(int node) {
   NicState& nic = nics_[node];
   const RouterState& rs = routers_[nic.router];
   for (int vc = 0; vc < num_vcs_; ++vc) {
-    nic.credits[vc] =
-        vc_buffer_bytes_ - input_vc_bytes(rs, nic.in_port, vc) - nic.credits_pending[vc];
+    nic.credits[vc] = static_cast<std::int32_t>(
+        vc_buffer_bytes_ - input_vc_bytes(rs, nic.in_port, vc) - nic.credits_pending[vc]);
   }
 }
 
@@ -1348,8 +1378,9 @@ void NetworkSim::handle_watchdog(TimePs now) {
     for (const RouterState& rs : routers_) {
       for (const OutPort& op : rs.out_ports) {
         s.stalled_heads += op.ready.count;
-        for (std::int64_t c : op.credits) {
-          if (c < cfg_.packet_bytes) ++s.zero_credit_vcs;
+        if (op.to_node) continue;
+        for (int vc = 0; vc < num_vcs_; ++vc) {
+          if (op.credits[vc] < cfg_.packet_bytes) ++s.zero_credit_vcs;
         }
       }
     }

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -203,6 +204,11 @@ class NetworkSim final : public PortLoadProvider {
   /// (router, port).
   std::vector<ChannelStats> channel_stats() const;
 
+  /// Out port of `router` toward its neighbour `neighbor`: the neighbour's
+  /// index in topology().neighbors(router). Throws InternalError when the
+  /// two are not adjacent.
+  int out_port_toward(int router, int neighbor) const;
+
   const Topology& topology() const { return topo_; }
   const SimConfig& config() const { return cfg_; }
   int num_vcs() const { return num_vcs_; }
@@ -211,9 +217,18 @@ class NetworkSim final : public PortLoadProvider {
   /// VOQ cells live right now: non-empty (in_port, vc, out_port) FIFOs over
   /// all routers. Zero once every buffered packet has left its router.
   std::size_t live_voq_cells() const { return voq_.live(); }
+  /// kHeadEligible events of the last run whose carried cell no longer held
+  /// their FIFO, so the handler searched the input VC's list instead. Only
+  /// a fault drain releases a cell under a pending event, so healthy runs
+  /// report zero.
+  std::int64_t stale_carried_cells() const { return stale_carried_cells_; }
 
  private:
   // --- state types ---
+  /// Most VCs a port carries: sizes the inline per-VC credit arrays.
+  static constexpr int kMaxVcs = 8;
+  /// Port rows are scanned in blocks of this many neighbour ids.
+  static constexpr int kRowBlock = 32;
   // Input VC buffers are organized as virtual output queues so a blocked
   // head for one output cannot stall traffic for another (the paper's
   // input-output-buffered switch is not head-of-line limited; a plain FIFO
@@ -227,19 +242,31 @@ class NetworkSim final : public PortLoadProvider {
     int peer_router = -1;
     int peer_out_port = -1;
   };
-  struct OutPort {
+  /// One output port in two cache lines. Line 0 holds everything
+  /// try_grant's scan, the credit return and the UGAL cost read; line 1
+  /// what a grant writes besides, plus the fault state (docs/perf.md has
+  /// the byte map).
+  struct alignas(64) OutPort {
+    // --- line 0 ---
     TimePs free_at = 0;
-    bool to_node = false;
-    int peer_node = -1;
-    int peer_router = -1;
-    int peer_in_port = -1;
-    std::vector<std::int64_t> credits;  ///< per VC; empty for ejection ports
-    std::int64_t queued_bytes = 0;      ///< UGAL occupancy: waiting at this router
-    std::int64_t bytes_sent_window = 0; ///< forwarded bytes inside the window
+    std::int64_t queued_bytes = 0;  ///< UGAL occupancy: waiting at this router
     /// Intrusive FIFO (through VoqCell::next_ready) of the input VOQs whose
     /// eligible head requests this port.
     ReadyList ready;
+    bool to_node = false;
+    /// Per VC, the first num_vcs_ entries; unused for ejection ports.
+    std::int32_t credits[kMaxVcs] = {};
+    // --- line 1 ---
+    std::int64_t bytes_sent_window = 0;  ///< forwarded bytes inside the window
+    /// Per-VC bytes of credit currently in flight toward this port; lets a
+    /// link-up resync recompute credits without double-counting returns
+    /// that were already on the (intact) reverse wire.
+    std::int32_t credits_pending[kMaxVcs] = {};
+    int peer_node = -1;
+    int peer_router = -1;
+    int peer_in_port = -1;
     // Fault state (only read when the schedule is non-empty):
+    std::uint32_t epoch = 0;  ///< bumped per cut; mismatched packets died on the wire
     /// *Believed* liveness of this direction — what the owning router acts
     /// on when granting and salvaging. With oracle faults it always equals
     /// phys_up; with FaultConfig::propagation it lags by the detection and
@@ -252,16 +279,17 @@ class NetworkSim final : public PortLoadProvider {
     /// runs only): advanced at each update's convergence, in lock-step
     /// with the incremental table refresh (see link_admitted).
     bool table_up = true;
-    std::uint32_t epoch = 0;   ///< bumped per cut; mismatched packets died on the wire
-    /// Per-VC bytes of credit currently in flight toward this port; lets a
-    /// link-up resync recompute credits without double-counting returns
-    /// that were already on the (intact) reverse wire.
-    std::vector<std::int64_t> credits_pending;
   };
+  static_assert(sizeof(OutPort) == 128);
+  static_assert(offsetof(OutPort, credits) + sizeof(OutPort::credits) <= 64,
+                "try_grant's fields must share cache line 0");
   struct RouterState {
     std::vector<InPort> in_ports;    ///< [0, deg): network; then injection
     std::vector<OutPort> out_ports;  ///< [0, deg): network; then ejection
-    std::vector<std::pair<int, int>> port_of_neighbor;  ///< sorted (neighbor, out port)
+    /// This router's port row in port_rows_: its neighbours in adjacency
+    /// order (index = out port), padded to kRowBlock entries.
+    std::int32_t row_base = 0;
+    std::int32_t degree = 0;    ///< network ports; the row holds round_up(degree, kRowBlock)
     std::int32_t ivc_base = 0;  ///< first input VC of this router in ivc_head_
   };
   /// FIFO of open-loop generation timestamps: a vector plus a head index,
@@ -290,15 +318,18 @@ class NetworkSim final : public PortLoadProvider {
       head = 0;
     }
   };
-  struct NicState {
+  /// One NIC; line 0 holds what the credit return and an injection read.
+  struct alignas(64) NicState {
+    // --- line 0 ---
     TimePs free_at = 0;
-    std::vector<std::int64_t> credits;  ///< mirror of injection in-port buffer
-    Backlog pending;                    ///< open-loop generation timestamps
-    std::vector<ExchangeMessage> messages;
-    std::size_t cursor = 0;
+    std::int32_t credits[kMaxVcs] = {};  ///< mirror of injection in-port buffer
     int router = -1;
     int in_port = -1;
-    std::vector<std::int64_t> credits_pending;  ///< see OutPort::credits_pending
+    // --- lines 1-2 ---
+    Backlog pending;  ///< open-loop generation timestamps
+    std::int32_t credits_pending[kMaxVcs] = {};  ///< see OutPort::credits_pending
+    std::vector<ExchangeMessage> messages;
+    std::size_t cursor = 0;
   };
 
   // --- helpers ---
@@ -311,18 +342,25 @@ class NetworkSim final : public PortLoadProvider {
   /// Live cell of the (in_port, vc, out_idx) FIFO of `rs`; -1 when that
   /// FIFO is empty.
   std::int32_t find_cell(const RouterState& rs, int in_port, int vc, int out_idx) const;
-  /// find_cell(), taking a fresh cell from the pool when the FIFO is empty.
-  /// May grow voq_: re-index any VoqCell reference held across the call.
-  std::int32_t cell_for_push(const RouterState& rs, int in_port, int vc, int out_idx);
+  /// find_cell() on `router`, taking a fresh cell from the pool when the
+  /// FIFO is empty. May grow voq_: re-index any VoqCell reference held
+  /// across the call.
+  std::int32_t cell_for_push(int router, int in_port, int vc, int out_idx);
   /// Unlinks the emptied cell `ci`, which no ready list will visit again,
   /// from its input VC's list and returns it to the pool.
   void release_cell(const RouterState& rs, std::int32_t ci);
-  int out_port_toward(int router, int neighbor) const;
   int out_port_for_packet(int router, const Packet& pkt) const;
 
   void try_inject(int node, TimePs now);
   void handle_arrive_router(int pkt_id, int router, int in_port, int vc, TimePs now);
-  void handle_head_eligible(int router, int in_port, int vc, int out_idx, TimePs now);
+  /// Schedules the kHeadEligible event of cell `ci`, the (in_port, vc,
+  /// out_idx) FIFO of `router`, whose head became eligible at `at`.
+  void schedule_head_eligible(TimePs at, std::int32_t ci, int router, int in_port, int vc,
+                              int out_idx);
+  /// kHeadEligible: `carried` is the cell the event was scheduled for; it
+  /// is trusted only while it still holds the named FIFO.
+  void handle_head_eligible(std::int32_t carried, int router, int in_port, int vc,
+                            int out_idx, TimePs now);
   void try_grant(int router, int out_idx, TimePs now);
   void handle_arrive_node(int pkt_id, TimePs now);
   void handle_metrics_sample(TimePs now);
@@ -427,6 +465,9 @@ class NetworkSim final : public PortLoadProvider {
 
   // --- mutable run state ---
   std::vector<RouterState> routers_;
+  /// Every router's port row back to back (RouterState::row_base), each
+  /// padded with the router's own id, which is never its own neighbour.
+  std::vector<std::uint16_t> port_rows_;
   /// Live VOQ cells of all routers (cleared, capacity kept, per run).
   VoqCellPool voq_;
   /// Per (router, in_port, vc): head of that input VC's live-cell list
@@ -446,6 +487,7 @@ class NetworkSim final : public PortLoadProvider {
 
   TimePs now_ = 0;
   std::int64_t events_processed_ = 0;
+  std::int64_t stale_carried_cells_ = 0;  ///< see stale_carried_cells()
   /// FNV-1a over the dispatched event stream; see
   /// SimConfig::collect_event_digest.
   bool digest_enabled_ = false;

@@ -31,9 +31,10 @@
 namespace d2net {
 
 /// One virtual output queue: FIFO of pooled packets plus its ready-list and
-/// input-VC linkage. `in_port` / `vc` / `out` identify the FIFO (written
-/// when the cell is taken from the pool), so a ready-list entry alone tells
-/// the arbiter where to return credits.
+/// input-VC linkage. `router` / `in_port` / `vc` / `out` identify the FIFO
+/// (written when the cell is taken from the pool), so a ready-list entry
+/// alone tells the arbiter where to return credits, and a cell index
+/// carried by an event can be checked against the FIFO it names.
 struct VoqCell {
   std::int32_t head = -1;        ///< pool id of the queue head, -1 = empty
   std::int32_t tail = -1;        ///< pool id of the queue tail
@@ -47,6 +48,7 @@ struct VoqCell {
   /// Head registered in the out port's ready list (mirror of the old
   /// per-output in_ready bitmap).
   std::uint8_t in_ready = 0;
+  std::uint16_t router = 0;
 };
 static_assert(sizeof(VoqCell) == 24);
 
@@ -55,9 +57,9 @@ static_assert(sizeof(VoqCell) == 24);
 /// do not: re-index after any alloc().
 class VoqCellPool {
  public:
-  /// Takes a cell for the empty (in_port, vc, out) FIFO; linkage fields
-  /// are reset, next_sib is left to the caller.
-  std::int32_t alloc(int in_port, int vc, int out) {
+  /// Takes a cell for the empty (in_port, vc, out) FIFO of `router`;
+  /// linkage fields are reset, next_sib is left to the caller.
+  std::int32_t alloc(int router, int in_port, int vc, int out) {
     std::int32_t ci = free_;
     if (ci >= 0) {
       free_ = cells_[ci].next_sib;
@@ -73,6 +75,7 @@ class VoqCellPool {
     cell.out = static_cast<std::int16_t>(out);
     cell.vc = static_cast<std::uint8_t>(vc);
     cell.in_ready = 0;
+    cell.router = static_cast<std::uint16_t>(router);
     ++live_;
     return ci;
   }

@@ -227,12 +227,15 @@ TEST(Table, AlignsAndCounts) {
   Table t({"name", "value"});
   t.add("alpha", 1);
   t.add("b", 2.5);
-  EXPECT_EQ(t.num_rows(), 2u);
+  t.add("smoke \u2014 uniform", 3);  // the em dash is 3 bytes, 1 column
+  EXPECT_EQ(t.num_rows(), 3u);
   std::ostringstream os;
   t.print(os);
   const std::string text = os.str();
   EXPECT_NE(text.find("alpha"), std::string::npos);
   EXPECT_NE(text.find("2.500"), std::string::npos);
+  EXPECT_NE(text.find("| smoke \u2014 uniform | 3     |"), std::string::npos) << text;
+  EXPECT_NE(text.find("| alpha           | 1     |"), std::string::npos) << text;
 }
 
 TEST(Table, RejectsWrongArity) {

@@ -93,6 +93,23 @@ TEST(DeterminismDigest, DigestOffByDefaultAndSeedSensitive) {
   EXPECT_NE(a.event_digest, b.event_digest);
 }
 
+/// A salvaging UGAL run on `topo` that cuts link 0 at 2 us (and link 7 at
+/// 3 us with `second_cut`) and revives link 0 at 4 us.
+SimConfig fault_schedule_config(const Topology& topo, bool second_cut) {
+  SimConfig cfg = digest_config(11);
+  cfg.fault.reroute = true;
+  cfg.fault.recovery = FaultRecovery::kSalvage;
+  cfg.fault.schedule.push_back(
+      {us(2), FaultKind::kLinkDown, topo.links()[0].r1, topo.links()[0].r2});
+  if (second_cut) {
+    cfg.fault.schedule.push_back(
+        {us(3), FaultKind::kLinkDown, topo.links()[7].r1, topo.links()[7].r2});
+  }
+  cfg.fault.schedule.push_back(
+      {us(4), FaultKind::kLinkUp, topo.links()[0].r1, topo.links()[0].r2});
+  return cfg;
+}
+
 TEST(DeterminismDigest, FaultScheduleMatchesPinnedDigest) {
   // Fault application drains VOQs wholesale, resyncs credits and reroutes
   // salvaged packets — the busiest burst of same-timestamp events the
@@ -100,18 +117,7 @@ TEST(DeterminismDigest, FaultScheduleMatchesPinnedDigest) {
   const Topology topo = build_slim_fly(5);
   UniformTraffic uni(topo.num_nodes());
   auto run_with = [&](bool second_cut) {
-    SimConfig cfg = digest_config(11);
-    cfg.fault.reroute = true;
-    cfg.fault.recovery = FaultRecovery::kSalvage;
-    cfg.fault.schedule.push_back(
-        {us(2), FaultKind::kLinkDown, topo.links()[0].r1, topo.links()[0].r2});
-    if (second_cut) {
-      cfg.fault.schedule.push_back(
-          {us(3), FaultKind::kLinkDown, topo.links()[7].r1, topo.links()[7].r2});
-    }
-    cfg.fault.schedule.push_back(
-        {us(4), FaultKind::kLinkUp, topo.links()[0].r1, topo.links()[0].r2});
-    SimStack stack(topo, RoutingStrategy::kUgal, cfg);
+    SimStack stack(topo, RoutingStrategy::kUgal, fault_schedule_config(topo, second_cut));
     return stack.run_open_loop(uni, 0.5, us(6), us(1));
   };
   const OpenLoopResult one = run_with(false);
@@ -127,6 +133,25 @@ TEST(DeterminismDigest, FaultScheduleMatchesPinnedDigest) {
   EXPECT_EQ(two.faults.packets_retried, 5);
   EXPECT_EQ(two.faults.packets_lost, 0);
   EXPECT_EQ(two.faults.reroutes, 43);
+}
+
+TEST(DeterminismDigest, StaleCarriedCellsFallBackToTheListSearch) {
+  // kHeadEligible carries its VOQ cell. A fault drain releases cells while
+  // their events are pending, and the pool may hand them to other FIFOs;
+  // the handler must notice and search the input VC's list instead. The
+  // run still folds FaultScheduleMatchesPinnedDigest's two-cut stream.
+  const Topology topo = build_slim_fly(5);
+  UniformTraffic uni(topo.num_nodes());
+  SimStack faulted(topo, RoutingStrategy::kUgal, fault_schedule_config(topo, true));
+  const OpenLoopResult res = faulted.run_open_loop(uni, 0.5, us(6), us(1));
+  EXPECT_EQ(res.event_digest, 0x3fa0b3b549b03115ull);
+  EXPECT_EQ(res.events_processed, 350218);
+  EXPECT_GT(faulted.sim().stale_carried_cells(), 0);
+
+  // Without faults no cell is released under a pending event.
+  SimStack healthy(topo, RoutingStrategy::kUgal, digest_config(11));
+  healthy.run_open_loop(uni, 0.5, us(6), us(1));
+  EXPECT_EQ(healthy.sim().stale_carried_cells(), 0);
 }
 
 TEST(DeterminismDigest, PropagationBurstMatchesPinnedDigest) {

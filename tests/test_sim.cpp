@@ -2,6 +2,12 @@
 // behavior, determinism, traffic patterns and exchange workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "sim/exchange.h"
 #include "sim/experiment.h"
@@ -10,6 +16,7 @@
 #include "topology/mlfm.h"
 #include "topology/oft.h"
 #include "topology/slim_fly.h"
+#include "topology/spec.h"
 
 namespace d2net {
 namespace {
@@ -432,6 +439,71 @@ TEST(VoqCells, PeakIsPerRunAndBoundedByPacketPoolSlots) {
   EXPECT_LE(cap.voq_cells, cap.packet_pool_slots);
   EXPECT_EQ(b.metrics->capacities.voq_cells, cap.voq_cells);
 }
+
+// ---------------------------------------------------------------- port rows
+
+/// The search the port rows replaced: each router's (neighbour, port) pairs
+/// sorted by neighbour id, looked up with lower_bound.
+class SortedPairPorts {
+ public:
+  explicit SortedPairPorts(const Topology& topo) : pairs_(topo.num_routers()) {
+    for (int r = 0; r < topo.num_routers(); ++r) {
+      const auto& nbrs = topo.neighbors(r);
+      for (int i = 0; i < static_cast<int>(nbrs.size()); ++i) pairs_[r].emplace_back(nbrs[i], i);
+      std::sort(pairs_[r].begin(), pairs_[r].end());
+    }
+  }
+  int port(int router, int neighbor) const {
+    const auto& map = pairs_[router];
+    const auto it = std::lower_bound(map.begin(), map.end(), std::make_pair(neighbor, -1));
+    return it != map.end() && it->first == neighbor ? it->second : -1;
+  }
+
+ private:
+  std::vector<std::vector<std::pair<int, int>>> pairs_;
+};
+
+class PortRowOracle : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PortRowOracle, EveryNeighbourGetsTheSortedPairSearchPort) {
+  const Topology topo = build_topology_from_spec(GetParam());
+  const NetworkSim sim(topo, fast_config(), 1);
+  const SortedPairPorts oracle(topo);
+  int max_degree = 0;
+  for (int r = 0; r < topo.num_routers(); ++r) {
+    const auto& nbrs = topo.neighbors(r);
+    max_degree = std::max(max_degree, static_cast<int>(nbrs.size()));
+    for (const int n : nbrs) {
+      ASSERT_EQ(sim.out_port_toward(r, n), oracle.port(r, n)) << "router " << r << " -> " << n;
+    }
+  }
+  if (std::string(GetParam()) == "sf:q=23") {
+    EXPECT_EQ(max_degree, 35);  // rows of two 32-entry blocks
+  }
+  // The padding is the router's own id: asking for the router itself, or
+  // for a router it is not adjacent to, is an error, as it was before.
+  for (const int r : {0, topo.num_routers() - 1}) {
+    EXPECT_THROW(sim.out_port_toward(r, r), InternalError);
+    for (int m = 0; m < topo.num_routers(); ++m) {
+      if (m != r && oracle.port(r, m) < 0) {
+        EXPECT_THROW(sim.out_port_toward(r, m), InternalError);
+        break;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, PortRowOracle,
+                         ::testing::Values("sf:q=5", "sf:q=23", "mlfm:h=5", "oft:k=5",
+                                           "dragonfly:a=4,h=2,p=2", "ft3:r=6",
+                                           "hyperx:s1=4,s2=3,p=2"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace d2net
