@@ -28,9 +28,7 @@ SweepRunOptions BenchOptions::sweep_options() const {
   out.config.metrics.enabled = metrics;
   if (metrics_sample > 0) out.config.metrics.sample_period = metrics_sample;
   out.config.engine = engine;
-  out.config.flow.flow_bytes = flow_bytes;
   out.config.flow.rate_interval = flow_interval;
-  out.config.flow.max_active_per_node = flow_active;
   out.duration = duration;
   out.warmup = warmup;
   out.point_timeout_seconds = point_timeout_s;
@@ -77,14 +75,9 @@ void add_standard_flags(Cli& cli) {
       .flag("engine", std::string{"packet"},
             "simulation engine: 'packet' (per-packet events, the default) or "
             "'flow' (flow-level max-min-fair rates; see docs/flow_engine.md)")
-      .flag("flow-bytes", std::int64_t{4096},
-            "with --engine flow: bytes per open-loop flow")
       .flag("flow-interval-us", 0.0,
             "with --engine flow: rate-recompute batching interval in "
             "microseconds (0 = exact event-driven recompute)")
-      .flag("flow-active", std::int64_t{16},
-            "with --engine flow: concurrent flows one node may source "
-            "before arrivals queue at the NIC")
       .flag("journal", std::string{},
             "crash-safe journal directory: manifest + append-only JSONL of "
             "completed points (see docs/durable_sweeps.md)")
@@ -117,13 +110,9 @@ BenchOptions read_standard_flags(const Cli& cli) {
     throw ArgumentError("--engine: unknown engine '" + engine +
                         "' (expected 'packet' or 'flow')");
   }
-  opts.flow_bytes = cli.get_int("flow-bytes");
-  D2NET_REQUIRE(opts.flow_bytes > 0, "--flow-bytes must be > 0");
   const double flow_interval_us = cli.get_double("flow-interval-us");
   D2NET_REQUIRE(flow_interval_us >= 0.0, "--flow-interval-us must be >= 0");
   opts.flow_interval = us(flow_interval_us);
-  opts.flow_active = static_cast<int>(cli.get_int("flow-active"));
-  D2NET_REQUIRE(opts.flow_active >= 1, "--flow-active must be >= 1");
   opts.journal_dir = cli.get_string("journal");
   opts.resume = cli.get_bool("resume");
   D2NET_REQUIRE(!opts.resume || !opts.journal_dir.empty(),
@@ -417,9 +406,7 @@ std::string bench_manifest(const std::string& bench_name, const BenchOptions& op
   // to versions that predate the flow engine, so old journals resume.
   if (opts.engine == SimEngine::kFlow) {
     os << "engine=flow\n"
-       << "flow_bytes=" << opts.flow_bytes << "\n"
-       << "flow_interval_us=" << to_us(opts.flow_interval) << "\n"
-       << "flow_active=" << opts.flow_active << "\n";
+       << "flow_interval_us=" << to_us(opts.flow_interval) << "\n";
   }
   return os.str();
 }

@@ -36,9 +36,7 @@ struct BenchOptions {
   // versions that predate the flow engine; flow-engine knobs enter the
   // manifest only when --engine flow is selected.
   SimEngine engine = SimEngine::kPacket;  ///< --engine packet|flow
-  std::int64_t flow_bytes = 4096;         ///< --flow-bytes: open-loop flow size
   TimePs flow_interval = 0;               ///< --flow-interval-us: 0 = exact rates
-  int flow_active = 16;                   ///< --flow-active: concurrent flows/node
 
   // Durable execution (see docs/durable_sweeps.md):
   std::string journal_dir;     ///< --journal: crash-safe journal directory

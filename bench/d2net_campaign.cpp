@@ -216,8 +216,10 @@ int run(int argc, char** argv) {
   const CampaignSpec spec = parse_campaign_spec(spec_text, spec_path);
   // A spec-level "engine" key pins the experiment to one engine, overriding
   // --engine: the spec describes the experiment, the flags its scale. The
-  // flow knobs (--flow-bytes/--flow-interval-us) stay invocation-scale.
-  if (spec.engine.has_value()) opts.engine = *spec.engine;
+  // flow knob --flow-interval-us stays invocation-scale. The engine is
+  // resolved and checked here, so --dry-run and --status refuse what a run
+  // would.
+  opts.engine = resolve_engine(spec, opts.engine, opts.metrics, spec_path);
   const CampaignParams params{opts.full, opts.seed, opts.duration, opts.warmup};
   const ExpandedCampaign plan = expand_campaign(spec, params);
   warn_link_failure_shortfalls(spec, plan);

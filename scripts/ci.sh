@@ -332,6 +332,23 @@ if [[ "${SKIP_CAMPAIGN:-0}" != "1" ]]; then
     grep -qx "error: ${bad#*|}" "$WORK/badvalue.err"
     echo "bad value rejected with exit 2: $(cat "$WORK/badvalue.err")"
   done
+  # The flow engine runs open-loop load sweeps only: --engine=flow on a spec
+  # with an exchange or fault sweep, or with --metrics, is refused before
+  # --dry-run prints.
+  for bad in "fig13||\$.sweeps[0]: the flow engine does not run exchanges; use engine=packet" \
+             "transient_faults||\$.sweeps[0].fault: the flow engine does not support fault injection; drop the fault schedule or use engine=packet" \
+             "fig6|--metrics|--metrics: the flow engine does not support per-port/VC metrics; use engine=packet"; do
+    spec="${bad%%|*}"; rest="${bad#*|}"; extra="${rest%%|*}"; msg="${rest#*|}"
+    set +e
+    "$CAMPAIGN" --spec="campaigns/$spec.json" --dry-run --engine=flow $extra \
+      > /dev/null 2> "$WORK/badengine.err"
+    STATUS=$?
+    set -e
+    [[ "$STATUS" -eq 2 ]]
+    [[ "$(wc -l < "$WORK/badengine.err")" -eq 1 ]]
+    grep -qxF "error: campaigns/$spec.json: $msg" "$WORK/badengine.err"
+    echo "flow engine refused with exit 2: $(cat "$WORK/badengine.err")"
+  done
 
   # Porting contract: each digested spec's normalised --json hashes to its
   # committed line. Exchange payloads at their committed sizes are minutes

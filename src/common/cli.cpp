@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "common/error.h"
 
@@ -74,6 +75,9 @@ int run_cli(int (*body)(int, char**), int argc, char** argv) {
   } catch (const ArgumentError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 }
 

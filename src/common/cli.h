@@ -55,7 +55,9 @@ class Cli {
 /// Runs a command-line program's body and turns an ArgumentError — a bad
 /// flag, value or spec, the caller's mistake rather than a crash — into
 /// one "error: ..." line on stderr and exit status 2, never
-/// std::terminate's abort. Every bench and example `main` goes through it.
+/// std::terminate's abort. Any other std::exception (a failed simulation,
+/// an I/O error) becomes one "error: ..." line and exit status 1. Every
+/// bench and example `main` goes through it.
 int run_cli(int (*body)(int, char**), int argc, char** argv);
 
 }  // namespace d2net

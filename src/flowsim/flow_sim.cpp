@@ -27,25 +27,6 @@ constexpr double kMinRate = 1e-12;
 // recompute-heavy run overshoot its limit by seconds.
 constexpr std::int64_t kWallCheckWork = 32768;
 
-// Local equivalents of ExchangePlan::total_bytes()/active_nodes(): those
-// are compiled into d2net_sim, which links *against* this library — keep
-// flowsim free of sim symbols so the dependency stays one-directional.
-std::int64_t plan_total_bytes(const ExchangePlan& plan) {
-  std::int64_t total = 0;
-  for (const auto& msgs : plan.per_node) {
-    for (const ExchangeMessage& m : msgs) total += m.bytes;
-  }
-  return total;
-}
-
-int plan_active_nodes(const ExchangePlan& plan) {
-  int active = 0;
-  for (const auto& msgs : plan.per_node) {
-    if (!msgs.empty()) ++active;
-  }
-  return active;
-}
-
 // SplitMix64 finalizer — same constants as the packet engine's mix_seed,
 // so both engines derive per-node streams the same way from one run seed.
 std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
@@ -62,16 +43,31 @@ std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t w) {
 
 }  // namespace
 
+FlowGap flow_engine_gap(const RunFeatures& run) {
+  if (run.exchange) return FlowGap::kExchange;
+  if (run.faults) return FlowGap::kFaults;
+  if (run.metrics) return FlowGap::kMetrics;
+  return FlowGap::kNone;
+}
+
+const char* to_string(FlowGap gap) {
+  switch (gap) {
+    case FlowGap::kNone: return "none";
+    case FlowGap::kExchange: return "the flow engine does not run exchanges; use engine=packet";
+    case FlowGap::kFaults:
+      return "the flow engine does not support fault injection; drop the fault schedule or "
+             "use engine=packet";
+    case FlowGap::kMetrics:
+      return "the flow engine does not support per-port/VC metrics; use engine=packet";
+  }
+  return "?";
+}
+
 FlowSim::FlowSim(const Topology& topo, const SimConfig& cfg)
     : topo_(topo), cfg_(cfg), graph_(topo) {
-  D2NET_REQUIRE(!cfg.fault.enabled(),
-                "the flow engine does not support fault injection; drop the fault "
-                "schedule or use the packet engine (engine=packet)");
-  D2NET_REQUIRE(!cfg.metrics.enabled,
-                "the flow engine does not support per-port/VC metrics (--metrics); "
-                "use the packet engine (engine=packet)");
-  D2NET_REQUIRE(cfg.flow.flow_bytes >= 1, "flow.flow_bytes must be >= 1");
-  D2NET_REQUIRE(cfg.flow.max_active_per_node >= 1, "flow.max_active_per_node must be >= 1");
+  const FlowGap gap = flow_engine_gap({.faults = cfg.fault.enabled(),
+                                       .metrics = cfg.metrics.enabled});
+  if (gap != FlowGap::kNone) throw ArgumentError(to_string(gap));
   D2NET_REQUIRE(cfg.flow.rate_interval >= 0, "flow.rate_interval must be >= 0");
 }
 
@@ -90,7 +86,6 @@ void FlowSim::reset() {
   }
   active_of_node_.assign(n, 0);
   backlog_of_node_.assign(n, 0);
-  cursor_of_node_.assign(n, 0);
   ejected_per_node_.assign(n, 0.0);
 
   dirty_links_.clear();
@@ -101,18 +96,12 @@ void FlowSim::reset() {
   next_seq_ = 0;
 
   pattern_ = nullptr;
-  plan_ = nullptr;
   load_ = 0.0;
   now_ = 0;
   gen_end_ = 0;
   window_start_ = 0;
   window_end_ = 0;
-  exchange_mode_ = false;
   timed_out_ = false;
-  defer_rates_ = false;
-  exchange_msgs_open_ = 0;
-  exchange_msgs_total_ = 0;
-  exchange_completion_ = -1;
 
   stats_ = FlowEngineStats{};
   stats_.enabled = true;
@@ -128,7 +117,6 @@ void FlowSim::reset() {
   hop_sum_ = 0;
   minimal_flows_ = 0;
   delivered_window_bytes_ = 0.0;
-  delivered_total_bytes_ = 0.0;
   latency_ns_ = LogHistogram{};
 }
 
@@ -173,10 +161,7 @@ void FlowSim::accrue(int flow) {
   if (rate > 0.0) {
     const double bytes =
         rate * static_cast<double>(dt) / static_cast<double>(cfg_.ps_per_byte);
-    const double before = table_.remaining[f];
-    const double after = std::max(0.0, before - bytes);
-    table_.remaining[f] = after;
-    delivered_total_bytes_ += before - after;
+    table_.remaining[f] = std::max(0.0, table_.remaining[f] - bytes);
     const TimePs lo = std::max(last_update_[f], window_start_);
     const TimePs hi = std::min(now_, window_end_);
     if (hi > lo) {
@@ -214,7 +199,7 @@ void FlowSim::mark_dirty(const std::int32_t* links, int n) {
   }
 }
 
-int FlowSim::start_flow(int src_node, int dst_node, double bytes) {
+int FlowSim::start_flow(int src_node, int dst_node) {
   const int src_router = topo_.router_of_node(src_node);
   const int dst_router = topo_.router_of_node(dst_node);
   route_scratch_.routers.clear();
@@ -227,7 +212,7 @@ int FlowSim::start_flow(int src_node, int dst_node, double bytes) {
                          route_scratch_);
   }
   const int n = graph_.links_of_route(src_node, dst_node, route_scratch_, link_scratch_);
-  const int f = table_.create(link_scratch_, n, bytes);
+  const int f = table_.create(link_scratch_, n, static_cast<double>(kFlowBytes));
   grow_flow_arrays();
   const std::size_t fs = static_cast<std::size_t>(f);
   src_of_[fs] = src_node;
@@ -248,7 +233,7 @@ int FlowSim::start_flow(int src_node, int dst_node, double bytes) {
 
   // Exact mode leaves the rate at 0: the caller settles it with one
   // recompute that also covers whatever else changed in the same event.
-  if (cfg_.flow.rate_interval > 0 && !defer_rates_) {
+  if (cfg_.flow.rate_interval > 0) {
     // Optimistic estimate until the next rate tick: the fair share if every
     // link it crosses split evenly among its current flows.
     double est = 1.0;
@@ -299,27 +284,11 @@ void FlowSim::finish_flow(int flow) {
   if (cfg_.flow.rate_interval > 0) mark_dirty(link_scratch_ + kMaxLinksPerFlow, nold);
 
   int nnew = 0;  // links of the successor flow, if one starts
-
-  if (exchange_mode_) {
-    --exchange_msgs_open_;
-    if (plan_->order == MessageOrder::kSequential) {
-      auto& cursor = cursor_of_node_[static_cast<std::size_t>(src)];
-      const auto& msgs = plan_->per_node[static_cast<std::size_t>(src)];
-      if (cursor < static_cast<std::int32_t>(msgs.size())) {
-        const ExchangeMessage& m = msgs[static_cast<std::size_t>(cursor)];
-        ++cursor;
-        ++exchange_msgs_open_;
-        nnew = start_flow(src, m.dst_node, static_cast<double>(m.bytes));
-      }
-    }
-    if (exchange_msgs_open_ == 0) exchange_completion_ = now_;
-  } else {
-    auto& backlog = backlog_of_node_[static_cast<std::size_t>(src)];
-    if (backlog > 0) {
-      --backlog;
-      const int dst = pattern_->dest(src, node_rng_[static_cast<std::size_t>(src)]);
-      nnew = start_flow(src, dst, static_cast<double>(cfg_.flow.flow_bytes));
-    }
+  auto& backlog = backlog_of_node_[static_cast<std::size_t>(src)];
+  if (backlog > 0) {
+    --backlog;
+    const int dst = pattern_->dest(src, node_rng_[static_cast<std::size_t>(src)]);
+    nnew = start_flow(src, dst);
   }
 
   if (cfg_.flow.rate_interval == 0) {
@@ -335,15 +304,15 @@ void FlowSim::dispatch_arrival(const Event& e) {
   if (e.time >= gen_end_) return;
   const int node = e.a;
   const std::size_t ns = static_cast<std::size_t>(node);
-  if (active_of_node_[ns] < cfg_.flow.max_active_per_node) {
+  if (active_of_node_[ns] < kMaxActivePerNode) {
     const int dst = pattern_->dest(node, node_rng_[ns]);
-    const int n = start_flow(node, dst, static_cast<double>(cfg_.flow.flow_bytes));
+    const int n = start_flow(node, dst);
     if (cfg_.flow.rate_interval == 0) recompute(link_scratch_, n);
   } else {
     ++backlog_of_node_[ns];
   }
   // Poisson arrivals: exponential gaps with mean flow_time / load.
-  const double mean = static_cast<double>(cfg_.flow.flow_bytes) *
+  const double mean = static_cast<double>(kFlowBytes) *
                       static_cast<double>(cfg_.ps_per_byte) / std::max(load_, 1e-9);
   const double u = 1.0 - node_rng_[ns].uniform();  // (0, 1]
   const auto dt = static_cast<TimePs>(-std::log(u) * mean) + 1;
@@ -419,7 +388,6 @@ bool FlowSim::run_until(TimePs end) {
         }
         break;
     }
-    if (exchange_mode_ && exchange_completion_ >= 0) return true;
     if (wall_limit > 0.0 && work() >= next_check) {
       next_check = work() + kWallCheckWork;
       const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - wall_start;
@@ -453,7 +421,7 @@ OpenLoopResult FlowSim::run_open_loop(const TrafficPattern& pattern, double load
 
   // Stagger first arrivals uniformly over one mean inter-arrival, from each
   // node's private stream (mirrors the packet engine's generation stagger).
-  const double mean = static_cast<double>(cfg_.flow.flow_bytes) *
+  const double mean = static_cast<double>(kFlowBytes) *
                       static_cast<double>(cfg_.ps_per_byte) / load;
   for (int node = 0; node < topo_.num_nodes(); ++node) {
     push_event(static_cast<TimePs>(node_rng_[static_cast<std::size_t>(node)].uniform() * mean),
@@ -506,69 +474,6 @@ OpenLoopResult FlowSim::run_open_loop(const TrafficPattern& pattern, double load
   res.phases.delivered_carryover = delivered_carryover_;
   res.phases.in_flight_at_end = table_.active;
   res.flow = stats_;
-  return res;
-}
-
-ExchangeResult FlowSim::run_exchange(const ExchangePlan& plan, TimePs time_limit) {
-  D2NET_REQUIRE(routing_ != nullptr, "set_routing() before running");
-  D2NET_REQUIRE(static_cast<int>(plan.per_node.size()) == topo_.num_nodes(),
-                "plan arity must match node count");
-  const std::int64_t total_bytes = plan_total_bytes(plan);
-  D2NET_REQUIRE(total_bytes > 0, "empty exchange plan");
-  reset();
-  exchange_mode_ = true;
-  plan_ = &plan;
-  window_start_ = 0;
-  window_end_ = time_limit;
-  gen_end_ = 0;
-
-  // Open the initial flows with rate 0, then assign all starting rates in
-  // one global waterfill — cheaper than a per-flow recompute and identical
-  // to it at the fixed point.
-  defer_rates_ = true;
-  for (int node = 0; node < topo_.num_nodes(); ++node) {
-    const auto& msgs = plan.per_node[static_cast<std::size_t>(node)];
-    exchange_msgs_total_ += static_cast<std::int64_t>(msgs.size());
-    if (msgs.empty()) continue;
-    const int open = plan.order == MessageOrder::kSequential ? 1 : static_cast<int>(msgs.size());
-    for (int i = 0; i < open; ++i) {
-      const ExchangeMessage& m = msgs[static_cast<std::size_t>(i)];
-      start_flow(node, m.dst_node, static_cast<double>(m.bytes));
-      ++exchange_msgs_open_;
-    }
-    cursor_of_node_[static_cast<std::size_t>(node)] = open;
-  }
-  defer_rates_ = false;
-  waterfill_all(table_, scratch_, *this);
-  stats_.flows_touched += static_cast<std::int64_t>(scratch_.flows.size());
-  if (cfg_.flow.rate_interval > 0) {
-    push_event(cfg_.flow.rate_interval, EventKind::kRateTick, 0, 0);
-  }
-
-  const bool finished = run_until(time_limit);
-  if (finished && exchange_completion_ < 0) {
-    final_accrual(time_limit);
-  } else if (!finished) {
-    final_accrual(now_);
-  }
-
-  ExchangeResult res;
-  res.total_bytes = total_bytes;
-  res.timed_out = timed_out_;
-  res.delivered_bytes =
-      std::min(res.total_bytes, static_cast<std::int64_t>(delivered_total_bytes_ + 0.5));
-  res.completed = exchange_completion_ >= 0;
-  if (res.completed) {
-    res.delivered_bytes = res.total_bytes;
-    res.completion_us = to_us(exchange_completion_);
-    const double per_node_bytes =
-        static_cast<double>(res.total_bytes) / std::max(1, plan_active_nodes(plan));
-    const double line_bytes =
-        static_cast<double>(exchange_completion_) / static_cast<double>(cfg_.ps_per_byte);
-    res.effective_throughput = per_node_bytes / line_bytes;
-  }
-  res.avg_latency_ns = latency_ns_.mean();
-  res.event_digest = cfg_.collect_event_digest ? event_digest_ : 0;
   return res;
 }
 

@@ -27,9 +27,13 @@
 // run bit-reproducible — independent of --jobs, because one simulation is
 // always one serial event loop.
 //
-// Packet-only features are rejected up front (ArgumentError): fault
-// schedules and --metrics have no flow-level counterpart
-// (see docs/flow_engine.md, "What is and isn't comparable").
+// What the flow engine does not model is named by one rule,
+// flow_engine_gap, and refused up front (ArgumentError): fault schedules
+// and --metrics have no flow-level counterpart (docs/flow_engine.md, "What
+// is and isn't comparable"), and message exchanges run on the packet engine
+// only, because one path per message cannot spread a message's packets over
+// many paths the way INR and UGAL do (docs/flow_engine.md, "What the flow
+// engine does not run").
 #pragma once
 
 #include <cstdint>
@@ -52,10 +56,44 @@ class TrafficPattern;
 
 namespace d2net::flowsim {
 
+/// Open-loop flow size in bytes: 4 KiB = 16 packet-engine packets, 327.68 ns
+/// of serialization at 100 Gb/s — small enough that bench-scale windows
+/// (16-50 us) see dozens of completed flows per node, large enough that one
+/// flow event still stands in for many packet events.
+inline constexpr std::int64_t kFlowBytes = 4096;
+
+/// Concurrent flows one node may source; further arrivals queue at the NIC.
+/// Must be large enough that a node can keep its injection link busy while
+/// individual flows are throttled by shared links downstream (1 would
+/// serialize the NIC and cap accepted throughput at the mean per-flow rate,
+/// far below the packet engine's saturation point); 16 recovers the packet
+/// engine's saturation knee on the paper systems while bounding per-node
+/// state at overload.
+inline constexpr int kMaxActivePerNode = 16;
+
+/// What a run asks of its engine beyond open-loop traffic.
+struct RunFeatures {
+  bool exchange = false;  ///< a closed-loop message exchange
+  bool faults = false;    ///< a fault schedule (SimConfig::fault)
+  bool metrics = false;   ///< per-port/VC metrics (SimConfig::metrics, --metrics)
+};
+
+/// A run feature the flow engine does not model.
+enum class FlowGap { kNone, kExchange, kFaults, kMetrics };
+
+/// The first of `run`'s features the flow engine does not model; kNone when
+/// it can run them all. The one rule behind FlowSim's constructor,
+/// SimStack::run_exchange and the campaign front end's resolve_engine.
+FlowGap flow_engine_gap(const RunFeatures& run);
+
+/// Why the flow engine refuses `gap` and what to use instead, without a
+/// location: "the flow engine does not run exchanges; use engine=packet".
+const char* to_string(FlowGap gap);
+
 class FlowSim final : public PortLoadProvider, private RateChangeSink {
  public:
-  /// Throws ArgumentError when `cfg` requests packet-only features (fault
-  /// injection, metrics) or carries invalid flow knobs.
+  /// Throws ArgumentError when `cfg` requests a feature flow_engine_gap
+  /// refuses (fault injection, metrics) or a negative rate interval.
   FlowSim(const Topology& topo, const SimConfig& cfg);
 
   /// Attaches the routing algorithm; must be called before running.
@@ -64,9 +102,9 @@ class FlowSim final : public PortLoadProvider, private RateChangeSink {
   void set_routing(const RoutingAlgorithm& algo) { routing_ = &algo; }
 
   /// Open-loop run: Poisson flow arrivals per node at `load` (fraction of
-  /// line rate, flow size FlowSimConfig::flow_bytes), destinations drawn
-  /// from `pattern` at flow start. Each node runs at most
-  /// FlowSimConfig::max_active_per_node concurrent flows (NIC
+  /// line rate, flow size kFlowBytes), destinations drawn from `pattern`
+  /// at flow start. Each node runs at most kMaxActivePerNode concurrent
+  /// flows (NIC
   /// serialization); excess arrivals queue, which is what makes offered >
   /// capacity show up as accepted < offered. Throughput counts bytes
   /// delivered inside [warmup, duration]; latency is *flow completion*
@@ -74,12 +112,6 @@ class FlowSim final : public PortLoadProvider, private RateChangeSink {
   /// docs/flow_engine.md), and packets_injected/measured count flows.
   OpenLoopResult run_open_loop(const TrafficPattern& pattern, double load, TimePs duration,
                                TimePs warmup);
-
-  /// Closed-loop exchange run over an explicit plan; aborts (completed =
-  /// false) at `time_limit`. kSequential starts each node's message i+1
-  /// when i finishes; kRoundRobin opens all of a node's messages
-  /// concurrently and lets water-filling share the NIC.
-  ExchangeResult run_exchange(const ExchangePlan& plan, TimePs time_limit);
 
   /// Closed-form fluid all-to-all completion (every node sends
   /// bytes_per_pair to every other node): expected per-link load under
@@ -126,9 +158,9 @@ class FlowSim final : public PortLoadProvider, private RateChangeSink {
   void dispatch_completion(const Event& e);
   void dispatch_rate_tick();
 
-  /// Routes and registers a flow; leaves its links in link_scratch_[0, n)
-  /// and returns n.
-  int start_flow(int src_node, int dst_node, double bytes);
+  /// Routes and registers a kFlowBytes flow; leaves its
+  /// links in link_scratch_[0, n) and returns n.
+  int start_flow(int src_node, int dst_node);
   void finish_flow(int flow);
   /// Exact mode: settles every rate after the flows on `links` changed.
   void recompute(const std::int32_t* links, int n);
@@ -156,12 +188,11 @@ class FlowSim final : public PortLoadProvider, private RateChangeSink {
   std::vector<TimePs> last_update_;
   std::vector<std::uint32_t> gen_of_;
 
-  // Per-node open-loop / exchange state.
+  // Per-node open-loop state.
   std::vector<Rng> node_rng_;
   std::vector<std::int32_t> active_of_node_;
   std::vector<std::int32_t> backlog_of_node_;
-  std::vector<std::int32_t> cursor_of_node_;  ///< exchange: next message index
-  std::vector<double> ejected_per_node_;      ///< bytes into the window, by dst
+  std::vector<double> ejected_per_node_;  ///< bytes into the window, by dst
 
   // Batched-mode dirty-link set (epoch-stamped dedup).
   std::vector<std::int32_t> dirty_links_;
@@ -178,20 +209,12 @@ class FlowSim final : public PortLoadProvider, private RateChangeSink {
 
   // Run state.
   const TrafficPattern* pattern_ = nullptr;
-  const ExchangePlan* plan_ = nullptr;
   double load_ = 0.0;
   TimePs now_ = 0;
   TimePs gen_end_ = 0;
   TimePs window_start_ = 0;
   TimePs window_end_ = 0;
-  bool exchange_mode_ = false;
   bool timed_out_ = false;
-  /// Batched exchange setup: start_flow leaves rates at 0 for one
-  /// waterfill_all instead of assigning estimates.
-  bool defer_rates_ = false;
-  std::int64_t exchange_msgs_open_ = 0;
-  std::int64_t exchange_msgs_total_ = 0;
-  TimePs exchange_completion_ = -1;
 
   // Statistics.
   FlowEngineStats stats_;
@@ -207,7 +230,6 @@ class FlowSim final : public PortLoadProvider, private RateChangeSink {
   std::int64_t hop_sum_ = 0;
   std::int64_t minimal_flows_ = 0;
   double delivered_window_bytes_ = 0.0;
-  double delivered_total_bytes_ = 0.0;
   LogHistogram latency_ns_;
 };
 

@@ -17,8 +17,8 @@
 // - waterfill_from() recomputes exact max-min rates for the connected
 //   component(s) of the flow-link sharing graph reachable from a set of
 //   seed links. Components are independent under max-min fairness, so this
-//   reproduces the global fixed point. Batched rate ticks, the exchange
-//   set-up (waterfill_all) and the repair's fallback use it. In a
+//   reproduces the global fixed point. Batched rate ticks, the repair's
+//   fallback and waterfill_all (the tests' reference) use it. In a
 //   diameter-two network at moderate load the sharing graph percolates and
 //   the "component" is the whole network.
 // - repair_from() is the exact-mode path run after every flow arrival or

@@ -10,6 +10,7 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "flowsim/flow_sim.h"
 #include "sim/fault.h"
 #include "topology/degrade.h"
 #include "topology/spec.h"
@@ -492,20 +493,29 @@ CampaignSpec parse_campaign_spec(std::string_view text, const std::string& where
     }
     out.sweeps.push_back(std::move(sw));
   }
+  return out;
+}
 
-  // Engine/feature compatibility is a parse error, not a mid-campaign
-  // surprise: a committed flow-engine spec must never reach simulation with
-  // a packet-only feature it would then throw on hours in.
-  if (out.engine == SimEngine::kFlow) {
-    for (std::size_t i = 0; i < out.sweeps.size(); ++i) {
-      if (out.sweeps[i].fault.has_value()) {
-        p.fail("$.sweeps[" + std::to_string(i) + "].fault",
-               "the flow engine does not support fault injection; drop the "
-               "fault schedule or set engine = packet");
-      }
+SimEngine resolve_engine(const CampaignSpec& spec, SimEngine flag, bool metrics,
+                         const std::string& where) {
+  const SimEngine engine = spec.engine.value_or(flag);
+  if (engine != SimEngine::kFlow) return engine;
+  const Parse p{where};
+  for (std::size_t i = 0; i < spec.sweeps.size(); ++i) {
+    const CampaignSweep& sw = spec.sweeps[i];
+    const flowsim::FlowGap gap = flowsim::flow_engine_gap(
+        {.exchange = sw.kind == CampaignSweepKind::kExchange,
+         .faults = sw.fault.has_value(),
+         .metrics = metrics});
+    const std::string path = "$.sweeps[" + std::to_string(i) + "]";
+    switch (gap) {
+      case flowsim::FlowGap::kNone: break;
+      case flowsim::FlowGap::kExchange: p.fail(path, flowsim::to_string(gap));
+      case flowsim::FlowGap::kFaults: p.fail(path + ".fault", flowsim::to_string(gap));
+      case flowsim::FlowGap::kMetrics: p.fail("--metrics", flowsim::to_string(gap));
     }
   }
-  return out;
+  return engine;
 }
 
 // -------------------------------------------------------------- expansion

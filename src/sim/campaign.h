@@ -153,9 +153,8 @@ struct CampaignSpec {
   /// Optional top-level "engine" key ("packet" | "flow"): pins the campaign
   /// to one simulation engine. When set it overrides the driver's --engine
   /// flag — the spec describes the experiment, the flags describe the
-  /// invocation scale. Specs selecting "flow" are validated against
-  /// packet-only features at parse time (fault schedules fail with a
-  /// path-qualified error); absent = the driver's flag (default packet).
+  /// invocation scale; absent = --engine (default packet). See
+  /// resolve_engine.
   std::optional<SimEngine> engine;
   std::vector<CampaignSystem> systems;
   std::vector<CampaignSweep> sweeps;
@@ -166,6 +165,14 @@ struct CampaignSpec {
 /// keys, bad enum tokens, duplicate labels/titles, or an empty matrix.
 CampaignSpec parse_campaign_spec(std::string_view text,
                                  const std::string& where = "campaign spec");
+
+/// The engine the campaign runs on: the spec's "engine" key, else `flag`
+/// (d2net_campaign's --engine). Throws ArgumentError naming `where` and the
+/// sweep path (or `--metrics`) when that engine cannot run the campaign:
+/// under the flow engine, flowsim::flow_engine_gap refuses an exchange
+/// sweep, a fault schedule or `metrics` before anything is simulated.
+SimEngine resolve_engine(const CampaignSpec& spec, SimEngine flag, bool metrics,
+                         const std::string& where);
 
 /// Invocation-scale parameters (the driver's standard flags).
 struct CampaignParams {

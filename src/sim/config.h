@@ -28,22 +28,9 @@ enum class SimEngine {
   kFlow,    ///< flow-level max-min-fair rate model (flowsim/flow_sim.h)
 };
 
-/// Flow-engine knobs; ignored by the packet engine.
+/// Flow-engine knobs; ignored by the packet engine. The flow size and the
+/// per-node concurrency are fixed (flowsim::kFlowBytes, kMaxActivePerNode).
 struct FlowSimConfig {
-  /// Open-loop flow size in bytes (exchange runs use the plan's message
-  /// sizes instead). 4 KiB = 16 packet-engine packets per flow, 327.68 ns
-  /// of serialization at 100 Gb/s — small enough that bench-scale windows
-  /// (16-50 us) see dozens of completed flows per node, large enough that
-  /// one flow event still stands in for many packet events.
-  std::int64_t flow_bytes = 4096;
-  /// Concurrent flows one node may source; further arrivals queue at the
-  /// NIC. Must be large enough that a node can keep its injection link
-  /// busy while individual flows are throttled by shared links downstream
-  /// (1 would serialize the NIC and cap accepted throughput at the mean
-  /// per-flow rate — far below the packet engine's saturation point); 16
-  /// recovers the packet engine's saturation knee on the paper systems
-  /// while bounding per-node state at overload.
-  int max_active_per_node = 16;
   /// Rate recompute discipline: 0 re-waterfills the affected component
   /// after every flow event (exact max-min at all times); > 0 batches
   /// recomputes into periodic ticks of this simulated-time interval —
@@ -55,7 +42,7 @@ struct FlowSimConfig {
 struct SimConfig {
   /// Simulation backend. Everything below ps_per_byte..seed applies to
   /// both engines; fault and metrics knobs are packet-only
-  /// (the flow engine rejects them up front — see flowsim/flow_sim.h).
+  /// (the flow engine rejects them up front — flowsim::flow_engine_gap).
   SimEngine engine = SimEngine::kPacket;
   FlowSimConfig flow;
 

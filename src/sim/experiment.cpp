@@ -76,7 +76,9 @@ OpenLoopResult SimStack::run_open_loop(const TrafficPattern& pattern, double loa
 }
 
 ExchangeResult SimStack::run_exchange(const ExchangePlan& plan, TimePs time_limit) {
-  if (flow_) return flow_->run_exchange(plan, time_limit);
+  if (flow_) {
+    throw ArgumentError(flowsim::to_string(flowsim::flow_engine_gap({.exchange = true})));
+  }
   return packet_->run_exchange(plan, time_limit);
 }
 

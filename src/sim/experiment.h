@@ -49,6 +49,8 @@ class SimStack {
 
   OpenLoopResult run_open_loop(const TrafficPattern& pattern, double load, TimePs duration,
                                TimePs warmup);
+  /// Closed-loop exchange; packet engine only (a flow stack throws
+  /// ArgumentError, see docs/flow_engine.md).
   ExchangeResult run_exchange(const ExchangePlan& plan, TimePs time_limit);
 
   /// Closed-form fluid all-to-all completion at scales where the per-pair

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -313,6 +314,15 @@ TEST(Cli, RunCliTurnsArgumentErrorsIntoExitTwo) {
   EXPECT_EQ(run_cli(bad, 0, nullptr), 2);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "error: unknown flag --bogus\n");
   EXPECT_EQ(run_cli(good, 5, nullptr), 5);
+}
+
+TEST(Cli, RunCliTurnsOtherExceptionsIntoExitOne) {
+  const auto failing = [](int, char**) -> int {
+    throw std::runtime_error("sweep point 3 failed: wedged");
+  };
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli(failing, 0, nullptr), 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "error: sweep point 3 failed: wedged\n");
 }
 
 TEST(Cli, HelpReturnsFalse) {

@@ -4,10 +4,10 @@
 // and a forced fallback), engine sanity on tiny topologies, a pinned
 // batched run, the work-based wall-clock deadline, batched-vs-exact
 // recompute agreement,
-// flow-vs-packet cross-validation (saturation knee within one load step,
-// exchange completion-time ordering), determinism across --jobs, journal
-// resume byte-identity, and strict rejection of packet-only
-// configuration. See docs/flow_engine.md.
+// flow-vs-packet cross-validation (saturation knee within one load step),
+// determinism across --jobs, journal resume byte-identity, and strict
+// rejection of packet-only configuration and exchanges. See
+// docs/flow_engine.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -333,14 +333,13 @@ TEST(FlowSim, LoneFlowLatencyIsSerializationTime) {
   const Topology topo = tiny_pair();
   SimConfig cfg;
   cfg.engine = SimEngine::kFlow;
-  cfg.flow.flow_bytes = 4096;
   SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
   const auto shift = make_node_shift(topo.num_nodes(), 1);
   // Low load: flows essentially never overlap, every flow runs alone at
   // rate 1.0 end to end.
   const OpenLoopResult res = stack.run_open_loop(*shift, 0.05, us(200), us(20));
   ASSERT_GT(res.packets_measured, 0);
-  const double ser_ns = 4096 * 80 / 1000.0;  // 327.68 ns at 100 Gb/s
+  const double ser_ns = flowsim::kFlowBytes * 80 / 1000.0;  // 327.68 ns at 100 Gb/s
   EXPECT_NEAR(res.avg_latency_ns, ser_ns, ser_ns * 0.25);
   EXPECT_NEAR(res.accepted_throughput, 0.05, 0.015);
 }
@@ -349,7 +348,6 @@ TEST(FlowSim, SaturatedPairDeliversLineRate) {
   const Topology topo = tiny_pair();
   SimConfig cfg;
   cfg.engine = SimEngine::kFlow;
-  cfg.flow.flow_bytes = 4096;
   SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
   const auto shift = make_node_shift(topo.num_nodes(), 1);
   // Disjoint node pairs at full offered load: the engine must sustain
@@ -435,43 +433,6 @@ TEST(FlowVsPacket, SaturationKneeWithinOneLoadStep) {
     EXPECT_LE(hi - lo, 1u) << topo->name() << ": flow knee at index " << kf
                            << ", packet knee at index " << kp;
   }
-}
-
-TEST(FlowVsPacket, ExchangeCompletionOrderingAgrees) {
-  // All-to-all completion times on small SF/MLFM/OFT: the flow engine
-  // must rank the three systems the same way the packet engine does
-  // (absolute times differ by model — see docs/flow_engine.md).
-  const Topology sf = build_slim_fly(5);
-  const Topology mlfm = build_mlfm(3);
-  const Topology oft = build_oft(4);
-  const std::vector<const Topology*> topos{&sf, &mlfm, &oft};
-  std::vector<double> flow_us;
-  std::vector<double> pkt_us;
-  for (const Topology* topo : topos) {
-    const ExchangePlan plan = make_all_to_all_plan(topo->num_nodes(), 1024);
-    for (const SimEngine eng : {SimEngine::kFlow, SimEngine::kPacket}) {
-      SimConfig cfg;
-      cfg.engine = eng;
-      // Batched ticks: the round-robin plan keeps every message open at
-      // once, so exact per-completion recompute would walk the full
-      // network-spanning component tens of thousands of times.
-      if (eng == SimEngine::kFlow) cfg.flow.rate_interval = ns(200);
-      SimStack stack(*topo, RoutingStrategy::kMinimal, cfg);
-      const ExchangeResult res = stack.run_exchange(plan, us(40'000));
-      ASSERT_TRUE(res.completed) << topo->name();
-      (eng == SimEngine::kFlow ? flow_us : pkt_us).push_back(res.completion_us);
-    }
-  }
-  const auto order = [&](const std::vector<double>& v) {
-    std::vector<std::size_t> idx{0, 1, 2};
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      return v[a] < v[b];
-    });
-    return idx;
-  };
-  EXPECT_EQ(order(flow_us), order(pkt_us))
-      << "flow: sf=" << flow_us[0] << " mlfm=" << flow_us[1] << " oft=" << flow_us[2]
-      << "  pkt: sf=" << pkt_us[0] << " mlfm=" << pkt_us[1] << " oft=" << pkt_us[2];
 }
 
 void expect_identical(const OpenLoopResult& a, const OpenLoopResult& b) {
@@ -602,34 +563,29 @@ TEST(FlowSweep, ExactModeIsReproducibleAndIndependentOfJobs) {
   EXPECT_NE(json.find("\"widen_rounds\": "), std::string::npos) << json;
 }
 
-TEST(FlowSim, WallLimitStopsARecomputeHeavyExchangePromptly) {
-  // An all-to-all that opens every message at once, with uneven message
-  // sizes so completions spread out: each one in exact mode recomputes
-  // part or all of a ~40k-flow component. The deadline counts that work,
-  // not events, so the run stops near its 10 ms limit instead of after
-  // thousands of such events (seconds) as an event-count check would.
-  const Topology topo = build_slim_fly(5);
-  const int n = topo.num_nodes();
-  ExchangePlan plan;
-  plan.order = MessageOrder::kRoundRobin;
-  plan.per_node.resize(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    for (int d = 0; d < n; ++d) {
-      if (d == s) continue;
-      const std::int64_t bytes = 4096LL * (1 + (s * 7 + d * 3) % 29);
-      plan.per_node[static_cast<std::size_t>(s)].push_back({d, bytes});
-    }
-  }
+// Every node sends to node 0 (and node 0 to node 1).
+struct ToNodeZero final : TrafficPattern {
+  int dest(int src, Rng&) const override { return src == 0 ? 1 : 0; }
+  std::string name() const override { return "to_node_0"; }
+};
+
+TEST(FlowSim, WallLimitStopsARecomputeHeavyRunPromptly) {
+  // Exact mode with every node sending to node 0: each flow start re-shares
+  // node 0's ejection link among every flow on it, thousands once the NICs
+  // fill. The deadline counts that work, not events, so the run stops near
+  // its 10 ms limit; a check once per 32,768 events lets it run for
+  // seconds (about 10 s on a 4-vCPU Xeon).
+  const Topology topo = build_slim_fly(7);
   SimConfig cfg;
   cfg.engine = SimEngine::kFlow;
   cfg.wall_limit_seconds = 0.01;
   SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
+  const ToNodeZero hub;
   const auto t0 = std::chrono::steady_clock::now();
-  const ExchangeResult res = stack.run_exchange(plan, us(1'000'000));
+  const OpenLoopResult res = stack.run_open_loop(hub, 1.0, us(1000), us(10));
   const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
   EXPECT_TRUE(res.timed_out);
-  EXPECT_FALSE(res.completed);
-  EXPECT_LT(res.delivered_bytes, res.total_bytes);
+  EXPECT_LT(res.t_stop, us(1000));
   EXPECT_LT(wall.count(), 1.0);
 }
 
@@ -700,23 +656,50 @@ TEST(FlowSweep, KillMidSweepThenResumeIsByteIdentical) {
   }
 }
 
+// The ArgumentError message of building a minimal-routing stack ("" = built).
+std::string stack_error(const Topology& topo, const SimConfig& cfg) {
+  try {
+    SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
+  } catch (const ArgumentError& e) {
+    return e.what();
+  }
+  return {};
+}
+
 TEST(FlowValidation, RejectsPacketOnlyFeaturesUpFront) {
   const Topology topo = build_slim_fly(5);
 
   SimConfig fault_cfg;
   fault_cfg.engine = SimEngine::kFlow;
   fault_cfg.fault.schedule.push_back(FaultEvent{us(1), FaultKind::kLinkDown, 0, 1});
-  EXPECT_THROW(SimStack(topo, RoutingStrategy::kMinimal, fault_cfg), ArgumentError);
+  EXPECT_EQ(stack_error(topo, fault_cfg),
+            "the flow engine does not support fault injection; drop the fault schedule or use "
+            "engine=packet");
 
   SimConfig metrics_cfg;
   metrics_cfg.engine = SimEngine::kFlow;
   metrics_cfg.metrics.enabled = true;
-  EXPECT_THROW(SimStack(topo, RoutingStrategy::kMinimal, metrics_cfg), ArgumentError);
+  EXPECT_EQ(stack_error(topo, metrics_cfg),
+            "the flow engine does not support per-port/VC metrics; use engine=packet");
 
   SimConfig bad_knobs;
   bad_knobs.engine = SimEngine::kFlow;
-  bad_knobs.flow.flow_bytes = 0;
+  bad_knobs.flow.rate_interval = -1;
   EXPECT_THROW(SimStack(topo, RoutingStrategy::kMinimal, bad_knobs), ArgumentError);
+}
+
+TEST(FlowValidation, ExchangesNeedThePacketEngine) {
+  const Topology topo = build_slim_fly(5);
+  SimConfig cfg;
+  cfg.engine = SimEngine::kFlow;
+  SimStack stack(topo, RoutingStrategy::kMinimal, cfg);
+  const ExchangePlan plan = make_all_to_all_plan(topo.num_nodes(), 1024);
+  try {
+    stack.run_exchange(plan, us(1000));
+    ADD_FAILURE() << "run_exchange ran on a flow stack";
+  } catch (const ArgumentError& e) {
+    EXPECT_STREQ(e.what(), "the flow engine does not run exchanges; use engine=packet");
+  }
 }
 
 std::string parse_error(const std::string& text) {
@@ -729,29 +712,85 @@ std::string parse_error(const std::string& text) {
 }
 
 TEST(FlowValidation, CampaignEngineKeyIsStrict) {
-  // Unknown engine tokens are located, and engine=flow refuses fault
-  // schedules with the offending spec path.
+  // Unknown engine tokens are located; a known one is carried.
   EXPECT_NE(parse_error(R"({"name": "t", "engine": "quantum",
       "systems": [{"label": "S", "topology": "sf:q=5"}],
       "sweeps": [{"title": "u", "loads": [0.5],
                   "series": [{"routing": "min"}]}]})")
                 .find("$.engine"),
             std::string::npos);
-  const std::string err = parse_error(R"({"name": "t", "engine": "flow",
-      "systems": [{"label": "S", "topology": "sf:q=5"}],
-      "sweeps": [{"title": "u", "loads": [0.5],
-                  "fault": {"frac": 0.1},
-                  "series": [{"routing": "min"}]}]})");
-  EXPECT_NE(err.find("$.sweeps[0].fault"), std::string::npos) << err;
-  EXPECT_NE(err.find("flow engine"), std::string::npos) << err;
-
-  // The same spec without the fault block parses and carries the engine.
   const CampaignSpec ok = parse_campaign_spec(R"({"name": "t", "engine": "flow",
       "systems": [{"label": "S", "topology": "sf:q=5"}],
       "sweeps": [{"title": "u", "loads": [0.5],
                   "series": [{"routing": "min"}]}]})");
   ASSERT_TRUE(ok.engine.has_value());
   EXPECT_EQ(*ok.engine, SimEngine::kFlow);
+}
+
+// resolve_engine's message for `text` under --engine `flag` and --metrics
+// `metrics` ("" = accepted).
+std::string engine_error(const std::string& text, SimEngine flag, bool metrics = false) {
+  const CampaignSpec spec = parse_campaign_spec(text, "spec");
+  try {
+    resolve_engine(spec, flag, metrics, "spec");
+  } catch (const ArgumentError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(FlowValidation, ResolvedEngineRefusesExchangesFaultsAndMetrics) {
+  const std::string load = R"({"title": "u", "loads": [0.5],
+                               "series": [{"routing": "min"}]})";
+  const std::string fault = R"({"title": "f", "loads": [0.5],
+                                "fault": {"frac": 0.1},
+                                "series": [{"routing": "min"}]})";
+  const std::string exchange = R"({"title": "x", "kind": "exchange",
+                                   "bytes_per_pair": 256,
+                                   "series": [{"routing": "min"}]})";
+  const auto spec = [](const std::string& engine_key, const std::string& sweeps) {
+    return R"({"name": "t", )" + engine_key +
+           R"("systems": [{"label": "S", "topology": "sf:q=5"}], "sweeps": [)" + sweeps +
+           "]}";
+  };
+  const std::string exchange_msg =
+      "spec: $.sweeps[1]: the flow engine does not run exchanges; use engine=packet";
+  const std::string fault_msg =
+      "spec: $.sweeps[1].fault: the flow engine does not support fault injection; drop the "
+      "fault schedule or use engine=packet";
+
+  // The spec's "engine" key pins flow, whatever --engine says.
+  EXPECT_EQ(engine_error(spec(R"("engine": "flow", )", load + ", " + exchange),
+                         SimEngine::kPacket),
+            exchange_msg);
+  // --engine flow on a spec without the key.
+  EXPECT_EQ(engine_error(spec("", load + ", " + fault), SimEngine::kFlow), fault_msg);
+  EXPECT_EQ(engine_error(spec("", load + ", " + exchange), SimEngine::kFlow), exchange_msg);
+  // --metrics under the flow engine, whether the flag or the key picks it.
+  const std::string metrics_msg =
+      "spec: --metrics: the flow engine does not support per-port/VC metrics; use "
+      "engine=packet";
+  EXPECT_EQ(engine_error(spec("", load), SimEngine::kFlow, true), metrics_msg);
+  EXPECT_EQ(engine_error(spec(R"("engine": "flow", )", load), SimEngine::kPacket, true),
+            metrics_msg);
+
+  // Flow with open-loop sweeps only is accepted, and the packet engine runs
+  // everything, including a spec key that overrides --engine flow.
+  EXPECT_EQ(engine_error(spec("", load), SimEngine::kFlow), "");
+  EXPECT_EQ(engine_error(spec("", load + ", " + fault + ", " + exchange), SimEngine::kPacket),
+            "");
+  EXPECT_EQ(engine_error(spec(R"("engine": "packet", )", exchange), SimEngine::kFlow), "");
+  EXPECT_EQ(engine_error(spec("", load), SimEngine::kPacket, true), "");
+
+  // The spec key wins over the flag in both directions.
+  const CampaignSpec pinned = parse_campaign_spec(spec(R"("engine": "flow", )", load), "spec");
+  EXPECT_EQ(resolve_engine(pinned, SimEngine::kPacket, false, "spec"), SimEngine::kFlow);
+  EXPECT_EQ(resolve_engine(parse_campaign_spec(spec("", load), "spec"), SimEngine::kFlow, false,
+                           "spec"),
+            SimEngine::kFlow);
+  EXPECT_EQ(resolve_engine(parse_campaign_spec(spec(R"("engine": "packet", )", load), "spec"),
+                           SimEngine::kFlow, false, "spec"),
+            SimEngine::kPacket);
 }
 
 }  // namespace
