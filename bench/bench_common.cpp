@@ -9,10 +9,12 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 #include "common/journal.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "sim/campaign.h"
 #include "topology/mlfm.h"
@@ -777,6 +779,47 @@ std::string cpu_model() {
     return model;
   }
   return "unknown";
+}
+
+namespace {
+
+constexpr std::size_t kProbeBytes = std::size_t{96} << 20;
+constexpr int kProbeLoads = 500000;
+constexpr int kProbeHashes = 40000000;
+
+}  // namespace
+
+HostProbe::HostProbe() : next_(kProbeBytes / sizeof(std::uint32_t)) {
+  // Sattolo's shuffle: a single cycle through every slot, fixed seed.
+  for (std::size_t i = 0; i < next_.size(); ++i) next_[i] = static_cast<std::uint32_t>(i);
+  Rng rng(0x686f737450726f62ULL);
+  for (std::size_t i = next_.size() - 1; i > 0; --i) {
+    std::swap(next_[i], next_[rng.next_below(i)]);
+  }
+}
+
+void HostProbe::run() {
+  std::uint32_t at = at_;
+  for (int i = 0; i < kProbeLoads; ++i) at = next_[at];
+  std::uint64_t h = at;
+  for (int i = 0; i < kProbeHashes; ++i) {
+    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+    h ^= h >> 29;
+  }
+  at_ = at;
+  hash_ = h;  // kept, so the chain cannot be optimized away
+}
+
+double HostProbe::best_ns() {
+  double best = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    run();
+    best = std::min(best, std::chrono::duration<double, std::nano>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return best;
 }
 
 }  // namespace d2net::bench

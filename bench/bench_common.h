@@ -5,6 +5,7 @@
 // (--json).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -235,5 +236,26 @@ int usable_cores();
 /// usable_cores() it fingerprints the host in a BENCH_*.json snapshot, so a
 /// baseline's timings are compared only on the host it was recorded on.
 std::string cpu_model();
+
+/// The host probe of perfbench/rep.cpp, shared by the BENCH_*.json benches
+/// so they all measure the host with the same work: dependent loads over a
+/// 96 MiB random cycle (larger than the last-level cache share, like the
+/// engine's pools), then a dependent integer hash chain. It runs no
+/// simulator code, so a change in its time is host drift, not a code
+/// change; scripts/ci.sh stage 5 divides timing ratios by its ratio.
+class HostProbe {
+ public:
+  HostProbe();
+
+  /// Best-of-3 wall nanoseconds of one round of the probe's work.
+  double best_ns();
+
+ private:
+  void run();
+
+  std::vector<std::uint32_t> next_;
+  std::uint32_t at_ = 0;
+  std::uint64_t hash_ = 0;
+};
 
 }  // namespace d2net::bench

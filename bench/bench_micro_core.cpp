@@ -8,7 +8,8 @@
 //   bench_micro_core --json=PATH     self-timed perf snapshot: end-to-end
 //                                    events/sec at saturation plus ns/op
 //                                    for the core primitives, the peak
-//                                    live VOQ cells, the SF q=13
+//                                    live VOQ cells, packet-pool and
+//                                    event-queue bytes, the SF q=13
 //                                    minimal-table build and a host
 //                                    probe (drift), written as
 //                                    flat JSON (the BENCH_core.json
@@ -261,43 +262,6 @@ double best_ns_per_op(std::int64_t iters, std::int64_t ops_per_iter, Body&& body
   return best;
 }
 
-/// The host probe of perfbench/rep.cpp, copied so both benches measure the
-/// host with the same work: dependent loads over a 96 MiB random cycle
-/// (larger than the last-level cache share, like the engine's pools), then
-/// a dependent integer hash chain. It does not touch the simulator, so a
-/// change in its time is host drift, not a code change.
-class HostProbe {
- public:
-  HostProbe() : next_(kBytes / sizeof(std::uint32_t)) {
-    // Sattolo's shuffle: a single cycle through every slot, fixed seed.
-    for (std::size_t i = 0; i < next_.size(); ++i) next_[i] = static_cast<std::uint32_t>(i);
-    Rng rng(0x686f737450726f62ULL);
-    for (std::size_t i = next_.size() - 1; i > 0; --i) {
-      std::swap(next_[i], next_[rng.next_below(i)]);
-    }
-  }
-
-  /// One round of the probe's work; the caller times it.
-  void run() {
-    std::uint32_t at = at_;
-    for (int i = 0; i < kLoads; ++i) at = next_[at];
-    std::uint64_t h = at;
-    for (int i = 0; i < kHashes; ++i) {
-      h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-      h ^= h >> 29;
-    }
-    at_ = at;
-    benchmark::DoNotOptimize(h);
-  }
-
- private:
-  static constexpr std::size_t kBytes = std::size_t{96} << 20;
-  static constexpr int kLoads = 500000;
-  static constexpr int kHashes = 40000000;
-  std::vector<std::uint32_t> next_;
-  std::uint32_t at_ = 0;
-};
-
 /// Median-of-`reps` wall milliseconds of `body()`.
 template <typename Body>
 double median_ms(int reps, Body&& body) {
@@ -314,11 +278,8 @@ double median_ms(int reps, Body&& body) {
 int write_json_snapshot(const std::string& path) {
   // Host drift: one best-of-3 probe round before the timings and one after;
   // scripts/ci.sh stage 5 divides each timing ratio by the probe's ratio.
-  HostProbe probe;
-  const auto probe_ns = [&] {
-    return best_ns_per_op(1, 1, [&](std::int64_t) { probe.run(); });
-  };
-  const double ns_probe_before = probe_ns();
+  bench::HostProbe probe;
+  const double ns_probe_before = probe.best_ns();
 
   const Topology topo = build_slim_fly(7);
 
@@ -327,11 +288,13 @@ int write_json_snapshot(const std::string& path) {
   const std::int64_t eps_ugal =
       scenario_events_per_sec(topo, RoutingStrategy::kUgal, 3);
 
-  // Peak live VOQ cells and peak packet-pool bytes (slots x sizeof(Packet))
-  // of one UGAL run of the same scenario with metrics on. Deterministic for
-  // the seed, so any increase is a storage change, not noise.
+  // Peak live VOQ cells, peak packet-pool bytes (slots x sizeof(Packet))
+  // and peak event-queue bytes (reserved slots x sizeof(Event)) of one UGAL
+  // run of the same scenario with metrics on. Deterministic for the seed, so
+  // any increase is a storage change, not noise.
   std::size_t voq_cells_peak = 0;
   std::size_t packet_pool_peak_bytes = 0;
+  std::size_t event_queue_peak_bytes = 0;
   {
     SimConfig cfg;
     cfg.seed = 1;
@@ -341,6 +304,7 @@ int write_json_snapshot(const std::string& path) {
     const OpenLoopResult res = stack.run_open_loop(uni, 0.9, us(20), us(5));
     voq_cells_peak = res.metrics->capacities.voq_cells;
     packet_pool_peak_bytes = res.metrics->capacities.packet_pool_slots * sizeof(Packet);
+    event_queue_peak_bytes = res.metrics->capacities.event_queue_reserved * sizeof(Event);
   }
 
   // VOQ push+pop pair through one intrusive cell.
@@ -428,7 +392,7 @@ int write_json_snapshot(const std::string& path) {
   };
   const double ns_wheel = queue_ns(1 << 12);
   const double ns_wheel_dense = queue_ns(100'000);
-  const double ns_host_probe = (ns_probe_before + probe_ns()) / 2.0;
+  const double ns_host_probe = (ns_probe_before + probe.best_ns()) / 2.0;
 
   const int cores = bench::usable_cores();
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -450,6 +414,7 @@ int write_json_snapshot(const std::string& path) {
   std::fprintf(f, "  \"ns_voq_push_pop\": %.2f,\n", ns_voq);
   std::fprintf(f, "  \"voq_cells_peak\": %zu,\n", voq_cells_peak);
   std::fprintf(f, "  \"packet_pool_peak_bytes\": %zu,\n", packet_pool_peak_bytes);
+  std::fprintf(f, "  \"event_queue_peak_bytes\": %zu,\n", event_queue_peak_bytes);
   std::fprintf(f, "  \"ns_pool_alloc_release\": %.2f,\n", ns_pool);
   std::fprintf(f, "  \"ns_csr_next_hops\": %.2f,\n", ns_csr);
   std::fprintf(f, "  \"ms_minimal_table_sf13\": %.2f,\n", ms_table);

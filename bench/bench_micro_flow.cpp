@@ -14,7 +14,9 @@
 //
 // Deterministic result fields (accepted throughput, completion time) are
 // exact for a given seed; only the wall-clock fields are machine-noisy, so
-// the snapshot records the host (cores, cpu_model) they were measured on.
+// the snapshot records the host (cores, cpu_model) they were measured on
+// and its drift (ns_host_probe, bench::HostProbe around the bench-scale
+// timings).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -70,6 +72,12 @@ OpenLoopTiming time_open_loop(const Topology& topo, double load, TimePs duration
 }
 
 int run(const std::string& json_path, bool skip_large) {
+  // Host drift: one best-of-3 probe round before the bench-scale timings
+  // and one after; scripts/ci.sh stage 5 divides each flows/s ratio by the
+  // probe's ratio, as it does for bench_micro_core.
+  bench::HostProbe probe;
+  const double ns_probe_before = probe.best_ns();
+
   // Bench-scale sanity on the BENCH_core.json topology (SF q=7, uniform,
   // seed 1), one scenario per recompute mode in its intended regime:
   // exact per-event local repair below the knee (repairs stay local),
@@ -85,6 +93,7 @@ int run(const std::string& json_path, bool skip_large) {
   std::printf("sf q=7 load 0.9 batched: %8.0f flows/s  wall %.2fs  accepted %.3f\n",
               batched.flows_per_sec, batched.wall_seconds, batched.accepted);
   std::fflush(stdout);
+  const double ns_host_probe = (ns_probe_before + probe.best_ns()) / 2.0;
 
   // The >= 10^5-endpoint acceptance scenarios (SF q=43: R=3698, p=32,
   // N=118,336). Open loop runs below the saturation knee with batched
@@ -143,8 +152,9 @@ int run(const std::string& json_path, bool skip_large) {
                large.wall_seconds == 1e300 ? 0.0 : large.wall_seconds);
   std::fprintf(f, "  \"accepted_q43_open_loop\": %.6f,\n", large.accepted);
   std::fprintf(f, "  \"wall_seconds_q43_all_to_all\": %.2f,\n", a2a_wall);
-  std::fprintf(f, "  \"completion_us_q43_all_to_all\": %.2f\n",
+  std::fprintf(f, "  \"completion_us_q43_all_to_all\": %.2f,\n",
                a2a_completion_us);
+  std::fprintf(f, "  \"ns_host_probe\": %.0f\n", ns_host_probe);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("-> %s\n", json_path.c_str());

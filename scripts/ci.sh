@@ -8,7 +8,9 @@
 # in-flight state mid-run and are therefore the likeliest source of
 # lifetime/indexing bugs — plus the determinism-digest and simulator suites,
 # whose healthy runs take and return VOQ cells from the growing cell pool
-# on every packet (a stale cell reference is a use-after-free), and then an
+# on every packet (a stale cell reference is a use-after-free), and the
+# event-queue oracle tests (events built in place in recycled storage),
+# and then an
 # end-to-end kill/resume drill on d2net_campaign with campaigns/fig6.json
 # under parallel sweeps: journal a sweep, truncate the journal mid-file with
 # a torn final line (what a SIGKILL leaves behind), resume, and require the
@@ -22,18 +24,21 @@
 # (whose exchange rows share the sweep's thread pool) under --jobs=4.
 #
 # Stage 5 is a warn-only perf smoke: bench_micro_core --json against the
-# committed BENCH_core.json baseline with a +/-15% band. It prints a
-# regression table and never fails the build (CI machines are noisy; the
-# committed baseline is refreshed deliberately, see docs/perf.md). The band
-# applies only when the host fingerprint (usable cores and CPU model)
-# matches the baseline's; on any other host the table is informational.
-# Each timing is first divided by the host drift: the ratio of the host
-# probe's time now to its time in the baseline (ns_host_probe, the same
-# work as perfbench's probe, which runs no simulator code).
-# voq_cells_peak (peak live VOQ cells of a fixed run) and
+# committed BENCH_core.json baseline with a +/-15% band, and
+# bench_micro_flow --json against BENCH_flow.json with a +/-20% band on
+# flows/s. It prints regression tables and never fails the build (CI
+# machines are noisy; the committed baselines are refreshed deliberately,
+# see docs/perf.md). The bands apply only when the host fingerprint (usable
+# cores and CPU model) matches the baseline's; on any other host the timing
+# rows are informational. Each timing is first divided by the host drift:
+# the ratio of the host probe's time now to its time in the baseline
+# (ns_host_probe, the same work as perfbench's probe, which runs no
+# simulator code; both benches write it).
+# voq_cells_peak (peak live VOQ cells of a fixed run),
 # packet_pool_peak_bytes (that run's peak packet-pool slots times
-# sizeof(Packet)) are deterministic, so any increase over the baseline is
-# reported on every host.
+# sizeof(Packet)) and event_queue_peak_bytes (its reserved event-queue
+# slots times sizeof(Event)) are deterministic, so any increase over the
+# baseline is reported on every host.
 # The same stage runs the benchmark's own tests (perfbench/test_*.py),
 # which build perfbench_rep into .bench_build/ and fail the build.
 #
@@ -100,7 +105,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "=== stage 3: ASan+UBSan fault-injection / sim-edge / VOQ-pool check ==="
   cmake -B build-ci-asan -S . -DD2NET_SANITIZE=address,undefined >/dev/null
   cmake --build build-ci-asan -j "$JOBS" --target test_faults --target test_sim_edge \
-    --target test_determinism_digest --target test_sim
+    --target test_determinism_digest --target test_sim --target test_sweep_runner
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-ci-asan/tests/test_faults
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
@@ -111,6 +116,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
     ./build-ci-asan/tests/test_determinism_digest
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-ci-asan/tests/test_sim
+  # The event queue builds each event in place in recycled chunk slots,
+  # active-bucket gaps and heap holes; its oracle tests drive every tier.
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-ci-asan/tests/test_sweep_runner --gtest_filter='EventQueue*'
   # Propagation tears down in-flight state on stale local views (salvage
   # resamples, misroute detours, drains at detection time) — exactly the
   # lifetime-bug surface this stage exists for.
@@ -165,6 +174,24 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
   field() { sed -nE "s/.*\"$2\": ([0-9.]+).*/\1/p" "$1"; }
   sfield() { sed -nE "s/.*\"$2\": \"([^\"]*)\".*/\1/p" "$1"; }
   fingerprint() { echo "$(field "$1" cores) core(s), $(sfield "$1" cpu_model)"; }
+  # Host drift between baseline $1 and snapshot $2: the host probe (no
+  # simulator code) ran base_probe ns when the baseline was recorded and
+  # cur_probe ns now. Sets `drift` to their ratio (1 when either is
+  # missing); each timing ratio is divided by it before the band applies.
+  host_drift() {
+    local base_probe cur_probe
+    base_probe=$(field "$1" ns_host_probe)
+    cur_probe=$(field "$2" ns_host_probe)
+    drift=1
+    if [[ -n "$base_probe" && -n "$cur_probe" ]]; then
+      drift=$(awk -v b="$base_probe" -v c="$cur_probe" 'BEGIN { printf "%.4f", c / b }')
+      awk -v b="$base_probe" -v c="$cur_probe" -v d="$drift" 'BEGIN {
+        printf "host drift: probe %.0f ns now vs %.0f ns at baseline (x%.3f); timing deltas below are drift-corrected\n", c, b, d
+      }'
+    else
+      echo "host drift: unknown (ns_host_probe missing), timing deltas are raw"
+    fi
+  }
   if [[ ! -f BENCH_core.json ]]; then
     echo "perf smoke skipped: no committed BENCH_core.json baseline"
   else
@@ -176,23 +203,11 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     [[ "$base_host" == "$cur_host" ]] && same_host=1
     echo "baseline host: $base_host"
     echo "current host:  $cur_host"
-    # Host drift: the host probe (no simulator code) ran base_probe ns when
-    # the baseline was recorded and cur_probe ns now. Each timing ratio is
-    # divided by the probe's ratio before the band applies.
-    base_probe=$(field BENCH_core.json ns_host_probe)
-    cur_probe=$(field build-ci/BENCH_core.json ns_host_probe)
-    drift=1
-    if [[ -n "$base_probe" && -n "$cur_probe" ]]; then
-      drift=$(awk -v b="$base_probe" -v c="$cur_probe" 'BEGIN { printf "%.4f", c / b }')
-      awk -v b="$base_probe" -v c="$cur_probe" -v d="$drift" 'BEGIN {
-        printf "host drift: probe %.0f ns now vs %.0f ns at baseline (x%.3f); timing deltas below are drift-corrected\n", c, b, d
-      }'
-    else
-      echo "host drift: unknown (ns_host_probe missing), timing deltas are raw"
-    fi
+    host_drift BENCH_core.json build-ci/BENCH_core.json
     printf '%-26s %14s %14s %8s  %s\n' metric baseline current delta verdict
     for key in events_per_sec_minimal events_per_sec_ugal ns_voq_push_pop \
-               voq_cells_peak packet_pool_peak_bytes ns_pool_alloc_release ns_csr_next_hops \
+               voq_cells_peak packet_pool_peak_bytes event_queue_peak_bytes \
+               ns_pool_alloc_release ns_csr_next_hops \
                ms_minimal_table_sf13 ms_minimal_table_rebuild_sf13 \
                ns_event_queue_wheel ns_event_queue_wheel_dense; do
       base=$(field BENCH_core.json "$key")
@@ -203,8 +218,8 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
         continue
       fi
       # events/sec regress downward, ns/op and ms regress upward; the
-      # deterministic voq_cells_peak and packet_pool_peak_bytes flag any
-      # increase on every host.
+      # deterministic voq_cells_peak, packet_pool_peak_bytes and
+      # event_queue_peak_bytes flag any increase on every host.
       awk -v key="$key" -v base="$base" -v cur="$cur" -v same="$same_host" \
           -v drift="$drift" 'BEGIN {
         # A drift-slowed host lowers events/sec and raises ns and ms.
@@ -215,7 +230,7 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
         worse = (key ~ /^events_per_sec/) ? -delta : delta
         verdict = worse > 15 ? "REGRESSION (warn-only)" : "ok"
         if (same != 1) verdict = "informational (host differs)"
-        if (key ~ /^(voq_cells_peak|packet_pool_peak_bytes)$/)
+        if (key ~ /^(voq_cells_peak|packet_pool_peak_bytes|event_queue_peak_bytes)$/)
           verdict = cur + 0 > base + 0 ? "INCREASE (warn-only)" : "ok"
         printf "%-26s %14s %14s %+7.1f%%  %s\n", key, base, cur, delta, verdict
       }'
@@ -241,6 +256,7 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
     [[ "$base_host" == "$cur_host" ]] && same_host=1
     echo "baseline host: $base_host"
     echo "current host:  $cur_host"
+    host_drift BENCH_flow.json build-ci/BENCH_flow.json
     printf '%-26s %14s %14s %8s  %s\n' metric baseline current delta verdict
     for key in flows_per_sec_exact flows_per_sec_batched \
                accepted_exact accepted_batched; do
@@ -253,8 +269,11 @@ if [[ "${SKIP_PERF:-0}" != "1" ]]; then
       fi
       # flows/sec regress downward; accepted throughput is deterministic
       # for a given seed, so any drift there is a model change, not noise.
-      awk -v key="$key" -v base="$base" -v cur="$cur" -v same="$same_host" 'BEGIN {
-        delta = base > 0 ? (cur - base) / base * 100 : 0
+      awk -v key="$key" -v base="$base" -v cur="$cur" -v same="$same_host" \
+          -v drift="$drift" 'BEGIN {
+        # A drift-slowed host lowers flows/sec.
+        adj = (key ~ /^flows_per_sec/) ? cur * drift : cur
+        delta = base > 0 ? (adj - base) / base * 100 : 0
         worse = (key ~ /^flows_per_sec/) ? -delta : (delta < 0 ? -delta : delta)
         verdict = worse > 20 ? "REGRESSION (warn-only)" : "ok"
         if (key ~ /^flows_per_sec/ && same != 1) verdict = "informational (host differs)"

@@ -70,10 +70,10 @@ struct SimConfig {
   /// rejects any other value.
   int shards = 1;
 
-  /// Fold an FNV-1a digest over the dispatched event stream (time, seq,
-  /// type, operands; sampling/watchdog ticks excluded like they are from
-  /// events_processed). Costs a few ns per event — off outside determinism
-  /// tests. The digest lands on OpenLoopResult/ExchangeResult.
+  /// Fold an FNV-1a digest over the dispatched event stream (time, okey,
+  /// operands b..d and the type; sampling/watchdog ticks excluded like they
+  /// are from events_processed). Costs a few ns per event — off outside
+  /// determinism tests. The digest lands on OpenLoopResult/ExchangeResult.
   bool collect_event_digest = false;
 
   MetricsConfig metrics;

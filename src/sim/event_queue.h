@@ -1,5 +1,5 @@
 // Discrete-event core: a time-ordered queue with a deterministic
-// (okey, seq) tie-break so identical seeds replay identical packet traces.
+// (time, okey) order so identical seeds replay identical packet traces.
 //
 // The queue is a two-level bucketed near-future wheel in front of an
 // overflow heap (calendar/ladder-queue style):
@@ -31,15 +31,21 @@
 // cannot be forwarded from them; at paper scale the stall was the engine's
 // hottest instruction.
 //
-// The queue realizes the (time, okey, seq) total order exactly —
-// tests/test_sweep_runner checks it against a reference heap, and
-// tests/test_determinism_digest pins the FNV-1a digest of the dispatched
-// event stream of the whole engine. The okey (ordering key) ranks
-// same-time events by a content-derived identity instead of raw insertion
-// order, which makes the realized order independent of *where* an event
-// was pushed from. Two distinct pending events never tie on (time, okey)
-// in-bounds (the key packs the event's full identity), so seq only orders
-// byte-identical duplicates, whose relative order cannot matter.
+// The queue pops in (time, okey) order — tests/test_sweep_runner checks it
+// against a reference, and tests/test_determinism_digest pins the FNV-1a
+// digest of the dispatched event stream of the whole engine. The okey
+// (ordering key) ranks same-time events by a content-derived identity
+// instead of raw insertion order, which makes the realized order
+// independent of *where* an event was pushed from; its high byte is the
+// EventType, so the 32-byte Event stores no type of its own. In bounds, two
+// distinct pending events never tie on (time, okey) (the key packs the
+// event's full identity), so only byte-identical events share a key and
+// their relative order cannot matter. Keys that alias (out-of-range
+// operands) still pop deterministically: the wheel pops equal keys in push
+// order, and the heap's order among them is a fixed function of the push
+// sequence. kHeadEligible is the one kind whose `a` (a VOQ cell) is not in
+// its key; it is scheduled a router latency ahead, inside the L2 horizon,
+// so it never reaches the heap.
 #pragma once
 
 #include <algorithm>
@@ -87,29 +93,30 @@ enum class EventType : std::uint8_t {
   /// a = router, d = fault-schedule index (fault.propagation only): a
   /// flooded link-state update reaches the router. Operands b and c are
   /// deliberately zero — duplicate deliveries of the same update at the
-  /// same time fold identically into the digest regardless of arrival
-  /// (seq) order, whatever neighbor sent them.
+  /// same time are byte-identical, so they fold identically into the digest
+  /// in whatever order they pop, whatever neighbor sent them.
   kFloodArrive,
 };
 
 struct Event {
   TimePs time = 0;
-  /// Content-derived ordering key: primary tie-break at equal times (see
+  /// Content-derived ordering key: the tie-break at equal times (see
   /// pack_event_okey / the file comment). High byte is the EventType.
   std::uint64_t okey = 0;
-  std::uint64_t seq = 0;  ///< insertion order; final FIFO tie-break
-  EventType type{};
   std::int32_t a = 0;
   std::int32_t b = 0;
   std::int32_t c = 0;
   std::int32_t d = 0;
+
+  EventType type() const { return static_cast<EventType>(okey >> 56); }
 };
+static_assert(sizeof(Event) == 32, "time, okey and four 32-bit operands");
 
 /// Ordering key for events whose operands are stable entity identities
 /// (everything except the packet-carrying kinds, whose `a` is a pool slot;
 /// kHeadEligible passes its router as `a`, not its cell):
-/// type:8 | a:22 | b:12 | c:4 | d:18. Out-of-range operands merely alias keys
-/// and fall back to the (still deterministic) seq tie-break.
+/// type:8 | a:22 | b:12 | c:4 | d:18. Out-of-range operands merely alias keys,
+/// which still pop in a deterministic order (see the file comment).
 inline std::uint64_t pack_event_okey(EventType type, std::int32_t a, std::int32_t b,
                                      std::int32_t c, std::int32_t d) {
   return (static_cast<std::uint64_t>(type) << 56) |
@@ -151,18 +158,16 @@ class EventQueue {
   /// Convenience push for identity-operand events (computes the okey).
   void push(TimePs time, EventType type, std::int32_t a = 0, std::int32_t b = 0,
             std::int32_t c = 0, std::int32_t d = 0) {
-    push_keyed(time, pack_event_okey(type, a, b, c, d), type, a, b, c, d);
+    push_keyed(time, pack_event_okey(type, a, b, c, d), a, b, c, d);
   }
 
-  void push_keyed(TimePs time, std::uint64_t okey, EventType type, std::int32_t a = 0,
-                  std::int32_t b = 0, std::int32_t c = 0, std::int32_t d = 0) {
-    const std::uint64_t seq = next_seq_++;
+  /// Push with a caller-built okey, whose high byte is the event's type.
+  void push_keyed(TimePs time, std::uint64_t okey, std::int32_t a = 0, std::int32_t b = 0,
+                  std::int32_t c = 0, std::int32_t d = 0) {
     ++size_;
-    Event& e = slot_for(time, okey, seq);  // built in place: see the file comment
+    Event& e = slot_for(time, okey);  // built in place: see the file comment
     e.time = time;
     e.okey = okey;
-    e.seq = seq;
-    e.type = type;
     e.a = a;
     e.b = b;
     e.c = c;
@@ -205,9 +210,7 @@ class EventQueue {
   /// Exposed through EngineCapacities.
   std::size_t reserved() const { return heap_.capacity() + cur_.capacity() + pool_slots(); }
 
-  /// Drops all pending events but keeps the allocated capacity and the
-  /// monotone sequence counter (seq only ever breaks same-time ties, so
-  /// continuing it across runs cannot change any ordering).
+  /// Drops all pending events but keeps the allocated capacity.
   void clear() {
     heap_.clear();
     cur_.clear();
@@ -247,12 +250,11 @@ class EventQueue {
     std::uint32_t n = 0;  ///< events held
   };
 
-  static bool before(TimePs time, std::uint64_t okey, std::uint64_t seq, const Event& y) {
+  static bool before(TimePs time, std::uint64_t okey, const Event& y) {
     if (time != y.time) return time < y.time;
-    if (okey != y.okey) return okey < y.okey;
-    return seq < y.seq;
+    return okey < y.okey;
   }
-  static bool before(const Event& x, const Event& y) { return before(x.time, x.okey, x.seq, y); }
+  static bool before(const Event& x, const Event& y) { return before(x.time, x.okey, y); }
 
   static std::size_t l1_bucket(TimePs t) {
     return static_cast<std::size_t>(t >> kL1Shift) & (kL1Buckets - 1);
@@ -271,10 +273,10 @@ class EventQueue {
     return (from + static_cast<std::size_t>(std::countr_zero(rotated))) % 64;
   }
 
-  /// The storage a new (time, okey, seq) event is popped from: the gap it
-  /// opens in the active bucket, its L1 or L2 chunk slot, or its heap hole.
-  /// The caller writes every field.
-  Event& slot_for(TimePs time, std::uint64_t okey, std::uint64_t seq) {
+  /// The storage a new (time, okey) event is popped from: the gap it opens
+  /// in the active bucket (after every pending event of its key), its L1 or
+  /// L2 chunk slot, or its heap hole. The caller writes every field.
+  Event& slot_for(TimePs time, std::uint64_t okey) {
     // Only pops move the windows (advance()), never a push: anchoring an
     // empty queue at a push's time would route every earlier-timed push
     // that follows it (NetworkSim's start-up generator ticks) into the
@@ -289,24 +291,24 @@ class EventQueue {
       // was popped.
       const auto pos = std::upper_bound(
           cur_.begin() + static_cast<std::ptrdiff_t>(cur_pos_), cur_.end(), time,
-          [&](TimePs t, const Event& y) { return before(t, okey, seq, y); });
+          [&](TimePs t, const Event& y) { return before(t, okey, y); });
       return *cur_.insert(pos, Event{});
     }
     if (time < l1_limit_) return l1_slot(time);
     if (time < l2_start_ + kL2Span) return l2_slot(time);
-    return heap_slot(time, okey, seq);
+    return heap_slot(time, okey);
   }
 
   // --- heap primitives (hole-based sifts: one Event moved per level) ---
 
-  /// Sifts a hole up from a new last element to where (time, okey, seq)
-  /// belongs and returns it.
-  Event& heap_slot(TimePs time, std::uint64_t okey, std::uint64_t seq) {
+  /// Sifts a hole up from a new last element to where (time, okey) belongs
+  /// and returns it.
+  Event& heap_slot(TimePs time, std::uint64_t okey) {
     heap_.emplace_back();
     std::size_t i = heap_.size() - 1;
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
-      if (!before(time, okey, seq, heap_[parent])) break;
+      if (!before(time, okey, heap_[parent])) break;
       heap_[i] = heap_[parent];
       i = parent;
     }
@@ -395,10 +397,11 @@ class EventQueue {
     bk = Bucket{};
   }
 
-  /// Moves L1 bucket `b` into cur_ in (time, okey, seq) order. Its events
-  /// span only kW1 distinct times, so a counting sort on the time offset
-  /// within the bucket does most of the work in two linear passes; the
-  /// insertion sort after it only has to order same-time runs.
+  /// Moves L1 bucket `b` into cur_ in (time, okey) order, equal keys in
+  /// push order. Its events span only kW1 distinct times, so a counting sort
+  /// on the time offset within the bucket does most of the work in two
+  /// stable linear passes; the stable insertion sort after it only has to
+  /// order same-time runs.
   void take_l1(std::size_t b) {
     Bucket& bk = l1_[b];
     std::array<std::uint32_t, kW1> at{};  // per-offset counts, then slots
@@ -517,7 +520,6 @@ class EventQueue {
 
   std::size_t size_ = 0;
   std::vector<Event> heap_;
-  std::uint64_t next_seq_ = 0;
 
   // Wheel state. cur_ is the sorted active bucket with consume index
   // cur_pos_; the L1 ring covers [l1_start_, l1_limit_), the L2 ring

@@ -63,7 +63,7 @@ inline std::uint64_t digest_w1(const Event& e) {
 
 inline std::uint64_t digest_w2(const Event& e) {
   return static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.d)) |
-         (static_cast<std::uint64_t>(e.type) << 32);
+         (static_cast<std::uint64_t>(e.type()) << 32);
 }
 
 inline std::uint64_t fold_digest(std::uint64_t h, TimePs time, std::uint64_t okey,
@@ -293,9 +293,7 @@ void NetworkSim::reset() {
 
 std::int32_t NetworkSim::find_cell(const RouterState& rs, int in_port, int vc,
                                    int out_idx) const {
-  std::int32_t ci = ivc_head_[ivc_index(rs, in_port, vc)];
-  while (ci >= 0 && voq_[ci].out != out_idx) ci = voq_[ci].next_sib;
-  return ci;
+  return voq_find(voq_, ivc_head_[ivc_index(rs, in_port, vc)], out_idx);
 }
 
 std::int32_t NetworkSim::cell_for_push(int router, int in_port, int vc, int out_idx) {
@@ -311,12 +309,7 @@ std::int32_t NetworkSim::cell_for_push(int router, int in_port, int vc, int out_
 
 void NetworkSim::release_cell(const RouterState& rs, std::int32_t ci) {
   const VoqCell& cell = voq_[ci];
-  std::int32_t* link = &ivc_head_[ivc_index(rs, cell.in_port, cell.vc)];
-  while (*link != ci) {
-    D2NET_HOT_ASSERT(*link >= 0, "VOQ cell missing from its input VC list");
-    link = &voq_[*link].next_sib;
-  }
-  *link = cell.next_sib;
+  voq_unlink(voq_, ivc_head_[ivc_index(rs, cell.in_port, cell.vc)], ci);
   voq_.release(ci);
 }
 
@@ -439,8 +432,8 @@ bool NetworkSim::start_injection(int node, int dst, int size, TimePs gen_time,
   // guarantees the tail is in the buffer before any forwarding decision.
   const TimePs arrival_ser = cfg_.cut_through ? 0 : ser;
   queue_.push_keyed(now + arrival_ser + cfg_.link_latency,
-                    pack_packet_okey(EventType::kArriveRouter, pkt.uid),
-                    EventType::kArriveRouter, pkt_id, src_router, nic.in_port, vc0);
+                    pack_packet_okey(EventType::kArriveRouter, pkt.uid), pkt_id, src_router,
+                    nic.in_port, vc0);
   ++progress_;
   ++packets_injected_;
   if (pkt.route.minimal()) ++packets_minimal_;
@@ -533,7 +526,7 @@ void NetworkSim::handle_arrive_router(int pkt_id, int router, int in_port,
 void NetworkSim::schedule_head_eligible(TimePs at, std::int32_t ci, int router, int in_port,
                                         int vc, int out_idx) {
   queue_.push_keyed(at, pack_event_okey(EventType::kHeadEligible, router, in_port, vc, out_idx),
-                    EventType::kHeadEligible, ci, in_port, vc, out_idx);
+                    ci, in_port, vc, out_idx);
 }
 
 void NetworkSim::handle_head_eligible(std::int32_t carried, int router, int in_port, int vc,
@@ -638,17 +631,15 @@ void NetworkSim::try_grant(int router, int out_idx, TimePs now) {
       // Delivery completes when the tail reaches the NIC, regardless of
       // forwarding mode.
       queue_.push_keyed(now + ser + cfg_.link_latency,
-                        pack_packet_okey(EventType::kArriveNode, pkt.uid),
-                        EventType::kArriveNode, pkt_id, out.peer_node);
+                        pack_packet_okey(EventType::kArriveNode, pkt.uid), pkt_id, out.peer_node);
     } else {
       out.credits[vc_next] -= pkt.size;
       if (faults_enabled_) pkt.link_epoch = out.epoch;
       pkt.hop += 1;
       const TimePs arrival_ser = cfg_.cut_through ? 0 : ser;
       queue_.push_keyed(now + arrival_ser + cfg_.link_latency,
-                        pack_packet_okey(EventType::kArriveRouter, pkt.uid),
-                        EventType::kArriveRouter, pkt_id, out.peer_router, out.peer_in_port,
-                        vc_next);
+                        pack_packet_okey(EventType::kArriveRouter, pkt.uid), pkt_id,
+                        out.peer_router, out.peer_in_port, vc_next);
     }
     ++progress_;
 
@@ -712,7 +703,7 @@ void NetworkSim::handle_arrive_node(int pkt_id, TimePs now) {
 }
 
 void NetworkSim::dispatch(const Event& e) {
-  switch (e.type) {
+  switch (e.type()) {
     case EventType::kGenerate: {
       if (e.time >= gen_end_) break;
       nics_[e.a].pending.push(e.time);
@@ -962,8 +953,7 @@ void NetworkSim::drop_packet(int pkt_id, TimePs now) {
   if (cfg_.fault.recovery != FaultRecovery::kNone && pkt.retries < cfg_.fault.max_retries) {
     const TimePs backoff = cfg_.fault.retry_backoff * (TimePs{1} << pkt.retries);
     ++pkt.retries;
-    queue_.push_keyed(now + backoff, pack_packet_okey(EventType::kRetryInject, pkt.uid),
-                      EventType::kRetryInject, pkt_id);
+    queue_.push_keyed(now + backoff, pack_packet_okey(EventType::kRetryInject, pkt.uid), pkt_id);
   } else {
     ++fstats_.packets_lost;
     pool_.release(pkt_id);
@@ -1001,7 +991,7 @@ void NetworkSim::handle_retry(int pkt_id, TimePs now) {
       const TimePs backoff = cfg_.fault.retry_backoff * (TimePs{1} << pkt.retries);
       ++pkt.retries;
       queue_.push_keyed(now + backoff, pack_packet_okey(EventType::kRetryInject, pkt.uid),
-                        EventType::kRetryInject, pkt_id);
+                        pkt_id);
     } else {
       ++fstats_.packets_lost;
       pool_.release(pkt_id);
@@ -1018,8 +1008,8 @@ void NetworkSim::handle_retry(int pkt_id, TimePs now) {
   queue_.push(nic.free_at, EventType::kNicFree, src_node);
   const TimePs arrival_ser = cfg_.cut_through ? 0 : ser;
   queue_.push_keyed(now + arrival_ser + cfg_.link_latency,
-                    pack_packet_okey(EventType::kArriveRouter, pkt.uid),
-                    EventType::kArriveRouter, pkt_id, src_router, nic.in_port, vc0);
+                    pack_packet_okey(EventType::kArriveRouter, pkt.uid), pkt_id, src_router,
+                    nic.in_port, vc0);
   ++fstats_.packets_retried;
 }
 
@@ -1459,14 +1449,14 @@ void NetworkSim::run_until(TimePs end) {
     if (wedged_ || timed_out_) break;
     const Event e = queue_.pop();
     now_ = e.time;
-    if (e.type == EventType::kMetricsSample) {
+    if (e.type() == EventType::kMetricsSample) {
       // Sampling ticks observe without perturbing: they bypass dispatch()
       // and the events_processed count so enabled and disabled runs report
       // identical engine statistics.
       handle_metrics_sample(e.time);
       continue;
     }
-    if (e.type == EventType::kWatchdog) {
+    if (e.type() == EventType::kWatchdog) {
       // Same discipline: the check reads one counter, so the always-on
       // watchdog cannot perturb a healthy run either.
       handle_watchdog(e.time);

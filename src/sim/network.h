@@ -19,7 +19,7 @@
 // 100 ns router traversal — and does not affect saturation behavior.
 //
 // Execution: one serial event loop over one EventQueue and one PacketPool.
-// The (time, okey, seq) event order, the per-entity RNG streams and the
+// The (time, okey) event order, the per-entity RNG streams and the
 // pool-independent Packet::uid make every run a pure function of its
 // config and seed; tests/test_determinism_digest.cpp pins the FNV-1a
 // digests of the dispatched event streams.
@@ -340,14 +340,15 @@ class NetworkSim final : public PortLoadProvider {
            static_cast<std::size_t>(in_port * num_vcs_ + vc);
   }
   /// Live cell of the (in_port, vc, out_idx) FIFO of `rs`; -1 when that
-  /// FIFO is empty.
+  /// FIFO is empty. Throws InternalError on a cyclic input-VC list.
   std::int32_t find_cell(const RouterState& rs, int in_port, int vc, int out_idx) const;
   /// find_cell() on `router`, taking a fresh cell from the pool when the
   /// FIFO is empty. May grow voq_: re-index any VoqCell reference held
   /// across the call.
   std::int32_t cell_for_push(int router, int in_port, int vc, int out_idx);
   /// Unlinks the emptied cell `ci`, which no ready list will visit again,
-  /// from its input VC's list and returns it to the pool.
+  /// from its input VC's list and returns it to the pool. Throws
+  /// InternalError when the list is cyclic or lacks the cell.
   void release_cell(const RouterState& rs, std::int32_t ci);
   int out_port_for_packet(int router, const Packet& pkt) const;
 
@@ -365,8 +366,8 @@ class NetworkSim final : public PortLoadProvider {
   void handle_arrive_node(int pkt_id, TimePs now);
   void handle_metrics_sample(TimePs now);
   void dispatch(const Event& e);
-  /// The event loop: dispatches every event up to `end` in (time, okey,
-  /// seq) order, stopping early on exchange completion, a wedge or the
+  /// The event loop: dispatches every event up to `end` in (time, okey)
+  /// order, stopping early on exchange completion, a wedge or the
   /// wall-clock deadline.
   void run_until(TimePs end);
 

@@ -7,7 +7,9 @@
 // list. VOQ memory therefore scales with buffered packets, not with
 // routers x ports^2 x VCs. The live cells of one input VC form a singly
 // linked list through VoqCell::next_sib, so a lookup by output port walks
-// the few FIFOs that input VC currently feeds.
+// the few FIFOs that input VC currently feeds (voq_find / voq_unlink, which
+// stop after VoqCellPool::live() links: a broken list throws rather than
+// spinning, also in release builds).
 //
 // Queue membership is threaded through the packet-pool slots themselves
 // (Packet::vnext / Packet::eligible_at), so pushing or popping a packet
@@ -22,7 +24,9 @@
 // so bench_micro_core can exercise them in isolation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <sstream>
 #include <vector>
 
 #include "common/error.h"
@@ -146,6 +150,44 @@ inline int voq_pop(PacketPool& pool, VoqCell& cell) {
   cell.head = pool[pkt_id].vnext;
   if (cell.head < 0) cell.tail = -1;
   return pkt_id;
+}
+
+/// Throws the InternalError of an input-VC list that a walk could not
+/// finish (a cycle, or a cell missing from the list), naming the list
+/// through `cell`, one of its cells.
+[[noreturn, gnu::cold, gnu::noinline]] inline void voq_list_broken(const VoqCell& cell,
+                                                                   const char* what) {
+  std::ostringstream os;
+  os << "VOQ list of router " << cell.router << " in_port " << cell.in_port << " vc "
+     << static_cast<int>(cell.vc) << ": " << what;
+  throw InternalError(os.str());
+}
+
+/// Live cell of the `out` FIFO on the input-VC list that starts at `head`,
+/// or -1 when that FIFO is empty. A well-formed list holds at most
+/// cells.live() cells, so a walk past that many links is a cycle and throws
+/// instead of spinning.
+inline std::int32_t voq_find(const VoqCellPool& cells, std::int32_t head, int out) {
+  std::int32_t ci = head;
+  std::size_t links = 0;
+  while (ci >= 0 && cells[ci].out != out) {
+    if (++links > cells.live()) voq_list_broken(cells[head], "cycle");
+    ci = cells[ci].next_sib;
+  }
+  return ci;
+}
+
+/// Unlinks cell `ci` from its input-VC list, whose head is `head`, within
+/// the same bound as voq_find(); a cell missing from the list throws too.
+inline void voq_unlink(VoqCellPool& cells, std::int32_t& head, std::int32_t ci) {
+  std::int32_t* link = &head;
+  std::size_t links = 0;
+  while (*link != ci) {
+    if (*link < 0) voq_list_broken(cells[ci], "cell missing from its list");
+    if (++links > cells.live()) voq_list_broken(cells[ci], "cycle");
+    link = &cells[*link].next_sib;
+  }
+  *link = cells[ci].next_sib;
 }
 
 /// Appends cell `ci` to the ready list tail.

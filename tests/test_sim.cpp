@@ -13,6 +13,7 @@
 #include "sim/experiment.h"
 #include "sim/network.h"
 #include "sim/traffic.h"
+#include "sim/voq.h"
 #include "topology/mlfm.h"
 #include "topology/oft.h"
 #include "topology/slim_fly.h"
@@ -35,7 +36,7 @@ TEST(EventQueue, OrdersByTimeThenFifo) {
   q.push(50, EventType::kNicFree, 2);
   q.push(100, EventType::kNicFree, 3);
   EXPECT_EQ(q.pop().a, 2);
-  EXPECT_EQ(q.pop().a, 1);  // same time: insertion order
+  EXPECT_EQ(q.pop().a, 1);  // same time: okey order, whose operand a is 1 < 3
   EXPECT_EQ(q.pop().a, 3);
   EXPECT_TRUE(q.empty());
 }
@@ -438,6 +439,42 @@ TEST(VoqCells, PeakIsPerRunAndBoundedByPacketPoolSlots) {
   EXPECT_GT(cap.voq_cells, 0u);
   EXPECT_LE(cap.voq_cells, cap.packet_pool_slots);
   EXPECT_EQ(b.metrics->capacities.voq_cells, cap.voq_cells);
+}
+
+TEST(VoqCells, BrokenInputVcListThrowsInsteadOfSpinning) {
+  // Three live cells of router 7's (in_port 2, vc 1), linked 0 -> 1 -> 2
+  // and then back to 0. The walks are bounded by the live-cell count in
+  // every build type, so a lookup that never matches and an unlink of a
+  // cell the cycle lacks both throw, naming the input VC.
+  VoqCellPool cells;
+  std::int32_t ids[3];
+  for (int out = 0; out < 3; ++out) ids[out] = cells.alloc(7, 2, 1, out);
+  for (int i = 0; i < 3; ++i) cells[ids[i]].next_sib = ids[(i + 1) % 3];
+  std::int32_t head = ids[0];
+  EXPECT_EQ(voq_find(cells, head, 2), ids[2]);
+  const auto expect_broken = [](auto&& walk, const std::string& what) {
+    try {
+      walk();
+      ADD_FAILURE() << "expected InternalError: " << what;
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find("router 7 in_port 2 vc 1: " + what),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_broken([&] { voq_find(cells, head, 5); }, "cycle");
+  const std::int32_t stray = cells.alloc(7, 2, 1, 4);
+  expect_broken([&] { voq_unlink(cells, head, stray); }, "cycle");
+
+  // Break the cycle: 0 -> 1 -> 2 -> end. The stray cell is now plainly
+  // missing, and the list's own cells still unlink.
+  cells[ids[2]].next_sib = -1;
+  EXPECT_EQ(voq_find(cells, head, 5), -1);
+  expect_broken([&] { voq_unlink(cells, head, stray); }, "cell missing from its list");
+  voq_unlink(cells, head, ids[1]);
+  EXPECT_EQ(cells[ids[0]].next_sib, ids[2]);
+  voq_unlink(cells, head, ids[0]);
+  EXPECT_EQ(head, ids[2]);
 }
 
 // ---------------------------------------------------------------- port rows

@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <queue>
-#include <sstream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -113,79 +113,70 @@ TEST(ThreadPool, ParallelForPropagatesBodyException) {
 
 // ------------------------------------------------------------ event queue
 
-// Drives an EventQueue and a reference min-heap on (time, okey, seq) with
-// the same operations and checks every pop against it, payload included:
-// each push carries a random type and random operands a..d, so a queue that
-// builds, moves or copies an event wrongly fails even when its order is
-// right. The reference mirrors the queue's seq counter, which continues
-// across clear().
+// Drives an EventQueue and a reference with the same operations and checks
+// every pop against it. The reference keeps the payloads a..d still pending
+// under each (time, okey): a pop's (time, okey) must be the reference's
+// minimum key, and its payload one of that key's pending payloads. Every
+// push carries random operands, so a queue that builds, moves or copies an
+// event wrongly fails even when its order is right. Equal keys may pop in
+// any order here, as the simulator gives them only to byte-identical events.
 class QueueOracle {
  public:
   EventQueue& queue() { return q_; }
-  std::size_t size() const { return ref_.size(); }
+  std::size_t size() const { return size_; }
   std::size_t high_water() const { return high_water_; }
   int failures() const { return failures_; }
 
   void push(TimePs t, std::uint64_t okey) {
-    const auto type = static_cast<EventType>(payload_.next_below(
-        static_cast<std::uint64_t>(EventType::kFloodArrive) + 1));
     const auto operand = [this] { return static_cast<std::int32_t>(payload_()); };
-    const std::int32_t a = operand();
-    const std::int32_t b = operand();
-    const std::int32_t c = operand();
-    const std::int32_t d = operand();
-    q_.push_keyed(t, okey, type, a, b, c, d);
-    ref_.push({t, okey, seq_++, type, a, b, c, d});
-    high_water_ = std::max(high_water_, ref_.size());
+    const Payload p{operand(), operand(), operand(), operand()};
+    q_.push_keyed(t, okey, p[0], p[1], p[2], p[3]);
+    ref_[{t, okey}].push_back(p);
+    high_water_ = std::max(high_water_, ++size_);
   }
 
   /// Pops from both and returns the dispatched time.
   TimePs pop() {
     const Event e = q_.pop();
-    const Ref got{e.time, e.okey, e.seq, e.type, e.a, e.b, e.c, e.d};
-    const Ref want = ref_.top();
-    ref_.pop();
-    if (got != want && failures_++ == 0) {
-      ADD_FAILURE() << "first mismatch: got " << got.str() << ", want " << want.str();
+    const Payload got{e.a, e.b, e.c, e.d};
+    const auto least = ref_.begin();
+    std::vector<Payload>& pending = least->second;
+    const bool key_ok = least->first == Key{e.time, e.okey};
+    auto it = key_ok ? std::find(pending.begin(), pending.end(), got) : pending.end();
+    if (it == pending.end()) {
+      if (failures_++ == 0) {
+        ADD_FAILURE() << "first mismatch: got (" << e.time << ", " << e.okey << " | " << got[0]
+                      << ", " << got[1] << ", " << got[2] << ", " << got[3] << "), want key ("
+                      << least->first.first << ", " << least->first.second << ") with "
+                      << pending.size() << " payload(s) pending";
+      }
+      it = pending.begin();
     }
+    pending.erase(it);
+    if (pending.empty()) ref_.erase(least);
+    --size_;
     return e.time;
   }
 
   void drain() {
-    while (!ref_.empty()) pop();
+    while (size_ > 0) pop();
     EXPECT_TRUE(q_.empty());
   }
 
   void clear() {
     q_.clear();
-    ref_ = {};
+    ref_.clear();
+    size_ = 0;
   }
 
  private:
-  struct Ref {
-    TimePs time;
-    std::uint64_t okey;
-    std::uint64_t seq;
-    EventType type;
-    std::int32_t a, b, c, d;
-    bool operator>(const Ref& o) const {
-      if (time != o.time) return time > o.time;
-      if (okey != o.okey) return okey > o.okey;
-      return seq > o.seq;
-    }
-    bool operator==(const Ref&) const = default;
-    std::string str() const {
-      std::ostringstream os;
-      os << "(" << time << ", " << okey << ", " << seq << " | type " << static_cast<int>(type)
-         << ", " << a << ", " << b << ", " << c << ", " << d << ")";
-      return os.str();
-    }
-  };
+  using Key = std::pair<TimePs, std::uint64_t>;
+  using Payload = std::array<std::int32_t, 4>;
 
   EventQueue q_;
-  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref_;
+  std::map<Key, std::vector<Payload>> ref_;
   Rng payload_{0x5EED};
-  std::uint64_t seq_ = 0;
+  std::size_t size_ = 0;
   std::size_t high_water_ = 0;
   int failures_ = 0;
 };
@@ -393,16 +384,40 @@ TEST(EventQueue4ary, NextTimeAndPopThrowOnEmpty) {
 #endif
 }
 
-TEST(EventQueue4ary, ClearKeepsFifoTieBreakMonotone) {
+TEST(EventQueue4ary, ClearKeepsPushOrderAmongEqualKeys) {
   EventQueue q;
   q.push(10, EventType::kNicFree, 1);
   q.clear();
   EXPECT_TRUE(q.empty());
-  // seq continues across clear(): ties still pop in insertion order.
-  q.push(7, EventType::kNicFree, 2);
-  q.push(7, EventType::kNicFree, 3);
+  // After clear(), the wheel still pops equal (time, okey) in push order.
+  const std::uint64_t okey = pack_event_okey(EventType::kNicFree, 0, 0, 0, 0);
+  q.push_keyed(7, okey, 2);
+  q.push_keyed(7, okey, 3);
   EXPECT_EQ(q.pop().a, 2);
   EXPECT_EQ(q.pop().a, 3);
+}
+
+TEST(EventQueue4ary, EveryTypeRoundTripsThroughBothOkeyPacks) {
+  // The okey's high byte is the only copy of an event's type: maximal
+  // in-range operands and the largest packet uid must not reach it.
+  constexpr std::int32_t kMaxA = (1 << 22) - 1;
+  constexpr std::int32_t kMaxB = (1 << 12) - 1;
+  constexpr std::int32_t kMaxC = (1 << 4) - 1;
+  constexpr std::int32_t kMaxD = (1 << 18) - 1;
+  constexpr std::uint64_t kMaxUid = (std::uint64_t{1} << 56) - 1;
+  for (int t = 0; t <= static_cast<int>(EventType::kFloodArrive); ++t) {
+    const auto type = static_cast<EventType>(t);
+    EventQueue q;
+    q.push(1, type, kMaxA, kMaxB, kMaxC, kMaxD);
+    q.push_keyed(2, pack_packet_okey(type, kMaxUid), 5);
+    const Event operands = q.pop();
+    EXPECT_EQ(operands.type(), type) << "pack_event_okey, type " << t;
+    EXPECT_EQ(okey_router(operands.okey), kMaxA);
+    EXPECT_EQ(operands.okey, pack_event_okey(type, kMaxA, kMaxB, kMaxC, kMaxD));
+    const Event packet = q.pop();
+    EXPECT_EQ(packet.type(), type) << "pack_packet_okey, type " << t;
+    EXPECT_EQ(packet.okey & kMaxUid, kMaxUid);
+  }
 }
 
 // -------------------------------------------------------- seed derivation
